@@ -65,7 +65,7 @@ def cmd_count(args) -> int:
     grp = io.load_group(args.group, g) if args.group else None
     method = args.method
     if method == "auto":
-        if grp is not None and homs.classify(m, grp).orbit:
+        if grp is not None and homs.is_orbit_map(m, grp):
             method = "B"
         elif homs.is_locally_surjective(m):
             method = "ce" if homs.is_component_equitable(m) else "A"

@@ -188,16 +188,23 @@ def _ratio_count(m: HomMap, rng: random.Random | None) -> CountBreakdown:
     """Walk the target components one representative at a time.
 
     Each step picks a target vertex not covered by the components already
-    visited (smallest label unless randomized), picks one admissible source
-    component for it, and contributes fibre size over multiplicity.  Exactly
-    one step happens per target component.
+    visited, picks one admissible source component for it, and contributes
+    fibre size over multiplicity.  Exactly one step happens per target
+    component.  Without ``rng`` the steps take the components in order and
+    each representative is the component's smallest label, so the walk is
+    linear.  With ``rng`` the representative is drawn from the uncovered
+    vertices in label order; that list shrinks by one component per step.
     """
     tcomp = m.target.components()
-    covered: set[int] = set()
+    eligible = list(m.target.vertices)
     terms = []
-    for _ in range(tcomp.count):
-        eligible = [y for y in m.target.vertices if tcomp.block_of[y] not in covered]
-        y = rng.choice(eligible) if rng is not None else eligible[0]
+    for block in tcomp.blocks:
+        if rng is None:
+            y = block[0]
+        else:
+            y = rng.choice(eligible)
+            covered = tcomp.block_of[y]
+            eligible = [v for v in eligible if tcomp.block_of[v] != covered]
         candidates = admissible_components(m, y)
         if not candidates:
             raise InternalCheckError("no admissible component for a target vertex")
@@ -205,7 +212,6 @@ def _ratio_count(m: HomMap, rng: random.Random | None) -> CountBreakdown:
         k_x = len(m.fibre(y))
         k_c = multiplicity(m, chosen, y)
         terms.append(CountTerm(y, chosen[0], k_x, k_c, _exact_div(k_x, k_c)))
-        covered.add(tcomp.block_of[y])
     total = sum(t.value for t in terms)
     if total != m.source.components().count:
         raise InternalCheckError("ratio count disagrees with the component index")

@@ -21,6 +21,12 @@ def _expect(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _expect_labels(labels, what: str) -> None:
+    """Refuse labels that are not strings; a list would crash set lookups later."""
+    for x in labels:
+        _expect(isinstance(x, str), f"{what} {x!r} is not a string")
+
+
 # ------------------------------------------------------------------ graphs
 
 def graph_to_dict(g: Graph) -> dict:
@@ -38,6 +44,7 @@ def graph_from_dict(data) -> Graph:
     pairs = []
     for e in edges:
         _expect(isinstance(e, list) and len(e) == 2, f"edge {e!r} is not a two-element list")
+        _expect_labels(e, "edge endpoint")
         pairs.append((e[0], e[1]))
     return Graph(vertices, pairs)
 
@@ -55,6 +62,7 @@ def partition_from_dict(data, g: Graph) -> Partition:
     _expect(isinstance(blocks, list), '"blocks" must be a list')
     for b in blocks:
         _expect(isinstance(b, list), f"block {b!r} is not a list")
+        _expect_labels(b, "block member")
     return Partition(blocks, g.vertex_set)
 
 
@@ -69,6 +77,7 @@ def hom_from_dict(data, source: Graph, target: Graph) -> HomMap:
     _expect("map" in data, 'map document needs a "map" object')
     mapping = data["map"]
     _expect(isinstance(mapping, dict), '"map" must be an object')
+    _expect_labels(mapping.values(), "map image")
     return HomMap(source, target, mapping)
 
 
@@ -86,6 +95,7 @@ def group_from_dict(data, g: Graph) -> PermGroup:
     _expect(isinstance(gens, list), '"generators" must be a list')
     for f in gens:
         _expect(isinstance(f, dict), f"generator {f!r} is not an object")
+        _expect_labels(f.values(), "generator image")
     try:
         return PermGroup(g.vertex_set, gens)
     except ValueError as exc:
@@ -98,6 +108,10 @@ def cayley_from_dict(data) -> FiniteGroup:
         _expect(key in data, f'group table document needs "{key}"')
     _expect(isinstance(data["elements"], list), '"elements" must be a list')
     _expect(isinstance(data["table"], dict), '"table" must be an object')
+    _expect_labels(data["elements"], "group element")
+    for row in data["table"].values():
+        _expect(isinstance(row, dict), f"table row {row!r} is not an object")
+        _expect_labels(row.values(), "product")
     return FiniteGroup(data["elements"], data["identity"], data["table"])
 
 
@@ -118,7 +132,10 @@ def dumps(payload) -> str:
 
 def load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON is nested too deeply") from None
 
 
 def save_json(path, payload) -> None:

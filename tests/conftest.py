@@ -5,7 +5,7 @@ import random
 
 from hypothesis import strategies as st
 
-from quograph import Graph, Partition, PermGroup, quotient
+from quograph import Graph, HomMap, Partition, PermGroup, quotient
 from quograph.verify import random_orbit_instance
 
 
@@ -44,6 +44,19 @@ def vertex_maps(draw, max_source: int = 5, max_target: int = 4):
     tgt = draw(graphs(max_target))
     mapping = {v: draw(st.sampled_from(tgt.vertices)) for v in src.vertices}
     return src, tgt, mapping
+
+
+@st.composite
+def homomorphisms(draw, max_source: int = 6, max_target: int = 4):
+    """Edge-preserving maps: images first, then source edges only where they
+    land on a target edge or a loop.  Many are not surjective."""
+    tgt = draw(graphs(max_target))
+    n = draw(st.integers(1, max_source))
+    labels = [f"s{i}" for i in range(n)]
+    mapping = {v: draw(st.sampled_from(tgt.vertices)) for v in labels}
+    allowed = [(u, v) for u, v in itertools.combinations(labels, 2) if tgt.has_edge(mapping[u], mapping[v])]
+    edges = draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
+    return HomMap(Graph(labels, edges), tgt, mapping)
 
 
 @st.composite

@@ -186,6 +186,47 @@ class TestCount:
         assert "hypotheses not satisfied: locally_surjective" in err
 
 
+class TestAutoRoute:
+    def test_orbit_instance_classifies_once(self, two_triangles_files, capsys, monkeypatch):
+        calls = []
+        original = quograph.homs.classify
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(quograph.homs, "classify", counted)
+        d = two_triangles_files
+        code, out, _ = run_cli(capsys, "count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"))
+        assert code == 0 and json.loads(out)["total"] == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["ce", "A"])
+    def test_group_off_the_partition_falls_back(self, tmp_path, case, capsys):
+        if case == "ce":  # two triangles folded pairwise: component equitable
+            g = Graph(
+                ["a0", "a1", "a2", "b0", "b1", "b2"],
+                [("a0", "a1"), ("a0", "a2"), ("a1", "a2"), ("b0", "b1"), ("b0", "b2"), ("b1", "b2")],
+            )
+            cells = [["a0", "b0"], ["a1", "b1"], ["a2", "b2"]]
+        else:  # a triangle and a hexagon wrapped twice around it: not component equitable
+            hexagon = [(f"b{i}", f"b{(i + 1) % 6}") for i in range(6)]
+            g = Graph(
+                ["a0", "a1", "a2"] + [f"b{i}" for i in range(6)],
+                [("a0", "a1"), ("a0", "a2"), ("a1", "a2")] + hexagon,
+            )
+            cells = [["a0", "b0", "b3"], ["a1", "b1", "b4"], ["a2", "b2", "b5"]]
+        io.save_json(tmp_path / "g.json", io.graph_to_dict(g))
+        io.save_json(tmp_path / "p.json", io.partition_to_dict(Partition(cells, g.vertex_set)))
+        io.save_json(tmp_path / "grp.json", io.group_to_dict(PermGroup(g.vertex_set, [])))
+        argv = ["count", str(tmp_path / "g.json"), str(tmp_path / "p.json"), "--group", str(tmp_path / "grp.json")]
+        code, auto_out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(auto_out)["total"] == 2
+        code, explicit_out, _ = run_cli(capsys, *argv, "--method", case)
+        assert code == 0
+        assert auto_out == explicit_out
+
+
 class TestOrbits:
     def test_partition_payload(self, two_triangles_files, capsys):
         code, out, _ = run_cli(
@@ -284,6 +325,42 @@ class TestErrors:
         bad.write_text('{"vertices": "oops"}\n')
         code, _, err = run_cli(capsys, "components", str(bad))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv,docs",
+        [
+            (["components", "@g"], {"g": {"vertices": ["a", "b"], "edges": [[["a"], "b"]]}}),
+            (["count", "@g", "@p"], {"g": {"vertices": ["a", "b"], "edges": []}, "p": {"blocks": [["a", ["b"]]]}}),
+            (
+                ["count", "@g", "@p", "--group", "@grp"],
+                {
+                    "g": {"vertices": ["a", "b"], "edges": []},
+                    "p": {"blocks": [["a", "b"]]},
+                    "grp": {"generators": [{"a": ["b"], "b": "a"}]},
+                },
+            ),
+            (
+                ["classify", "@g", "@t", "@m"],
+                {"g": {"vertices": ["a"], "edges": []}, "t": {"vertices": ["x"], "edges": []}, "m": {"map": {"a": ["x"]}}},
+            ),
+            (["powergraph", "--group", "cayley:@c"], {"c": {"elements": [["e"]], "identity": "e", "table": {}}}),
+            (["powergraph", "--group", "cayley:@c"], {"c": {"elements": ["e"], "identity": "e", "table": {"e": {"e": ["e"]}}}}),
+        ],
+        ids=["edge-endpoint", "block-member", "generator-image", "map-image", "cayley-element", "cayley-product"],
+    )
+    def test_list_where_a_label_belongs(self, tmp_path, capsys, argv, docs):
+        for name, doc in docs.items():
+            io.save_json(tmp_path / name, doc)
+        code, out, err = run_cli(capsys, *(a.replace("@", f"{tmp_path}/") for a in argv))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "is not a string" in err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "components", str(deep))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "nested too deeply" in err
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

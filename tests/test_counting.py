@@ -26,6 +26,7 @@ from quograph import (
 from quograph.verify import oracle_component_count
 
 from conftest import orbit_instances
+from reference import rebuilding_ratio_count
 from golden import (
     balanced_two_component_map,
     lopsided_two_component_map,
@@ -177,6 +178,45 @@ class TestCountOrbit:
     @settings(max_examples=30, deadline=None)
     def test_total_matches_oracle_on_random_instances(self, inst):
         assert count_orbit(inst.m, inst.grp).total == oracle_component_count(inst.g)
+
+
+PIECES = {"edge": [(0, 1)], "triangle": [(0, 1), (0, 2), (1, 2)], "path": [(0, 1), (1, 2), (2, 3)]}
+
+
+def many_components(count=300):
+    """``count`` pieces (edge, triangle, 3-path in turn), each present twice;
+    the group swaps the two copies and the map folds them together."""
+    vertices, edges = [], []
+    for i in range(count):
+        piece = PIECES[("edge", "triangle", "path")[i % 3]]
+        size = max(max(e) for e in piece) + 1
+        for copy in "ab":
+            vertices += [f"{copy}{i:03d}.{j}" for j in range(size)]
+            edges += [(f"{copy}{i:03d}.{u}", f"{copy}{i:03d}.{v}") for u, v in piece]
+    g = Graph(vertices, edges)
+    swap = Permutation({v: {"a": "b", "b": "a"}[v[0]] + v[1:] for v in g.vertices})
+    grp = PermGroup(g.vertex_set, [swap])
+    return g, grp, quotient(g, orbit_partition(grp)).projection
+
+
+class TestRatioWalk:
+    def test_unrandomized_representatives_are_component_leaders(self):
+        g, grp, m = many_components()
+        leaders = list(m.target.components().leaders())
+        assert len(leaders) == 300
+        for bd in (count_ce(m), count_orbit(m, grp)):
+            assert [t.representative for t in bd.terms] == leaders
+            assert bd.terms == rebuilding_ratio_count(m, None).terms
+            assert bd.total == 600
+
+    def test_randomized_walk_draws_like_the_rebuilding_walk(self):
+        g, grp, m = many_components()
+        leaders = list(m.target.components().leaders())
+        for seed in range(3):
+            expected = rebuilding_ratio_count(m, random.Random(seed)).terms
+            assert [t.representative for t in expected] != leaders
+            assert count_ce(m, rng=random.Random(seed)).terms == expected
+            assert count_orbit(m, grp, rng=random.Random(seed)).terms == expected
 
 
 class TestCountCe:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from quograph import (
     Graph,
@@ -22,8 +22,9 @@ from quograph import (
 )
 from quograph.verify import enumerate_graphs, enumerate_homs
 
-from conftest import projections, vertex_maps
+from conftest import homomorphisms, projections, vertex_maps
 from golden import GOLDEN_CASES, two_arcs_projection
+from reference import fibre_scan_is_locally_strong
 
 
 class TestHomMap:
@@ -123,6 +124,28 @@ class TestClassInterplay:
     @given(projections())
     def test_projections_are_complete_and_surjective(self, m):
         assert is_complete(m) and is_surjective(m)
+
+
+class TestLocallyStrongOracle:
+    """The local-image test against the fibre scan of the definition."""
+
+    @given(homomorphisms())
+    @settings(max_examples=300)
+    def test_agrees_with_fibre_scan(self, m):
+        assert is_locally_strong(m) == fibre_scan_is_locally_strong(m)
+
+    def test_agrees_on_every_small_homomorphism(self):
+        smalls = list(enumerate_graphs(3))
+        seen = set()
+        for src in smalls:
+            for tgt in smalls:
+                for mapping in enumerate_homs(src, tgt):
+                    m = HomMap(src, tgt, mapping)
+                    expected = fibre_scan_is_locally_strong(m)
+                    assert is_locally_strong(m) == expected
+                    seen.add((expected, is_surjective(m)))
+        # both answers occur on surjective and on non-surjective maps
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestFactorize:
