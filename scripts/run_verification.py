@@ -23,12 +23,15 @@ def main() -> int:
     ap.add_argument("--out", help="also write the full JSON report here")
     args = ap.parse_args()
 
-    cfg = SweepConfig(
-        max_source_vertices=args.max_vertices,
-        max_target_vertices=args.max_target_vertices,
-        random_instances=args.random,
-        seed=args.seed,
-    )
+    try:
+        cfg = SweepConfig(
+            max_source_vertices=args.max_vertices,
+            max_target_vertices=args.max_target_vertices,
+            random_instances=args.random,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        ap.error(str(exc))
     start = time.perf_counter()
     report = run_suite(cfg)
     elapsed = time.perf_counter() - start

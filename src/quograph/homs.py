@@ -3,7 +3,8 @@
 The predicates here sort a homomorphism into the classes that drive the
 component-counting results: surjective, complete, tame, the local
 surjective/injective/bijective variants, locally strong, pseudo-covering,
-equitable, and component equitable.  ``classify`` evaluates all of them at
+equitable, and component equitable.  The local classes come from one cached
+pass over the maps N(x) -> N(m(x)).  ``classify`` evaluates every class at
 once and cross-checks the implications that must hold between them.
 """
 
@@ -24,7 +25,7 @@ class HomMap:
     and reported instead of crashing the loaders.
     """
 
-    __slots__ = ("source", "target", "mapping", "image", "fibres", "_edge_preserving")
+    __slots__ = ("source", "target", "mapping", "image", "fibres", "_edge_preserving", "_local_classes")
 
     def __init__(self, source: Graph, target: Graph, mapping: dict[str, str]):
         for v in source.vertices:
@@ -45,6 +46,7 @@ class HomMap:
             fibres.setdefault(self.mapping[v], []).append(v)
         self.fibres = {y: tuple(vs) for y, vs in fibres.items()}
         self._edge_preserving = None
+        self._local_classes = None
 
     def __call__(self, v: str) -> str:
         return self.mapping[v]
@@ -130,24 +132,37 @@ def is_tame(m: HomMap) -> bool:
     return partition_is_tame(m.source, partition_of_map(m))
 
 
+def _local_classes(m: HomMap) -> tuple[bool, bool, bool]:
+    """(locally surjective, locally injective, locally strong) of the map.
+
+    One pass over the restrictions N(x) -> N(m(x)) builds each local image
+    m(N(x)) once and compares it with N(m(x)), at O(deg x + deg m(x)) per
+    vertex.  The triple is cached on the map, like edge preservation.
+    """
+    if m._local_classes is None:
+        _require_hom(m)
+        mapping, image = m.mapping, m.image
+        surjective = injective = strong = True
+        for x in m.source.vertices:
+            nbhd = m.source.neighborhood(x)
+            local_image = {mapping[u] for u in nbhd}
+            target_nbhd = m.target.neighborhood(mapping[x])
+            injective = injective and len(local_image) == len(nbhd)
+            if not target_nbhd <= local_image:
+                surjective = False
+                strong = strong and (target_nbhd & image) <= local_image
+        m._local_classes = (surjective, injective, strong)
+    return m._local_classes
+
+
 def is_locally_surjective(m: HomMap) -> bool:
     """True iff each restriction N(x) -> N(m(x)) is onto."""
-    _require_hom(m)
-    for x in m.source.vertices:
-        image_nbhd = {m.mapping[u] for u in m.source.neighborhood(x)}
-        if not m.target.neighborhood(m.mapping[x]) <= image_nbhd:
-            return False
-    return True
+    return _local_classes(m)[0]
 
 
 def is_locally_injective(m: HomMap) -> bool:
     """True iff each restriction N(x) -> N(m(x)) is injective."""
-    _require_hom(m)
-    for x in m.source.vertices:
-        nbhd = m.source.neighborhood(x)
-        if len({m.mapping[u] for u in nbhd}) != len(nbhd):
-            return False
-    return True
+    return _local_classes(m)[1]
 
 
 def is_locally_bijective(m: HomMap) -> bool:
@@ -160,18 +175,10 @@ def is_locally_strong(m: HomMap) -> bool:
 
     Pointwise: whenever {m(x1), m(x2)} is a target edge, x1 must have a
     neighbor inside the fibre of m(x2).  Equivalently, every neighbor of
-    m(x1) that lies in the image must lie in the local image m(N(x1)).
-    Target vertices outside the image impose no condition (there is no x2
-    for them), and the implicit loop at m(x1) is covered because x1 is in
-    N(x1).  Building the local image once per x1 makes the cost
-    O(deg x1 + deg m(x1)), independent of the fibre sizes.
+    m(x1) in the image lies in the local image m(N(x1)), a test that does
+    not depend on the fibre sizes.
     """
-    _require_hom(m)
-    for x1 in m.source.vertices:
-        local_image = {m.mapping[u] for u in m.source.neighborhood(x1)}
-        if not (m.target.neighborhood(m.mapping[x1]) & m.image) <= local_image:
-            return False
-    return True
+    return _local_classes(m)[2]
 
 
 def is_pseudo_covering(m: HomMap) -> bool:
@@ -220,22 +227,6 @@ class ClassificationReport:
     equitable: bool
     component_equitable: bool
     orbit: bool | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "surjective": self.surjective,
-            "complete": self.complete,
-            "isomorphism": self.isomorphism,
-            "tame": self.tame,
-            "locally_surjective": self.locally_surjective,
-            "locally_injective": self.locally_injective,
-            "locally_bijective": self.locally_bijective,
-            "locally_strong": self.locally_strong,
-            "pseudo_covering": self.pseudo_covering,
-            "equitable": self.equitable,
-            "component_equitable": self.component_equitable,
-            "orbit": self.orbit,
-        }
 
 
 def _check_report(r: ClassificationReport) -> None:

@@ -27,6 +27,10 @@ from .perms import PermGroup, Permutation
 
 _FAILURE_CAP = 20  # serialized counterexamples kept per claim
 
+# Largest sweep bounds: 6 source vertices already take hours (see README).
+MAX_SOURCE_VERTICES = 6
+MAX_TARGET_VERTICES = 3
+
 
 # ------------------------------------------------------------------- oracle
 
@@ -119,37 +123,7 @@ def enumerate_homs(source: Graph, target: Graph):
     yield from rec(0)
 
 
-def enumerate_instances(cfg: "SweepConfig"):
-    """The exhaustive instance stream as tagged tuples.
-
-    Yields ("partition", graph, partition) for every graph up to
-    ``max_source_vertices`` with every partition of its vertices, then
-    ("hom", hom_map) for every valid map into every graph up to
-    ``max_target_vertices``.
-    """
-    for g in enumerate_graphs(cfg.max_source_vertices):
-        for cells in set_partitions(g.vertices):
-            yield "partition", g, Partition(cells, g.vertex_set)
-    targets = list(enumerate_graphs(cfg.max_target_vertices))
-    for src in enumerate_graphs(cfg.max_source_vertices):
-        for tgt in targets:
-            for mapping in enumerate_homs(src, tgt):
-                yield "hom", HomMap(src, tgt, mapping)
-
-
 # ----------------------------------------------------------- instance kinds
-
-_PRED_ATTR = {
-    "surjective": "is_surjective",
-    "complete": "is_complete",
-    "tame": "is_tame",
-    "locally_surjective": "is_locally_surjective",
-    "locally_injective": "is_locally_injective",
-    "locally_strong": "is_locally_strong",
-    "pseudo_covering": "is_pseudo_covering",
-    "component_equitable": "is_component_equitable",
-}
-
 
 class HomInstance:
     """One map under test, with lazily cached predicate values.
@@ -167,7 +141,7 @@ class HomInstance:
             if name == "equitable":
                 value = partitions.is_equitable(self.m.source, partitions.partition_of_map(self.m))
             else:
-                value = getattr(homs, _PRED_ATTR[name])(self.m)
+                value = getattr(homs, f"is_{name}")(self.m)
             self._preds[name] = value
         return self._preds[name]
 
@@ -671,6 +645,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.max_source_vertices < 1 or self.max_target_vertices < 1:
             raise ValueError("vertex bounds must be at least 1")
+        if self.max_source_vertices > MAX_SOURCE_VERTICES or self.max_target_vertices > MAX_TARGET_VERTICES:
+            raise ValueError(f"at most {MAX_SOURCE_VERTICES} source, {MAX_TARGET_VERTICES} target vertices")
         if self.random_instances < 0:
             raise ValueError("random instance count cannot be negative")
 
@@ -689,14 +665,6 @@ class ClaimResult:
             if len(self.failures) < _FAILURE_CAP:
                 self.failures.append({"claim": self.claim, "detail": detail, "data": payload_fn()})
 
-    def as_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "instances": self.instances,
-            "failure_count": self.failure_count,
-            "failures": self.failures,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -711,7 +679,7 @@ class VerificationReport:
         return {
             "config": asdict(self.config),
             "passed": self.passed,
-            "claims": [c.as_dict() for c in sorted(self.claims, key=lambda c: c.claim)],
+            "claims": [asdict(c) for c in sorted(self.claims, key=lambda c: c.claim)],
         }
 
     def to_json(self) -> str:
@@ -912,52 +880,3 @@ def replay_counterexample(failure: dict) -> bool:
         raise InternalCheckError(f"unknown claim kind {kind!r}")
     return bool(out)
 
-
-def medium_test_graphs() -> list[Graph]:
-    """Hand-picked 6- and 7-vertex graphs for the larger orbit sweeps."""
-    def cycle(n, prefix):
-        labels = [f"{prefix}{i}" for i in range(n)]
-        return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
-
-    def path(n, prefix):
-        labels = [f"{prefix}{i}" for i in range(n)]
-        return Graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
-
-    two_triangles = Graph(
-        ["a0", "a1", "a2", "b0", "b1", "b2"],
-        [("a0", "a1"), ("a0", "a2"), ("a1", "a2"), ("b0", "b1"), ("b0", "b2"), ("b1", "b2")],
-    )
-    prism = Graph(
-        ["p0", "p1", "p2", "q0", "q1", "q2"],
-        [
-            ("p0", "p1"), ("p1", "p2"), ("p0", "p2"),
-            ("q0", "q1"), ("q1", "q2"), ("q0", "q2"),
-            ("p0", "q0"), ("p1", "q1"), ("p2", "q2"),
-        ],
-    )
-    complete_bipartite_33 = Graph(
-        ["l0", "l1", "l2", "r0", "r1", "r2"],
-        [(f"l{i}", f"r{j}") for i in range(3) for j in range(3)],
-    )
-    star6 = Graph(
-        ["c", "s0", "s1", "s2", "s3", "s4"],
-        [("c", f"s{i}") for i in range(5)],
-    )
-    square_plus_triangle = Graph(
-        ["c0", "c1", "c2", "c3", "t0", "t1", "t2"],
-        [
-            ("c0", "c1"), ("c1", "c2"), ("c2", "c3"), ("c0", "c3"),
-            ("t0", "t1"), ("t0", "t2"), ("t1", "t2"),
-        ],
-    )
-    return [
-        cycle(6, "u"),
-        cycle(7, "w"),
-        path(6, "x"),
-        path(7, "y"),
-        two_triangles,
-        prism,
-        complete_bipartite_33,
-        star6,
-        square_plus_triangle,
-    ]

@@ -1,12 +1,23 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import quograph
 from quograph import Graph, HomMap, Partition, PermGroup, quotient
 from quograph.verify import random_orbit_instance
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment whose PYTHONPATH puts the quograph under test first."""
+    env = dict(os.environ)
+    src = str(Path(quograph.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @st.composite

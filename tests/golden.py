@@ -2,7 +2,8 @@
 
 Each builder returns a HomMap whose class memberships were worked out by
 hand from the definitions; the expected values live next to the builders so
-a test can compare a full classification in one step.
+a test can compare a full classification in one step.  The hand-picked
+6- and 7-vertex graphs of the larger orbit sweeps live here too.
 """
 
 from __future__ import annotations
@@ -172,3 +173,53 @@ GOLDEN_CASES = [
     ("two_arcs_projection", two_arcs_projection, TWO_ARCS_EXPECTED),
     ("point_into_edge", point_into_edge_map, POINT_EXPECTED),
 ]
+
+
+def medium_test_graphs() -> list[Graph]:
+    """Hand-picked 6- and 7-vertex graphs for the larger orbit sweeps."""
+    def cycle(n, prefix):
+        labels = [f"{prefix}{i}" for i in range(n)]
+        return Graph(labels, [(labels[i], labels[(i + 1) % n]) for i in range(n)])
+
+    def path(n, prefix):
+        labels = [f"{prefix}{i}" for i in range(n)]
+        return Graph(labels, [(labels[i], labels[i + 1]) for i in range(n - 1)])
+
+    two_triangles = Graph(
+        ["a0", "a1", "a2", "b0", "b1", "b2"],
+        [("a0", "a1"), ("a0", "a2"), ("a1", "a2"), ("b0", "b1"), ("b0", "b2"), ("b1", "b2")],
+    )
+    prism = Graph(
+        ["p0", "p1", "p2", "q0", "q1", "q2"],
+        [
+            ("p0", "p1"), ("p1", "p2"), ("p0", "p2"),
+            ("q0", "q1"), ("q1", "q2"), ("q0", "q2"),
+            ("p0", "q0"), ("p1", "q1"), ("p2", "q2"),
+        ],
+    )
+    complete_bipartite_33 = Graph(
+        ["l0", "l1", "l2", "r0", "r1", "r2"],
+        [(f"l{i}", f"r{j}") for i in range(3) for j in range(3)],
+    )
+    star6 = Graph(
+        ["c", "s0", "s1", "s2", "s3", "s4"],
+        [("c", f"s{i}") for i in range(5)],
+    )
+    square_plus_triangle = Graph(
+        ["c0", "c1", "c2", "c3", "t0", "t1", "t2"],
+        [
+            ("c0", "c1"), ("c1", "c2"), ("c2", "c3"), ("c0", "c3"),
+            ("t0", "t1"), ("t0", "t2"), ("t1", "t2"),
+        ],
+    )
+    return [
+        cycle(6, "u"),
+        cycle(7, "w"),
+        path(6, "x"),
+        path(7, "y"),
+        two_triangles,
+        prism,
+        complete_bipartite_33,
+        star6,
+        square_plus_triangle,
+    ]

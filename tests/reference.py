@@ -33,6 +33,26 @@ def fibre_scan_is_locally_strong(m: HomMap) -> bool:
     return True
 
 
+def loop_is_locally_surjective(m: HomMap) -> bool:
+    """Locally surjective by its own loop: each N(m(x)) lies in m(N(x))."""
+    _require_hom(m)
+    for x in m.source.vertices:
+        image_nbhd = {m.mapping[u] for u in m.source.neighborhood(x)}
+        if not m.target.neighborhood(m.mapping[x]) <= image_nbhd:
+            return False
+    return True
+
+
+def loop_is_locally_injective(m: HomMap) -> bool:
+    """Locally injective by its own loop: m(N(x)) is as large as N(x)."""
+    _require_hom(m)
+    for x in m.source.vertices:
+        nbhd = m.source.neighborhood(x)
+        if len({m.mapping[u] for u in nbhd}) != len(nbhd):
+            return False
+    return True
+
+
 def rebuilding_ratio_count(m: HomMap, rng: random.Random | None) -> CountBreakdown:
     """The ratio walk that rebuilds the list of uncovered target vertices at
     every step; it draws from ``rng`` in the same order as the library's."""

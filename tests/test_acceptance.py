@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -29,7 +30,6 @@ from quograph.cli import main as cli_main
 from quograph.verify import (
     SweepConfig,
     enumerate_graphs,
-    medium_test_graphs,
     oracle_component_count,
     orbit_instances_for,
     random_orbit_instance,
@@ -37,7 +37,7 @@ from quograph.verify import (
     sweep_partition_claims,
 )
 
-from golden import GOLDEN_CASES
+from golden import GOLDEN_CASES, medium_test_graphs
 
 
 def report(num, label, ok, elapsed=None, budget=None):
@@ -77,7 +77,7 @@ def test_criterion_1_golden_classifications():
     start = time.perf_counter()
     ok = True
     for name, build, expected in GOLDEN_CASES:
-        got = classify(build()).as_dict()
+        got = asdict(classify(build()))
         if got != expected:
             ok = False
             print(f"  golden case {name}: {got} != {expected}")

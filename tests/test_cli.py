@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -11,9 +10,10 @@ import pytest
 
 import quograph
 from quograph import Graph, Partition, PermGroup, Permutation, quotient
-from quograph import io
+from quograph import io, verify
 from quograph.cli import main
 
+from conftest import subprocess_env
 from golden import (
     balanced_two_component_map,
     two_arcs_graph,
@@ -313,6 +313,14 @@ class TestVerifyCommand:
             assert code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_bound_beyond_the_limit_is_refused_at_once(self, capsys, monkeypatch):
+        # 7 source vertices would mean about 1.8e9 graph-and-partition pairs
+        monkeypatch.setattr(verify, "run_suite", lambda cfg: pytest.fail("the sweep started"))
+        code, out, err = run_cli(capsys, "verify", "--max-vertices", "7")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestErrors:
     def test_missing_file(self, capsys):
@@ -377,16 +385,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 POWERGRAPH_ARGV = ["powergraph", "--group", "cyclic:2"]
 
 
-def _subprocess_env():
-    """Environment whose PYTHONPATH puts the quograph under test first."""
-    env = dict(os.environ)
-    src = str(Path(quograph.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 def _run(argv):
-    return subprocess.run(argv, capture_output=True, env=_subprocess_env())
+    return subprocess.run(argv, capture_output=True, env=subprocess_env())
 
 
 def _run_module(*args):

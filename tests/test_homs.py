@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import random
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quograph import (
     Graph,
@@ -24,7 +28,18 @@ from quograph.verify import enumerate_graphs, enumerate_homs
 
 from conftest import homomorphisms, projections, vertex_maps
 from golden import GOLDEN_CASES, two_arcs_projection
-from reference import fibre_scan_is_locally_strong
+from reference import (
+    fibre_scan_is_locally_strong,
+    loop_is_locally_injective,
+    loop_is_locally_surjective,
+)
+
+# Each class read from the shared local pass, next to its separate oracle.
+LOCAL_CLASSES = [
+    (is_locally_surjective, loop_is_locally_surjective),
+    (is_locally_injective, loop_is_locally_injective),
+    (is_locally_strong, fibre_scan_is_locally_strong),
+]
 
 
 class TestHomMap:
@@ -99,7 +114,7 @@ class TestValidateHom:
 class TestGoldenClassifications:
     @pytest.mark.parametrize("name,builder,expected", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
     def test_full_membership_profile(self, name, builder, expected):
-        assert classify(builder()).as_dict() == expected
+        assert asdict(classify(builder())) == expected
 
     def test_identity_map_is_everything(self):
         g = Graph(["a", "b", "c"], [("a", "b")])
@@ -127,25 +142,47 @@ class TestClassInterplay:
 
 
 class TestLocallyStrongOracle:
-    """The local-image test against the fibre scan of the definition."""
+    """The one local pass against a separate oracle for each class it yields:
+    the fibre scan of the definition for locally strong, and the earlier
+    per-class loops for locally surjective and locally injective."""
 
-    @given(homomorphisms())
+    @staticmethod
+    def check(m, order):
+        """Ask the predicates in ``order`` twice: the first call on the map
+        fills its cache, every later call reads it."""
+        expected = tuple(oracle(m) for _, oracle in LOCAL_CLASSES)
+        for i in order + order:
+            assert LOCAL_CLASSES[i][0](m) == expected[i]
+        return expected
+
+    @given(homomorphisms(), st.permutations(range(len(LOCAL_CLASSES))))
     @settings(max_examples=300)
-    def test_agrees_with_fibre_scan(self, m):
-        assert is_locally_strong(m) == fibre_scan_is_locally_strong(m)
+    def test_agrees_with_fibre_scan(self, m, order):
+        self.check(m, order)
 
     def test_agrees_on_every_small_homomorphism(self):
+        rng = random.Random(3)
         smalls = list(enumerate_graphs(3))
-        seen = set()
+        seen, strong_and_onto = set(), set()
         for src in smalls:
             for tgt in smalls:
                 for mapping in enumerate_homs(src, tgt):
                     m = HomMap(src, tgt, mapping)
-                    expected = fibre_scan_is_locally_strong(m)
-                    assert is_locally_strong(m) == expected
-                    seen.add((expected, is_surjective(m)))
-        # both answers occur on surjective and on non-surjective maps
-        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+                    order = rng.sample(range(len(LOCAL_CLASSES)), len(LOCAL_CLASSES))
+                    classes = self.check(m, order)
+                    seen.add(classes)
+                    strong_and_onto.add((classes[2], is_surjective(m)))
+        # locally strong answers both ways on surjective and on other maps
+        assert strong_and_onto == {(True, True), (True, False), (False, True), (False, False)}
+        # every (surjective, injective, strong) triple allowed by
+        # "locally surjective implies locally strong" occurs
+        assert seen == {
+            (sur, inj, strong)
+            for sur in (True, False)
+            for inj in (True, False)
+            for strong in (True, False)
+            if strong or not sur
+        }
 
 
 class TestFactorize:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import quograph.homs
-from quograph import Graph, HomMap, classify, validate_hom
+from quograph import Graph, HomMap, InternalCheckError, classify, validate_hom
 from quograph import verify
 from quograph.verify import (
     CLAIM_KINDS,
@@ -14,8 +14,6 @@ from quograph.verify import (
     SweepConfig,
     enumerate_graphs,
     enumerate_homs,
-    enumerate_instances,
-    medium_test_graphs,
     oracle_component_count,
     orbit_instances_for,
     random_orbit_instance,
@@ -26,6 +24,7 @@ from quograph.verify import (
 )
 
 from conftest import graphs
+from golden import medium_test_graphs
 
 TINY = SweepConfig(max_source_vertices=3, max_target_vertices=2, random_instances=25, seed=1)
 
@@ -82,10 +81,6 @@ class TestEnumeration:
                         expected += 1
                 assert len(list(enumerate_homs(src, tgt))) == expected
 
-    def test_instance_stream_is_tagged(self):
-        tags = {item[0] for item in enumerate_instances(SweepConfig(2, 2, 0, 0))}
-        assert tags == {"partition", "hom"}
-
 
 class TestSweepConfig:
     def test_defaults(self):
@@ -99,6 +94,8 @@ class TestSweepConfig:
             {"max_source_vertices": 0},
             {"max_target_vertices": 0},
             {"random_instances": -1},
+            {"max_source_vertices": 7},
+            {"max_target_vertices": 4},
         ],
     )
     def test_validation(self, kwargs):
@@ -144,6 +141,30 @@ class TestMutationSensitivity:
             assert replay_counterexample(failure) is True
         # patch undone: the same recorded payload no longer violates anything
         assert replay_counterexample(failure) is False
+
+    def test_broken_local_pass_is_caught_and_replayed(self):
+        cfg = SweepConfig(3, 2, 0, 1)
+        original = quograph.homs._local_classes
+
+        def flipped_strong(m):
+            surjective, injective, strong = original(m)
+            return surjective, injective, not strong
+
+        edge = Graph(["a", "b"], [("a", "b")])
+        identity = HomMap(edge, edge, {"a": "a", "b": "b"})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quograph.homs, "_local_classes", flipped_strong)
+            results = sweep_hom_claims(
+                cfg, claims={"locally_surjective_implies_locally_strong"}
+            )
+            broken = results["locally_surjective_implies_locally_strong"]
+            assert broken.failure_count > 0
+            failure = broken.failures[0]
+            assert replay_counterexample(failure) is True
+            with pytest.raises(InternalCheckError, match="locally surjective implies locally strong"):
+                classify(identity)
+        assert replay_counterexample(failure) is False
+        assert classify(identity).locally_strong
 
     def test_clean_run_records_nothing(self):
         cfg = SweepConfig(3, 2, 0, 1)
