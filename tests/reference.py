@@ -69,3 +69,13 @@ def rebuilding_ratio_count(m: HomMap, rng: random.Random | None) -> CountBreakdo
         terms.append(CountTerm(y, chosen[0], k_x, k_c, _exact_div(k_x, k_c)))
         covered.add(tcomp.block_of[y])
     return CountBreakdown(tuple(terms), sum(t.value for t in terms))
+
+
+def exhaustive_is_associative(elements, table) -> bool:
+    """Associativity of a nested-dict Cayley table on every triple, n³ lookups."""
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in elements
+        for b in elements
+        for c in elements
+    )

@@ -1,15 +1,30 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import itertools
 import json
 import shutil
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quograph
-from quograph import Graph, Partition, PermGroup, Permutation, quotient
+from quograph import (
+    Graph,
+    Partition,
+    PermGroup,
+    Permutation,
+    make_cyclic,
+    make_klein_four,
+    make_symmetric,
+    quotient,
+)
 from quograph import io, verify
 from quograph.cli import main
 
@@ -285,6 +300,47 @@ class TestPowergraph:
         code, _, err = run_cli(capsys, "powergraph", "--group", "cyclic:1", "--proper")
         assert code == 2
 
+    # sha256 of the stdout of `powergraph --group SPEC --proper`, then of
+    # `orbits` and `count --group` on the files `powergraph --out` writes.
+    PINNED_SHA256 = {
+        "cyclic:60": (
+            "d18bb8380e2e960e2ddf5c41d3e387c687a8adde531d7e381060bd0668bdfea4",
+            "92e06227756554bed3fd452bfc09b72eb39961b06c6cf835d825ef09ced46cd0",
+            "ddd679348a288766a1dd342ff4d1629ce8a4d1d777e68be345092775f2b99819",
+        ),
+        "symmetric:5": (
+            "b23e95934b2b9698970ad8731dd22c602ffcee101d707692389c7bc51035bfaa",
+            "87a57d0d6015d40fb5232fc224dfd520c036c05e1b08e3dfee153a1a6009219d",
+            "e876d18cea726e9482b5f43559a6b97ee0dd0d604ab41709aebe1284c868c8fb",
+        ),
+        "cayley:klein": (
+            "616352b3f6938b94f66b25064e03af2f5726370dd8dfc422b6429923fe88cab0",
+            "1c9a6fa0d0666e7df9512ee8cafea19148fcc8c31b0e322cabe74a2ec62bffdf",
+            "b3297e76c64f9eb740107333559e9d08df0c211a66bd3931e0e08d707dee4587",
+        ),
+    }
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_SHA256))
+    def test_pinned_output_bytes(self, tmp_path, capsys, spec):
+        group_spec = spec
+        if spec == "cayley:klein":
+            io.save_json(tmp_path / "klein.json", io.cayley_to_dict(make_klein_four()))
+            group_spec = f"cayley:{tmp_path / 'klein.json'}"
+        prefix = tmp_path / "pg"
+        graph, group, orbits = (str(tmp_path / f"pg.{s}.json") for s in ("graph", "group", "orbits"))
+        assert run_cli(capsys, "powergraph", "--group", group_spec, "--proper", "--out", str(prefix))[0] == 0
+        assert run_cli(capsys, "orbits", graph, group, "--out", orbits)[0] == 0
+        outs = []
+        for argv in (
+            ["powergraph", "--group", group_spec, "--proper"],
+            ["orbits", graph, group],
+            ["count", graph, orbits, "--group", group],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            outs.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(outs) == self.PINNED_SHA256[spec]
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -320,6 +376,73 @@ class TestVerifyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+LABELS = st.sampled_from(["e", "a", "b", "0", "1"])
+DOC_KEYS = st.sampled_from(
+    ["vertices", "edges", "blocks", "generators", "elements", "identity", "table"]
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | LABELS
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(DOC_KEYS | LABELS | st.text(max_size=3), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def cayley_like_docs(draw):
+    """Tables of small groups with a few cells, or the identity, replaced, so
+    that the group validation is reached as well as the loader's."""
+    group = draw(st.sampled_from([make_cyclic(1), make_cyclic(3), make_klein_four(), make_symmetric(3)]))
+    doc = io.cayley_to_dict(group)
+    elements = st.sampled_from(group.elements)
+    for _ in range(draw(st.integers(0, 3))):
+        doc["table"][draw(elements)][draw(elements)] = draw(elements | json_values)
+    if draw(st.integers(0, 4)) == 0:
+        doc["identity"] = draw(json_values)
+    return doc
+
+
+PROPER_FLAG = st.sampled_from([[], ["--proper"]])
+
+
+@st.composite
+def count_docs(draw):
+    """Graph, partition and group documents over one vertex list, so that
+    counting is reached as well as the loaders."""
+    vertices = draw(st.lists(LABELS, min_size=1, max_size=5, unique=True))
+    pairs = [list(e) for e in itertools.combinations(vertices, 2)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=5)) if pairs else []
+    cells = {}
+    for v in vertices:
+        cells.setdefault(draw(st.integers(0, 2)), []).append(v)
+    generators = [
+        dict(zip(vertices, draw(st.permutations(vertices)))) for _ in range(draw(st.integers(0, 2)))
+    ]
+    return [
+        {"vertices": vertices, "edges": edges},
+        {"blocks": list(cells.values())},
+        {"generators": generators},
+    ]
+
+
+def _sometimes_arbitrary(draw, doc):
+    return draw(json_values) if draw(st.integers(0, 3)) == 0 else doc
+
+
+def _assert_clean_exit(argv):
+    """Run main on fuzzed files: a clean exit code and no traceback."""
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestErrors:
@@ -369,6 +492,22 @@ class TestErrors:
         code, out, err = run_cli(capsys, "components", str(deep))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "nested too deeply" in err
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_cayley_table(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "c.json"
+        io.save_json(path, _sometimes_arbitrary(data.draw, data.draw(cayley_like_docs())))
+        _assert_clean_exit(["powergraph", "--group", f"cayley:{path}", *data.draw(PROPER_FLAG)])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_count_files(self, tmp_path_factory, data):
+        root = tmp_path_factory.mktemp("fuzz")
+        paths = [str(root / name) for name in ("g.json", "p.json", "grp.json")]
+        for path, doc in zip(paths, data.draw(count_docs())):
+            io.save_json(path, _sometimes_arbitrary(data.draw, doc))
+        _assert_clean_exit(["count", paths[0], paths[1], "--group", paths[2]])
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import ast
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quograph import (
     FiniteGroup,
@@ -14,11 +19,58 @@ from quograph import (
     power_graph,
     proper_power_graph,
 )
+from quograph.io import cayley_to_dict
+from reference import exhaustive_is_associative
 
 
 def _mod_table(n):
     els = [str(i) for i in range(n)]
     return els, {a: {b: str((int(a) + int(b)) % n) for b in els} for a in els}
+
+
+def _has_inverses(elements, identity, table):
+    return all(any(table[a][b] == identity == table[b][a] for b in elements) for a in elements)
+
+
+def _assert_triple_fails(message, table):
+    """The triple an associativity refusal names must really fail."""
+    x, s, y = ast.literal_eval(message.removeprefix("associativity fails on "))
+    assert table[table[x][s]][y] != table[x][table[s][y]]
+
+
+def _decide(elements, identity, table):
+    """Build the group and check the decision against the exhaustive oracle:
+    accepted exactly when the table is associative and has inverses, and a
+    refusal for associativity names a triple that really fails."""
+    associative = exhaustive_is_associative(elements, table)
+    try:
+        FiniteGroup(elements, identity, table)
+    except ValueError as exc:
+        message = str(exc)
+        if message.startswith("associativity fails on "):
+            _assert_triple_fails(message, table)
+            assert not associative
+            return "not associative"
+        assert "has no inverse" in message
+        assert not _has_inverses(elements, identity, table)
+        return "no inverse"
+    assert associative and _has_inverses(elements, identity, table)
+    return "accepted"
+
+
+SMALL_GROUPS = [make_cyclic(n) for n in range(2, 7)] + [make_symmetric(3), make_klein_four()]
+
+
+@st.composite
+def perturbed_tables(draw):
+    """A group table of order 2..6 with 1-3 cells off the identity's row and
+    column set to arbitrary elements."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    table = cayley_to_dict(group)["table"]
+    cells = [(a, b) for a in group.elements for b in group.elements if group.identity not in (a, b)]
+    for a, b in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True)):
+        table[a][b] = draw(st.sampled_from(group.elements))
+    return group.elements, group.identity, table
 
 
 class TestFiniteGroupValidation:
@@ -79,6 +131,62 @@ class TestFiniteGroupValidation:
         table["1"]["1"] = "0"  # keep inverses, break associativity
         with pytest.raises(ValueError):
             FiniteGroup(els, "0", table)
+
+
+class TestAssociativityProof:
+    @given(perturbed_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_perturbed_tables_agree_with_the_oracle(self, case):
+        _decide(*case)
+
+    def test_every_one_and_two_cell_perturbation_up_to_order_four(self):
+        outcomes = set()
+        for group in SMALL_GROUPS:
+            if group.order() > 4:
+                continue
+            els, e = group.elements, group.identity
+            cells = [(a, b) for a in els for b in els if e not in (a, b)]
+            for i, first in enumerate(cells):
+                for second in [None, *cells[i + 1 :]]:
+                    changed = [c for c in (first, second) if c is not None]
+                    for values in itertools.product(els, repeat=len(changed)):
+                        table = cayley_to_dict(group)["table"]
+                        for (a, b), v in zip(changed, values):
+                            table[a][b] = v
+                        outcomes.add(_decide(els, e, table))
+        assert outcomes == {"accepted", "no inverse", "not associative"}
+
+    @pytest.mark.parametrize("n", [26, 30, 120])
+    @pytest.mark.parametrize("anchor", ["low", "high"])
+    def test_cyclic_table_with_an_intercalate_swapped_is_refused(self, n, anchor):
+        els, table = _mod_table(n)
+        _swap_intercalate(table, n, 1 if anchor == "low" else n // 2 - 1)
+        with pytest.raises(ValueError, match="associativity fails on") as exc:
+            FiniteGroup(els, "0", table)
+        _assert_triple_fails(str(exc.value), table)
+
+    def test_the_only_intercalate_of_z4_gives_the_klein_group(self):
+        # Off the identity's row and column, Z_4 has one intercalate, on
+        # {1, 3} x {1, 3}; swapping it makes every element an involution.
+        els, table = _mod_table(4)
+        _swap_intercalate(table, 4, 1)
+        assert _decide(els, "0", table) == "accepted"
+        assert proper_power_graph(FiniteGroup(els, "0", table)).components().count == 3
+
+    def test_builders_are_accepted(self):
+        groups = [make_cyclic(n) for n in range(1, 61)]
+        groups += [make_symmetric(n) for n in range(1, 6)] + [make_klein_four()]
+        for group in groups:
+            if group.order() <= 24:
+                assert exhaustive_is_associative(group.elements, cayley_to_dict(group)["table"])
+
+
+def _swap_intercalate(table, n, a):
+    """Swap the 2x2 Latin subsquare of Z_n on {a, a + n/2} x {a, a + n/2}."""
+    h = n // 2
+    for x in (a, a + h):
+        for y in (a, a + h):
+            table[str(x)][str(y)] = str((x + y + h) % n)
 
 
 class TestBuilders:
