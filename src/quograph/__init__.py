@@ -37,7 +37,6 @@ from .homs import (
     ClassificationReport,
     HomMap,
     classify,
-    factorize,
     is_complete,
     is_component_equitable,
     is_locally_bijective,
@@ -98,7 +97,6 @@ __all__ = [
     "count_orbit",
     "enumerate_graphs",
     "enumerate_homs",
-    "factorize",
     "find_isomorphism",
     "generated_elements",
     "generating_set",

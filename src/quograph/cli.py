@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 I/O or parse error, 2 hypothesis violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 
@@ -127,7 +128,9 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 3
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="quograph", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

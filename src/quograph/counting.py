@@ -17,7 +17,6 @@ component index of the source before it is handed back.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import homs
@@ -150,23 +149,23 @@ def count_admissible(m: HomMap) -> CountBreakdown:
     return CountBreakdown(tuple(terms), total)
 
 
-def count_orbit(m: HomMap, grp, rng: random.Random | None = None) -> CountBreakdown:
+def count_orbit(m: HomMap, grp) -> CountBreakdown:
     """Component count via fibre-size ratios for an orbit map.
 
     Requires the map to be complete and its fibres to be exactly the orbits
-    of ``grp`` acting by automorphisms of the source.  ``rng`` randomizes the
-    choice of representatives and admissible components; the total must not
-    depend on it.
+    of ``grp`` acting by automorphisms of the source.  Each term does not
+    depend on which representative and admissible component are picked;
+    ``verify`` checks that over every choice.
     """
     report = homs.classify(m, grp)
     if not report.complete:
         raise HypothesisError("hypotheses not satisfied: complete")
     if not report.orbit:
         raise HypothesisError("hypotheses not satisfied: orbit")
-    return _ratio_count(m, rng)
+    return _ratio_count(m)
 
 
-def count_ce(m: HomMap, rng: random.Random | None = None) -> CountBreakdown:
+def count_ce(m: HomMap) -> CountBreakdown:
     """Component count via fibre-size ratios for a component-equitable map.
 
     Requires local surjectivity and component equitability; no group is
@@ -175,7 +174,7 @@ def count_ce(m: HomMap, rng: random.Random | None = None) -> CountBreakdown:
     _require_locally_surjective(m)
     if not homs.is_component_equitable(m):
         raise HypothesisError("hypotheses not satisfied: component_equitable")
-    return _ratio_count(m, rng)
+    return _ratio_count(m)
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -184,34 +183,22 @@ def _exact_div(a: int, b: int) -> int:
     return a // b
 
 
-def _ratio_count(m: HomMap, rng: random.Random | None) -> CountBreakdown:
-    """Walk the target components one representative at a time.
+def _ratio_count(m: HomMap) -> CountBreakdown:
+    """Walk the target components in order, one term per component.
 
-    Each step picks a target vertex not covered by the components already
-    visited, picks one admissible source component for it, and contributes
-    fibre size over multiplicity.  Exactly one step happens per target
-    component.  Without ``rng`` the steps take the components in order and
-    each representative is the component's smallest label, so the walk is
-    linear.  With ``rng`` the representative is drawn from the uncovered
-    vertices in label order; that list shrinks by one component per step.
+    Each term takes the component's smallest label y and the first source
+    component admissible for it, and contributes fibre size over
+    multiplicity.
     """
-    tcomp = m.target.components()
-    eligible = list(m.target.vertices)
     terms = []
-    for block in tcomp.blocks:
-        if rng is None:
-            y = block[0]
-        else:
-            y = rng.choice(eligible)
-            covered = tcomp.block_of[y]
-            eligible = [v for v in eligible if tcomp.block_of[v] != covered]
+    for block in m.target.components().blocks:
+        y = block[0]
         candidates = admissible_components(m, y)
         if not candidates:
             raise InternalCheckError("no admissible component for a target vertex")
-        chosen = rng.choice(candidates) if rng is not None else candidates[0]
         k_x = len(m.fibre(y))
-        k_c = multiplicity(m, chosen, y)
-        terms.append(CountTerm(y, chosen[0], k_x, k_c, _exact_div(k_x, k_c)))
+        k_c = multiplicity(m, candidates[0], y)
+        terms.append(CountTerm(y, candidates[0][0], k_x, k_c, _exact_div(k_x, k_c)))
     total = sum(t.value for t in terms)
     if total != m.source.components().count:
         raise InternalCheckError("ratio count disagrees with the component index")

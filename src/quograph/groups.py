@@ -153,25 +153,29 @@ def make_klein_four() -> FiniteGroup:
 
 # ---------------------------------------------------------------- power graphs
 
+def _power_edges(group: FiniteGroup, elements) -> frozenset[frozenset[str]]:
+    """Distinct x, y among ``elements`` where one is a positive power of the other."""
+    pows = {a: group.powers(a) for a in elements}
+    return frozenset(
+        frozenset((x, y))
+        for i, x in enumerate(elements)
+        for y in elements[i + 1 :]
+        if x in pows[y] or y in pows[x]
+    )
+
+
 def power_graph(group: FiniteGroup) -> Graph:
     """Undirected power graph: distinct x, y joined when one is a positive
     power of the other.  The identity is adjacent to everything."""
-    elements = group.elements
-    pows = {a: group.powers(a) for a in elements}
-    edges = []
-    for i, x in enumerate(elements):
-        for y in elements[i + 1 :]:
-            if x in pows[y] or y in pows[x]:
-                edges.append((x, y))
-    return Graph(elements, edges)
+    return Graph(group.elements, _power_edges(group, group.elements))
 
 
 def proper_power_graph(group: FiniteGroup) -> Graph:
     """The power graph with the identity deleted (induced on the rest)."""
     if group.order() < 2:
         raise HypothesisError("the trivial group has no proper power graph")
-    full = power_graph(group)
-    return full.induced(set(group.elements) - {group.identity})
+    rest = tuple(x for x in group.elements if x != group.identity)
+    return Graph(rest, _power_edges(group, rest))
 
 
 def generating_set(group: FiniteGroup) -> list[str]:
@@ -205,17 +209,17 @@ def conjugation_group(group: FiniteGroup, on_graph: Graph) -> PermGroup:
     """Conjugation x -> s^-1 x s, restricted to the power graph's vertices.
 
     ``on_graph`` must be the power graph or the proper power graph of the
-    group.  One permutation per member of a generating set of the group; the
-    orbits of the result are the conjugacy classes (intersected with the
-    graph's vertices).  Every permutation is checked to be an automorphism
-    of ``on_graph`` before returning.
+    group; its vertex set and edges are checked against the power relation
+    itself, so no second graph is built.  One permutation per member of a
+    generating set of the group; the orbits of the result are the conjugacy
+    classes (intersected with the graph's vertices).  Every permutation is
+    checked to be an automorphism of ``on_graph`` before returning.
     """
-    full = power_graph(group)
-    if on_graph == full:
-        verts = group.elements
-    elif group.order() >= 2 and on_graph == full.induced(set(group.elements) - {group.identity}):
-        verts = tuple(x for x in group.elements if x != group.identity)
-    else:
+    universe = frozenset(group.elements)
+    verts = tuple(x for x in group.elements if x in on_graph.vertex_set)
+    if on_graph.vertex_set not in (universe, universe - {group.identity}) or (
+        on_graph.proper_edges != _power_edges(group, verts)
+    ):
         raise ValueError("graph is not a power graph of this group")
     gens = []
     for s in generating_set(group):

@@ -303,31 +303,3 @@ def is_orbit_map(m: HomMap, grp) -> bool:
     from .perms import is_consistent, verify_automorphisms
 
     return verify_automorphisms(m.source, grp) and is_consistent(m, grp)
-
-
-def factorize(m: HomMap):
-    """Split a homomorphism through the quotient by its fibres.
-
-    Returns (projection, injection): the projection of the source onto the
-    quotient by the fibre partition, and the injective map sending each fibre
-    cell to its common image.  Their composition reproduces the original map;
-    the injection is an isomorphism exactly when the map is complete.
-    """
-    _require_hom(m)
-    from .partitions import partition_of_map, quotient
-
-    result = quotient(m.source, partition_of_map(m))
-    projection = result.projection
-    injection = HomMap(
-        result.quotient,
-        m.target,
-        {projection.mapping[x]: m.mapping[x] for x in m.source.vertices},
-    )
-    if not validate_hom(injection):
-        raise InternalCheckError("factorization produced a non-homomorphism injection")
-    if len(injection.image) != len(result.quotient.vertices):
-        raise InternalCheckError("factorization injection is not injective")
-    for x in m.source.vertices:
-        if injection.mapping[projection.mapping[x]] != m.mapping[x]:
-            raise InternalCheckError("factorization does not compose back to the map")
-    return projection, injection

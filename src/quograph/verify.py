@@ -549,13 +549,25 @@ def _claim_orbit_count_vertex_ratio(inst: OrbitInstance):
 
 
 def _claim_orbit_multiplicity_total(inst: OrbitInstance):
+    m = inst.m
     expected = oracle_component_count(inst.g)
-    totals = [counting.count_orbit(inst.m, inst.grp).total]
-    rng = random.Random(7)  # fixed seed: replays must reproduce
-    totals += [counting.count_orbit(inst.m, inst.grp, rng=rng).total for _ in range(2)]
-    if any(t != expected for t in totals):
-        return [f"orbit count totals {totals} disagree with the oracle count {expected}"]
-    return []
+    breakdown = counting.count_orbit(m, inst.grp)
+    fails = []
+    if breakdown.total != expected:
+        fails.append(f"orbit count total {breakdown.total} disagrees with the oracle count {expected}")
+    # The term must not depend on the choice: every representative y of the
+    # target component and every admissible component C give the same ratio.
+    for t_block, term in zip(m.target.components().blocks, breakdown.terms):
+        for y in t_block:
+            k_x = len(m.fibre(y))
+            for block in counting.admissible_components(m, y):
+                k_c = counting.multiplicity(m, block, y)
+                if k_c * term.value != k_x:
+                    fails.append(
+                        f"choosing {y!r} and the component of {block[0]!r} gives {k_x}/{k_c},"
+                        f" not the term {term.value}"
+                    )
+    return fails
 
 
 def _claim_multiplicity_ratio_independence(inst: OrbitInstance):

@@ -1,12 +1,13 @@
-"""Earlier, plainer forms of library routines, kept as test oracles.
+"""Earlier, plainer forms of library routines, kept as test oracles, and
+code that only the tests use.
 
-Each function here computes what a faster routine in the package must
+Each oracle here computes what a faster routine in the package must
 compute; the tests compare the two on the same inputs.
 """
 
 from __future__ import annotations
 
-import random
+from fractions import Fraction
 
 from quograph.counting import (
     CountBreakdown,
@@ -15,7 +16,9 @@ from quograph.counting import (
     admissible_components,
     multiplicity,
 )
-from quograph.homs import HomMap, _require_hom
+from quograph.errors import InternalCheckError
+from quograph.homs import HomMap, _require_hom, validate_hom
+from quograph.partitions import partition_of_map, quotient
 
 
 def fibre_scan_is_locally_strong(m: HomMap) -> bool:
@@ -53,22 +56,38 @@ def loop_is_locally_injective(m: HomMap) -> bool:
     return True
 
 
-def rebuilding_ratio_count(m: HomMap, rng: random.Random | None) -> CountBreakdown:
+def rebuilding_ratio_count(m: HomMap) -> CountBreakdown:
     """The ratio walk that rebuilds the list of uncovered target vertices at
-    every step; it draws from ``rng`` in the same order as the library's."""
+    every step and takes its first vertex and first admissible component."""
     tcomp = m.target.components()
     covered: set[int] = set()
     terms = []
     for _ in range(tcomp.count):
         eligible = [y for y in m.target.vertices if tcomp.block_of[y] not in covered]
-        y = rng.choice(eligible) if rng is not None else eligible[0]
-        candidates = admissible_components(m, y)
-        chosen = rng.choice(candidates) if rng is not None else candidates[0]
+        y = eligible[0]
+        chosen = admissible_components(m, y)[0]
         k_x = len(m.fibre(y))
         k_c = multiplicity(m, chosen, y)
         terms.append(CountTerm(y, chosen[0], k_x, k_c, _exact_div(k_x, k_c)))
         covered.add(tcomp.block_of[y])
     return CountBreakdown(tuple(terms), sum(t.value for t in terms))
+
+
+def every_choice_terms(m: HomMap) -> list[set[Fraction]]:
+    """For each target component, the ratios |fibre(y)| / |C ∩ fibre(y)| over
+    every vertex y of it and every source component C meeting its fibre,
+    found by scanning all source components."""
+    out = []
+    for t_block in m.target.components().blocks:
+        ratios = set()
+        for y in t_block:
+            fibre = {x for x in m.source.vertices if m.mapping[x] == y}
+            for block in m.source.components().blocks:
+                k_c = len(fibre.intersection(block))
+                if k_c:
+                    ratios.add(Fraction(len(fibre), k_c))
+        out.append(ratios)
+    return out
 
 
 def exhaustive_is_associative(elements, table) -> bool:
@@ -79,3 +98,29 @@ def exhaustive_is_associative(elements, table) -> bool:
         for b in elements
         for c in elements
     )
+
+
+def factorize(m: HomMap):
+    """Split a homomorphism through the quotient by its fibres.
+
+    Returns (projection, injection): the projection of the source onto the
+    quotient by the fibre partition, and the injective map sending each fibre
+    cell to its common image.  Their composition reproduces the original map;
+    the injection is an isomorphism exactly when the map is complete.
+    """
+    _require_hom(m)
+    result = quotient(m.source, partition_of_map(m))
+    projection = result.projection
+    injection = HomMap(
+        result.quotient,
+        m.target,
+        {projection.mapping[x]: m.mapping[x] for x in m.source.vertices},
+    )
+    if not validate_hom(injection):
+        raise InternalCheckError("factorization produced a non-homomorphism injection")
+    if len(injection.image) != len(result.quotient.vertices):
+        raise InternalCheckError("factorization injection is not injective")
+    for x in m.source.vertices:
+        if injection.mapping[projection.mapping[x]] != m.mapping[x]:
+            raise InternalCheckError("factorization does not compose back to the map")
+    return projection, injection

@@ -38,6 +38,7 @@ from quograph.verify import (
 )
 
 from golden import GOLDEN_CASES, medium_test_graphs
+from reference import every_choice_terms
 
 
 def report(num, label, ok, elapsed=None, budget=None):
@@ -130,12 +131,11 @@ def test_criterion_4_admissible_count_vs_oracle(hom_sweep):
 def test_criterion_5_orbit_count_and_reselection(orbit_pool):
     mismatches = 0
     for inst in orbit_pool:
-        expected = oracle_component_count(inst.g)
-        totals = [count_orbit(inst.m, inst.grp).total]
-        totals += [
-            count_orbit(inst.m, inst.grp, rng=random.Random(s)).total for s in range(10)
-        ]
-        if any(t != expected for t in totals):
+        # every choice of representative and admissible component gives one
+        # term per target component, and those terms sum to the oracle count
+        terms = every_choice_terms(inst.m)
+        walk = count_orbit(inst.m, inst.grp)
+        if terms != [{t.value} for t in walk.terms] or walk.total != oracle_component_count(inst.g):
             mismatches += 1
     ok = mismatches == 0 and len(orbit_pool) > 0
     report(5, "orbit count equals oracle under re-selection", ok)

@@ -26,7 +26,7 @@ from quograph import (
     quotient,
 )
 from quograph import io, verify
-from quograph.cli import main
+from quograph.cli import build_parser, main
 
 from conftest import subprocess_env
 from golden import (
@@ -242,6 +242,23 @@ class TestAutoRoute:
         assert auto_out == explicit_out
 
 
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_option_leaks_into_the_next_call(self, two_triangles_files, capsys):
+        d = two_triangles_files
+        argv = ["count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json")]
+        code, a_out, _ = run_cli(capsys, *argv, "--method", "A")
+        assert code == 0
+        assert build_parser().parse_args(argv).method == "auto"
+        code, auto_out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, b_out, _ = run_cli(capsys, *argv, "--method", "B")
+        assert code == 0
+        assert auto_out == b_out != a_out
+
+
 class TestOrbits:
     def test_partition_payload(self, two_triangles_files, capsys):
         code, out, _ = run_cli(
@@ -299,6 +316,15 @@ class TestPowergraph:
     def test_trivial_group_has_no_proper_graph(self, capsys):
         code, _, err = run_cli(capsys, "powergraph", "--group", "cyclic:1", "--proper")
         assert code == 2
+
+    def test_one_graph_is_built(self, capsys, monkeypatch):
+        calls = []
+        init, induced = Graph.__init__, Graph.induced
+        monkeypatch.setattr(Graph, "__init__", lambda self, *a: calls.append("__init__") or init(self, *a))
+        monkeypatch.setattr(Graph, "induced", lambda self, *a: calls.append("induced") or induced(self, *a))
+        code, out, _ = run_cli(capsys, "powergraph", "--group", "symmetric:4", "--proper")
+        assert code == 0 and len(json.loads(out)["graph"]["vertices"]) == 23
+        assert calls == ["__init__"]
 
     # sha256 of the stdout of `powergraph --group SPEC --proper`, then of
     # `orbits` and `count --group` on the files `powergraph --out` writes.

@@ -13,7 +13,6 @@ from quograph import (
     HypothesisError,
     Partition,
     classify,
-    factorize,
     find_isomorphism,
     is_complete,
     is_locally_bijective,
@@ -29,6 +28,7 @@ from quograph.verify import enumerate_graphs, enumerate_homs
 from conftest import homomorphisms, projections, vertex_maps
 from golden import GOLDEN_CASES, two_arcs_projection
 from reference import (
+    factorize,
     fibre_scan_is_locally_strong,
     loop_is_locally_injective,
     loop_is_locally_surjective,

@@ -23,12 +23,6 @@ def run_script(name, *args):
     )
 
 
-def test_power_graph_components_has_no_mismatch():
-    proc = run_script("power_graph_components.py", "--max-cyclic", "12", "--max-symmetric", "3")
-    assert proc.returncode == 0, proc.stderr
-    assert "0 mismatches" in proc.stdout
-
-
 def test_run_verification_writes_the_cli_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     proc = run_script("run_verification.py", "--max-vertices", "3", "--random", "10", "--out", str(out))

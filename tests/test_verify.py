@@ -166,6 +166,27 @@ class TestMutationSensitivity:
         assert replay_counterexample(failure) is False
         assert classify(identity).locally_strong
 
+    def test_choice_dependent_multiplicity_is_caught_and_replayed(self):
+        # Off by one only away from the first admissible component: the
+        # default walk's total stays right, so only the every-choice check
+        # can see it.
+        cfg = SweepConfig(3, 2, 0, 1)
+        original = quograph.counting.multiplicity
+
+        def off_after_first(m, u, y):
+            first = quograph.counting.admissible_components(m, y)[0]
+            return original(m, u, y) + (tuple(u) != first)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quograph.counting, "multiplicity", off_after_first)
+            results = verify.sweep_orbit_claims(cfg, claims={"orbit_multiplicity_total"})
+            broken = results["orbit_multiplicity_total"]
+            assert broken.failure_count > 0
+            assert not any("oracle" in f["detail"] for f in broken.failures)
+            failure = broken.failures[0]
+            assert replay_counterexample(failure) is True
+        assert replay_counterexample(failure) is False
+
     def test_clean_run_records_nothing(self):
         cfg = SweepConfig(3, 2, 0, 1)
         results = sweep_hom_claims(
