@@ -60,25 +60,31 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _count(method: str, m, grp):
+    if method == "A":
+        return counting.count_admissible(m)
+    if method == "ce":
+        return counting.count_ce(m)
+    if grp is None:
+        raise HypothesisError("hypotheses not satisfied: orbit (no group supplied)")
+    return counting.count_orbit(m, grp)
+
+
 def cmd_count(args) -> int:
     g = io.load_graph(args.graph)
     p = io.load_partition(args.partition, g)
     m = partitions.quotient(g, p).projection
     grp = io.load_group(args.group, g) if args.group else None
-    method = args.method
-    if method == "auto":
-        if grp is not None and homs.is_orbit_map(m, grp):
-            method = "B"
-        else:  # count_admissible refuses a map that is not locally surjective
-            method = "ce" if homs.is_locally_surjective(m) and homs.is_component_equitable(m) else "A"
-    if method == "A":
-        breakdown = counting.count_admissible(m)
-    elif method == "B":
-        if grp is None:
-            raise HypothesisError("hypotheses not satisfied: orbit (no group supplied)")
-        breakdown = counting.count_orbit(m, grp)
-    else:
-        breakdown = counting.count_ce(m)
+    # auto tries the counters in order; each checks its own hypotheses, and
+    # the last one's refusal is the error reported
+    methods = ("B", "ce", "A") if args.method == "auto" else (args.method,)
+    for method in methods:
+        try:
+            breakdown = _count(method, m, grp)
+            break
+        except HypothesisError:
+            if method == methods[-1]:
+                raise
     _emit(breakdown.as_dict(), args.out)
     return 0
 

@@ -75,12 +75,11 @@ def multiplicity(m: HomMap, u, y: str) -> int:
 
 def admissible_components(m: HomMap, y: str) -> list[tuple[str, ...]]:
     """Source components meeting the fibre of y, in component order."""
-    homs._require_hom(m)
+    counts = homs._fibre_blocks(m)
     if y not in m.target.vertex_set:
         raise ValueError(f"unknown target vertex {y!r}")
-    comp = m.source.components()
-    hit = {comp.block_of[v] for v in m.fibre(y)}
-    return [comp.blocks[i] for i in sorted(hit)]
+    blocks = m.source.components().blocks
+    return [blocks[i] for i in sorted(counts.get(y, ()))]
 
 
 def _require_locally_surjective(m: HomMap) -> None:
@@ -190,15 +189,16 @@ def _ratio_count(m: HomMap) -> CountBreakdown:
     component admissible for it, and contributes fibre size over
     multiplicity.
     """
+    table = homs._fibre_blocks(m)
+    blocks = m.source.components().blocks
     terms = []
     for block in m.target.components().blocks:
         y = block[0]
-        candidates = admissible_components(m, y)
-        if not candidates:
+        if y not in table:
             raise InternalCheckError("no admissible component for a target vertex")
-        k_x = len(m.fibre(y))
-        k_c = multiplicity(m, candidates[0], y)
-        terms.append(CountTerm(y, candidates[0][0], k_x, k_c, _exact_div(k_x, k_c)))
+        first = min(table[y])
+        k_x, k_c = len(m.fibres[y]), table[y][first]
+        terms.append(CountTerm(y, blocks[first][0], k_x, k_c, _exact_div(k_x, k_c)))
     total = sum(t.value for t in terms)
     if total != m.source.components().count:
         raise InternalCheckError("ratio count disagrees with the component index")
@@ -214,8 +214,8 @@ def component_iso_check(m: HomMap, c) -> bool:
     if not homs.is_pseudo_covering(m):
         raise HypothesisError("hypotheses not satisfied: pseudo_covering")
     block = _component_block(m, c)
-    target_block = image_of_component(m, block)
-    return all(multiplicity(m, block, y) == 1 for y in target_block)
+    i, table = m.source.components().block_of[block[0]], homs._fibre_blocks(m)
+    return all(table[y].get(i) == 1 for y in image_of_component(m, block))
 
 
 def connectedness_criterion(g: Graph, p: Partition) -> bool:
@@ -231,5 +231,4 @@ def connectedness_criterion(g: Graph, p: Partition) -> bool:
         raise HypothesisError("hypotheses not satisfied: quotient is not connected")
     if not homs.is_pseudo_covering(result.projection):
         raise HypothesisError("hypotheses not satisfied: projection is not a pseudo-covering")
-    comp = g.components()
-    return any(len({comp.block_of[v] for v in cell}) == 1 for cell in p.cells)
+    return any(len(counts) == 1 for counts in homs._fibre_blocks(result.projection).values())

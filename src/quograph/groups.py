@@ -20,10 +20,11 @@ class FiniteGroup:
     Validation happens at construction and proves the group axioms: closure,
     the identity and inverses are checked on the whole table, and
     associativity by Light's test on the generators ``generating_set`` finds,
-    O(|S|·n²) lookups instead of n³.
+    O(|S|·n²) lookups instead of n³.  Those generators are kept as
+    ``generators``.
     """
 
-    __slots__ = ("elements", "identity", "_table")
+    __slots__ = ("elements", "identity", "generators", "_table")
 
     def __init__(self, elements, identity, table):
         self.elements = tuple(elements)
@@ -66,7 +67,8 @@ class FiniteGroup:
         # generating_set closes the identity under products with its
         # generators until every element is reached; so passing the test on
         # the generators proves the whole table associative.
-        for s in generating_set(self):
+        self.generators = tuple(generating_set(self))
+        for s in self.generators:
             for x in self.elements:
                 xs = table[(x, s)]
                 for y in self.elements:
@@ -111,10 +113,6 @@ def make_cyclic(n: int) -> FiniteGroup:
     return FiniteGroup(elements, "0", table)
 
 
-def _one_line(perm: tuple[int, ...]) -> str:
-    return "".join(str(i) for i in perm)
-
-
 def make_symmetric(n: int) -> FiniteGroup:
     """Symmetric group on {1..n} (1 <= n <= 5) in one-line notation.
 
@@ -124,19 +122,14 @@ def make_symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise ValueError(f"symmetric degree {n} out of the supported range 1..5")
     import itertools
+    from operator import itemgetter
 
-    perms = list(itertools.permutations(range(1, n + 1)))
-    elements = [_one_line(p) for p in perms]
-    by_label = dict(zip(elements, perms))
-    table = {}
-    for a in elements:
-        pa = by_label[a]
-        row = {}
-        for b in elements:
-            pb = by_label[b]
-            row[b] = _one_line(tuple(pa[pb[i] - 1] for i in range(n)))
-        table[a] = row
-    return FiniteGroup(elements, _one_line(tuple(range(1, n + 1))), table)
+    identity = "12345"[:n]
+    elements = ["".join(p) for p in itertools.permutations(identity)]
+    # a*b picks the letters a[b(1)-1], ..., a[b(n)-1] of a's label
+    picks = {b: itemgetter(*(int(i) - 1 for i in b)) for b in elements}
+    table = {a: {b: "".join(pick(a)) for b, pick in picks.items()} for a in elements}
+    return FiniteGroup(elements, identity, table)
 
 
 def make_klein_four() -> FiniteGroup:
@@ -222,7 +215,7 @@ def conjugation_group(group: FiniteGroup, on_graph: Graph) -> PermGroup:
     ):
         raise ValueError("graph is not a power graph of this group")
     gens = []
-    for s in generating_set(group):
+    for s in group.generators:
         s_inv = group.inverse(s)
         gens.append(Permutation({x: group.op(group.op(s_inv, x), s) for x in verts}))
     grp = PermGroup(verts, gens)

@@ -4,8 +4,10 @@ The predicates here sort a homomorphism into the classes that drive the
 component-counting results: surjective, complete, tame, the local
 surjective/injective/bijective variants, locally strong, pseudo-covering,
 equitable, and component equitable.  The local classes come from one cached
-pass over the maps N(x) -> N(m(x)).  ``classify`` evaluates every class at
-once and cross-checks the implications that must hold between them.
+pass over the maps N(x) -> N(m(x)), the component classes from one cached
+table of the source components each fibre meets.  ``classify`` evaluates
+every class at once and cross-checks the implications that must hold
+between them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ class HomMap:
     and reported instead of crashing the loaders.
     """
 
-    __slots__ = ("source", "target", "mapping", "image", "fibres", "_edge_preserving", "_local_classes")
+    __slots__ = (
+        "source", "target", "mapping", "image", "fibres", "_edge_preserving", "_local_classes", "_fibre_blocks"
+    )
 
     def __init__(self, source: Graph, target: Graph, mapping: dict[str, str]):
         for v in source.vertices:
@@ -47,6 +51,7 @@ class HomMap:
         self.fibres = {y: tuple(vs) for y, vs in fibres.items()}
         self._edge_preserving = None
         self._local_classes = None
+        self._fibre_blocks = None
 
     def __call__(self, v: str) -> str:
         return self.mapping[v]
@@ -124,12 +129,28 @@ def is_complete(m: HomMap) -> bool:
     return m.target.proper_edges <= covered
 
 
+def _fibre_blocks(m: HomMap) -> dict[str, dict[int, int]]:
+    """For each image vertex y, the source components its fibre meets.
+
+    Maps y to {component ordinal: |C ∩ fibre(y)|}, built in one pass over the
+    map and cached on it.  Tameness, component equitability, the admissible
+    components and the counting ratios are all read off this table.
+    """
+    if m._fibre_blocks is None:
+        _require_hom(m)
+        block_of = m.source.components().block_of
+        table: dict[str, dict[int, int]] = {}
+        for x, y in m.mapping.items():
+            counts = table.setdefault(y, {})
+            b = block_of[x]
+            counts[b] = counts.get(b, 0) + 1
+        m._fibre_blocks = table
+    return m._fibre_blocks
+
+
 def is_tame(m: HomMap) -> bool:
     """True iff every fibre lies inside a single source component."""
-    _require_hom(m)
-    from .partitions import is_tame as partition_is_tame, partition_of_map
-
-    return partition_is_tame(m.source, partition_of_map(m))
+    return all(len(counts) == 1 for counts in _fibre_blocks(m).values())
 
 
 def _local_classes(m: HomMap) -> tuple[bool, bool, bool]:
@@ -192,16 +213,7 @@ def is_component_equitable(m: HomMap) -> bool:
     For a target vertex y, every source component containing part of the
     fibre of y must contain the same number of fibre members.
     """
-    _require_hom(m)
-    comp = m.source.components()
-    for fibre in m.fibres.values():
-        counts: dict[int, int] = {}
-        for v in fibre:
-            b = comp.block_of[v]
-            counts[b] = counts.get(b, 0) + 1
-        if len(set(counts.values())) > 1:
-            return False
-    return True
+    return all(len(set(counts.values())) == 1 for counts in _fibre_blocks(m).values())
 
 
 # ----------------------------------------------------------------- reports

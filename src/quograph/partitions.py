@@ -1,4 +1,4 @@
-"""Vertex partitions, quotient graphs, and the tame / equitable predicates."""
+"""Vertex partitions, quotient graphs, and the equitable predicate."""
 
 from __future__ import annotations
 
@@ -88,17 +88,6 @@ def quotient(g: Graph, p: Partition) -> QuotientResult:
     if not is_complete(projection):
         raise InternalCheckError("quotient projection failed the completeness check")
     return QuotientResult(q, projection)
-
-
-def is_tame(g: Graph, p: Partition) -> bool:
-    """True iff every cell lies inside a single component of g."""
-    if p.universe != g.vertex_set:
-        raise ValueError("partition universe does not match the graph's vertices")
-    comp = g.components()
-    for cell in p.cells:
-        if len({comp.block_of[v] for v in cell}) != 1:
-            return False
-    return True
 
 
 def is_equitable(g: Graph, p: Partition) -> bool:

@@ -182,23 +182,17 @@ def _stabilized_automorphism(g, order, deg, fixed, image_of_fixed):
 
 
 def is_consistent(m, grp: PermGroup) -> bool:
-    """True iff the group fits the map: composing with any generator leaves
-    the map unchanged, and each fibre lies inside a single orbit.
-
-    Together the two conditions say the fibres are exactly the orbits, i.e.
-    the partition of the map equals the orbit partition.
-    """
+    """True iff the fibres of the map are exactly the orbits of the group."""
     if grp.universe != m.source.vertex_set:
         raise ValueError("group universe does not match the map's source vertices")
     for f in grp.generators:
         for x in m.source.vertices:
             if m.mapping[f.mapping[x]] != m.mapping[x]:
                 return False
-    orbits = orbit_partition(grp)
-    for fibre in m.fibres.values():
-        if len({orbits.cell_of[v] for v in fibre}) != 1:
-            return False
-    return True
+    # Every generator leaves the map unchanged, so each orbit lies inside one
+    # fibre: the orbits refine the fibres, and a refinement with as many
+    # cells as the partition it refines is that partition.
+    return len(orbit_partition(grp).cells) == len(m.fibres)
 
 
 def generated_elements(grp: PermGroup, limit: int = 100_000) -> list[Permutation]:

@@ -240,7 +240,7 @@ def _claim_quotient_count_monotone(inst: PartitionInstance):
 def _claim_quotient_count_equality_iff_tame(inst: PartitionInstance):
     cq = inst.result.quotient.components().count
     cg = inst.g.components().count
-    tame = partitions.is_tame(inst.g, inst.p)
+    tame = homs.is_tame(inst.result.projection)
     if (cq == cg) != tame:
         return [f"component counts {cq}/{cg} disagree with tame={tame}"]
     return []
@@ -249,7 +249,7 @@ def _claim_quotient_count_equality_iff_tame(inst: PartitionInstance):
 def _claim_quotient_connectivity_transfer(inst: PartitionInstance):
     connected = inst.g.components().count == 1
     q_connected = inst.result.quotient.components().count == 1
-    tame = partitions.is_tame(inst.g, inst.p)
+    tame = homs.is_tame(inst.result.projection)
     if connected != (q_connected and tame):
         return [
             f"graph connected={connected} but quotient connected={q_connected}, tame={tame}"

@@ -7,6 +7,7 @@ compute; the tests compare the two on the same inputs.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from quograph.counting import (
@@ -17,8 +18,10 @@ from quograph.counting import (
     multiplicity,
 )
 from quograph.errors import InternalCheckError
+from quograph.graphs import Graph
 from quograph.homs import HomMap, _require_hom, validate_hom
-from quograph.partitions import partition_of_map, quotient
+from quograph.partitions import Partition, partition_of_map, quotient
+from quograph.perms import PermGroup, orbit_partition
 
 
 def fibre_scan_is_locally_strong(m: HomMap) -> bool:
@@ -124,3 +127,56 @@ def factorize(m: HomMap):
         if injection.mapping[projection.mapping[x]] != m.mapping[x]:
             raise InternalCheckError("factorization does not compose back to the map")
     return projection, injection
+
+
+def cell_scan_is_tame(g: Graph, p: Partition) -> bool:
+    """Tameness of a partition: every cell lies inside a single component of g."""
+    comp = g.components()
+    return all(len({comp.block_of[v] for v in cell}) == 1 for cell in p.cells)
+
+
+def fibre_count_is_component_equitable(m: HomMap) -> bool:
+    """Component equitability by counting, per fibre, its members in each
+    source component."""
+    _require_hom(m)
+    comp = m.source.components()
+    for fibre in m.fibres.values():
+        counts: dict[int, int] = {}
+        for v in fibre:
+            b = comp.block_of[v]
+            counts[b] = counts.get(b, 0) + 1
+        if len(set(counts.values())) > 1:
+            return False
+    return True
+
+
+def fibre_scan_admissible_components(m: HomMap, y: str) -> list[tuple[str, ...]]:
+    """Source components meeting the fibre of y, found by scanning the fibre."""
+    comp = m.source.components()
+    return [comp.blocks[i] for i in sorted({comp.block_of[v] for v in m.fibre(y)})]
+
+
+def two_loop_is_consistent(m: HomMap, grp: PermGroup) -> bool:
+    """Fibres equal orbits: no generator changes the map, and no fibre
+    meets two orbits."""
+    for f in grp.generators:
+        for x in m.source.vertices:
+            if m.mapping[f.mapping[x]] != m.mapping[x]:
+                return False
+    orbits = orbit_partition(grp)
+    return all(len({orbits.cell_of[v] for v in fibre}) == 1 for fibre in m.fibres.values())
+
+
+def tuple_symmetric_table(n: int) -> tuple[list[str], str, dict[str, dict[str, str]]]:
+    """Elements, identity and Cayley table of S_n, composed as integer tuples
+    and only then written in one-line notation."""
+
+    def one_line(perm):
+        return "".join(str(i) for i in perm)
+
+    perms = list(itertools.permutations(range(1, n + 1)))
+    table = {
+        one_line(pa): {one_line(pb): one_line(tuple(pa[pb[i] - 1] for i in range(n))) for pb in perms}
+        for pa in perms
+    }
+    return [one_line(p) for p in perms], one_line(tuple(range(1, n + 1))), table

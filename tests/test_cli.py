@@ -198,22 +198,49 @@ class TestCount:
             capsys, "count", str(two_arcs_files / "g.json"), str(two_arcs_files / "p.json")
         )
         assert code == 2
-        assert "hypotheses not satisfied: locally_surjective" in err
+        assert err == "error: hypotheses not satisfied: locally_surjective\n"
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is recorded; return the record."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestAutoRoute:
     def test_orbit_instance_classifies_once(self, two_triangles_files, capsys, monkeypatch):
-        calls = []
-        original = quograph.homs.classify
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(quograph.homs, "classify", counted)
+        calls = count_calls(monkeypatch, quograph.homs, "classify")
         d = two_triangles_files
         code, out, _ = run_cli(capsys, "count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"))
         assert code == 0 and json.loads(out)["total"] == 2
+        assert len(calls) == 1
+
+    def test_orbit_route_checks_each_hypothesis_once(self, two_triangles_files, capsys, monkeypatch):
+        calls = {
+            name: count_calls(monkeypatch, module, name)
+            for module, name in [
+                (quograph.perms, "verify_automorphisms"),
+                (quograph.perms, "orbit_partition"),
+                (quograph.homs, "classify"),
+            ]
+        }
+        d = two_triangles_files
+        code, out, _ = run_cli(capsys, "count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"))
+        assert code == 0 and json.loads(out)["total"] == 2
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+
+    def test_ce_route_checks_equitability_once(self, two_triangles_files, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, quograph.homs, "is_component_equitable")
+        d = two_triangles_files
+        code, out, _ = run_cli(capsys, "count", str(d / "g.json"), str(d / "p.json"))
+        assert code == 0 and json.loads(out)["terms"][0]["kC"] == 1
         assert len(calls) == 1
 
     @pytest.mark.parametrize("case", ["ce", "A"])
@@ -272,6 +299,12 @@ class TestOrbits:
 
 
 class TestPowergraph:
+    def test_generating_set_runs_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, quograph.groups, "generating_set")
+        code, _, _ = run_cli(capsys, "powergraph", "--group", "symmetric:4", "--proper")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_proper_cyclic_three(self, capsys):
         code, out, _ = run_cli(capsys, "powergraph", "--group", "cyclic:3", "--proper")
         assert code == 0

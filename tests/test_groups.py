@@ -20,7 +20,7 @@ from quograph import (
     proper_power_graph,
 )
 from quograph.io import cayley_to_dict
-from reference import exhaustive_is_associative
+from reference import exhaustive_is_associative, tuple_symmetric_table
 
 
 def _mod_table(n):
@@ -213,6 +213,11 @@ class TestBuilders:
         assert s3.op("213", "231") == "132"
         assert s3.op("231", "213") == "321"
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_symmetric_table_matches_tuple_composition(self, n):
+        expected = FiniteGroup(*tuple_symmetric_table(n))
+        assert cayley_to_dict(make_symmetric(n)) == cayley_to_dict(expected)
+
     @pytest.mark.parametrize("n", [0, 6])
     def test_symmetric_range(self, n):
         with pytest.raises(ValueError):
@@ -304,6 +309,10 @@ class TestGeneratingSet:
 
     def test_trivial_group_needs_nothing(self):
         assert generating_set(make_cyclic(1)) == []
+
+    @pytest.mark.parametrize("grp", SMALL_GROUPS + [make_symmetric(5)])
+    def test_group_keeps_the_set_its_validation_used(self, grp):
+        assert list(grp.generators) == generating_set(grp)
 
 
 class TestConjugation:

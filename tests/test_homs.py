@@ -23,15 +23,29 @@ from quograph import (
     is_surjective,
     validate_hom,
 )
-from quograph.verify import enumerate_graphs, enumerate_homs
+from quograph import (
+    PermGroup,
+    admissible_components,
+    automorphism_group,
+    is_component_equitable,
+    is_consistent,
+    is_tame,
+    partition_of_map,
+    quotient,
+)
+from quograph.verify import SweepConfig, enumerate_graphs, enumerate_homs, random_orbit_instance
 
 from conftest import homomorphisms, projections, vertex_maps
 from golden import GOLDEN_CASES, two_arcs_projection
 from reference import (
+    cell_scan_is_tame,
     factorize,
+    fibre_count_is_component_equitable,
+    fibre_scan_admissible_components,
     fibre_scan_is_locally_strong,
     loop_is_locally_injective,
     loop_is_locally_surjective,
+    two_loop_is_consistent,
 )
 
 # Each class read from the shared local pass, next to its separate oracle.
@@ -183,6 +197,44 @@ class TestLocallyStrongOracle:
             for strong in (True, False)
             if strong or not sur
         }
+
+
+class TestFibreTableOracles:
+    """Tameness, component equitability, the admissible components and group
+    consistency, each against the earlier routine that scanned the fibres
+    itself."""
+
+    @staticmethod
+    def check(m, grp, verdicts):
+        assert is_tame(m) == cell_scan_is_tame(m.source, partition_of_map(m))
+        assert is_component_equitable(m) == fibre_count_is_component_equitable(m)
+        for y in m.target.vertices:
+            assert admissible_components(m, y) == fibre_scan_admissible_components(m, y)
+        consistent = is_consistent(m, grp)
+        assert consistent == two_loop_is_consistent(m, grp)
+        verdicts.add((is_tame(m), is_component_equitable(m), consistent))
+
+    def test_every_map_of_the_small_sweep(self):
+        cfg = SweepConfig(max_source_vertices=4, max_target_vertices=3)
+        targets = list(enumerate_graphs(cfg.max_target_vertices))
+        verdicts = set()
+        for src in enumerate_graphs(cfg.max_source_vertices):
+            grp = automorphism_group(src)
+            for tgt in targets:
+                for mapping in enumerate_homs(src, tgt):
+                    self.check(HomMap(src, tgt, mapping), grp, verdicts)
+        assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {v[2] for v in verdicts} == {True, False}
+
+    def test_random_orbit_instances(self):
+        verdicts = set()
+        for seed in range(50):
+            inst = random_orbit_instance(random.Random(seed))
+            g = inst.g
+            self.check(inst.m, inst.grp, verdicts)
+            self.check(inst.m, PermGroup.trivial(g.vertex_set), verdicts)
+            for cells in (Partition.singletons(g.vertex_set), Partition([g.vertices], g.vertex_set)):
+                self.check(quotient(g, cells).projection, inst.grp, verdicts)
+        assert {v[2] for v in verdicts} == {True, False}
 
 
 class TestFactorize:

@@ -3,9 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from quograph import Graph, HomMap, Partition, is_complete, is_equitable
+from quograph import Graph, HomMap, Partition, is_complete, is_equitable, is_tame
 from quograph import partition_of_map, quotient
-from quograph.partitions import is_tame
 
 from conftest import graphs, graphs_with_partitions
 
@@ -97,21 +96,22 @@ class TestQuotient:
 class TestTame:
     def test_cell_across_components_is_wild(self, two_arcs):
         g, p = two_arcs
-        assert not is_tame(g, p)
+        assert not is_tame(quotient(g, p).projection)
 
     def test_cells_inside_components_are_tame(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-        assert is_tame(g, Partition([["a", "b"], ["c"], ["d"]], g.vertex_set))
+        assert is_tame(quotient(g, Partition([["a", "b"], ["c"], ["d"]], g.vertex_set)).projection)
 
     def test_component_partition_is_tame(self):
         g = Graph(["a", "b", "c"], [("a", "b")])
-        assert is_tame(g, Partition([["a", "b"], ["c"]], g.vertex_set))
+        assert is_tame(quotient(g, Partition([["a", "b"], ["c"]], g.vertex_set)).projection)
 
     @given(graphs_with_partitions())
     def test_tame_iff_component_count_preserved(self, gp):
         g, p = gp
-        same = quotient(g, p).quotient.components().count == g.components().count
-        assert is_tame(g, p) == same
+        result = quotient(g, p)
+        same = result.quotient.components().count == g.components().count
+        assert is_tame(result.projection) == same
 
 
 class TestEquitable:
