@@ -21,35 +21,31 @@ class Graph:
         labels = list(vertices)
         if not labels:
             raise ValueError("a graph needs at least one vertex")
-        seen = set()
-        for v in labels:
-            if not isinstance(v, str):
-                raise ValueError(f"vertex labels must be strings, got {v!r}")
-            if v in seen:
-                raise ValueError(f"duplicate vertex label {v!r}")
-            seen.add(v)
+        if set(map(type, labels)) != {str}:
+            _refuse_labels(labels)
+        self.vertex_set = vertex_set = frozenset(labels)
+        if len(vertex_set) != len(labels):
+            _refuse_labels(labels)
         self.vertices = tuple(sorted(labels))
-        self.vertex_set = frozenset(labels)
 
-        edges = set()
+        # One pass builds the edge set and the neighbourhoods; a repeated
+        # edge shows as an endpoint already in the other's neighbourhood.
+        edges = []
+        nbhd = {v: {v} for v in self.vertices}
         for raw in proper_edges:
             u, v = raw
-            for end in (u, v):
-                if end not in self.vertex_set:
-                    raise ValueError(f"edge endpoint {end!r} is not a declared vertex")
+            if u not in vertex_set or v not in vertex_set:
+                end = u if u not in vertex_set else v
+                raise ValueError(f"edge endpoint {end!r} is not a declared vertex")
             if u == v:
                 raise ValueError(f"loop at {u!r} supplied as a proper edge; loops are implicit")
-            e = frozenset((u, v))
-            if e in edges:
+            nu = nbhd[u]
+            if v in nu:
                 raise ValueError(f"duplicate edge ({min(u, v)!r}, {max(u, v)!r})")
-            edges.add(e)
-        self.proper_edges = frozenset(edges)
-
-        nbhd = {v: {v} for v in self.vertices}
-        for e in self.proper_edges:
-            u, v = tuple(e)
-            nbhd[u].add(v)
+            nu.add(v)
             nbhd[v].add(u)
+            edges.append(frozenset((u, v)))
+        self.proper_edges = frozenset(edges)
         self._neighborhoods = {v: frozenset(s) for v, s in nbhd.items()}
         self._components = None
 
@@ -102,8 +98,7 @@ class Graph:
         for v in sub:
             if v not in self.vertex_set:
                 raise ValueError(f"unknown vertex {v!r}")
-        kept = [tuple(e) for e in self.proper_edges if e <= sub]
-        return Graph(sorted(sub), kept)
+        return Graph(sorted(sub), [e for e in self.proper_edges if e <= sub])
 
     def sorted_edges(self) -> list[tuple[str, str]]:
         """Proper edges as sorted pairs, in sorted order (the canonical form)."""
@@ -121,6 +116,17 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({len(self.vertices)} vertices, {len(self.proper_edges)} proper edges)"
+
+
+def _refuse_labels(labels) -> None:
+    """Raise for the first label that is not a string or repeats an earlier one."""
+    seen = set()
+    for v in labels:
+        if not isinstance(v, str):
+            raise ValueError(f"vertex labels must be strings, got {v!r}")
+        if v in seen:
+            raise ValueError(f"duplicate vertex label {v!r}")
+        seen.add(v)
 
 
 class ComponentIndex:

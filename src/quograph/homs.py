@@ -3,7 +3,8 @@
 The predicates here sort a homomorphism into the classes that drive the
 component-counting results: surjective, complete, tame, the local
 surjective/injective/bijective variants, locally strong, pseudo-covering,
-equitable, and component equitable.  The local classes come from one cached
+equitable, and component equitable.  Edge preservation and completeness come
+from one cached pass over the source edges, the local classes from one cached
 pass over the maps N(x) -> N(m(x)), the component classes from one cached
 table of the source components each fibre meets.  ``classify`` evaluates
 every class at once and cross-checks the implications that must hold
@@ -28,19 +29,12 @@ class HomMap:
     """
 
     __slots__ = (
-        "source", "target", "mapping", "image", "fibres", "_edge_preserving", "_local_classes", "_fibre_blocks"
+        "source", "target", "mapping", "image", "fibres", "_edge_classes", "_local_classes", "_fibre_blocks"
     )
 
     def __init__(self, source: Graph, target: Graph, mapping: dict[str, str]):
-        for v in source.vertices:
-            if v not in mapping:
-                raise ValueError(f"map is not total: no image for {v!r}")
-        for v in mapping:
-            if v not in source.vertex_set:
-                raise ValueError(f"map defined on unknown vertex {v!r}")
-        for y in mapping.values():
-            if y not in target.vertex_set:
-                raise ValueError(f"image vertex {y!r} is not in the target")
+        if mapping.keys() != source.vertex_set or not target.vertex_set.issuperset(mapping.values()):
+            _refuse_map(source, target, mapping)
         self.source = source
         self.target = target
         self.mapping = {v: mapping[v] for v in source.vertices}
@@ -49,7 +43,7 @@ class HomMap:
         for v in source.vertices:  # sorted, so each fibre tuple is sorted
             fibres.setdefault(self.mapping[v], []).append(v)
         self.fibres = {y: tuple(vs) for y, vs in fibres.items()}
-        self._edge_preserving = None
+        self._edge_classes = None
         self._local_classes = None
         self._fibre_blocks = None
 
@@ -78,6 +72,41 @@ class HomMap:
         return f"HomMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"
 
 
+def _refuse_map(source: Graph, target: Graph, mapping) -> None:
+    """Raise for the first vertex that keeps ``mapping`` from being a total map into the target."""
+    for v in source.vertices:
+        if v not in mapping:
+            raise ValueError(f"map is not total: no image for {v!r}")
+    for v in mapping:
+        if v not in source.vertex_set:
+            raise ValueError(f"map defined on unknown vertex {v!r}")
+    for y in mapping.values():
+        if y not in target.vertex_set:
+            raise ValueError(f"image vertex {y!r} is not in the target")
+
+
+def _edge_classes(m: HomMap) -> tuple[bool, bool]:
+    """(edge preserving, complete) of the map, from one pass over the source edges.
+
+    The pass collects the target pairs the proper source edges land on when
+    they do not collapse.  The map preserves edges when every such pair is a
+    proper target edge, and is complete when it also covers them all and
+    the map is surjective.  ``validate_hom`` runs the pass once per map and
+    caches the pair on it, where ``is_complete`` reads it.
+    """
+    mapping = m.mapping
+    covered = set()
+    for u, v in m.source.proper_edges:
+        yu, yv = mapping[u], mapping[v]
+        if yu != yv:
+            covered.add(frozenset((yu, yv)))
+    target = m.target
+    preserving = covered <= target.proper_edges
+    complete = preserving and len(covered) == len(target.proper_edges) and m.image == target.vertex_set
+    m._edge_classes = (preserving, complete)
+    return m._edge_classes
+
+
 def validate_hom(m: HomMap) -> bool:
     """True iff the map preserves edges.
 
@@ -85,16 +114,7 @@ def validate_hom(m: HomMap) -> bool:
     single vertex (its implicit loop); implicit source loops are preserved
     automatically.
     """
-    if m._edge_preserving is None:
-        ok = True
-        for e in m.source.proper_edges:
-            u, v = tuple(e)
-            yu, yv = m.mapping[u], m.mapping[v]
-            if yu != yv and frozenset((yu, yv)) not in m.target.proper_edges:
-                ok = False
-                break
-        m._edge_preserving = ok
-    return m._edge_preserving
+    return (m._edge_classes or _edge_classes(m))[0]
 
 
 def _require_hom(m: HomMap) -> None:
@@ -118,15 +138,7 @@ def is_complete(m: HomMap) -> bool:
     the map is surjective).
     """
     _require_hom(m)
-    if m.image != m.target.vertex_set:
-        return False
-    covered = set()
-    for e in m.source.proper_edges:
-        u, v = tuple(e)
-        yu, yv = m.mapping[u], m.mapping[v]
-        if yu != yv:
-            covered.add(frozenset((yu, yv)))
-    return m.target.proper_edges <= covered
+    return m._edge_classes[1]
 
 
 def _fibre_blocks(m: HomMap) -> dict[str, dict[int, int]]:
@@ -162,12 +174,11 @@ def _local_classes(m: HomMap) -> tuple[bool, bool, bool]:
     """
     if m._local_classes is None:
         _require_hom(m)
-        mapping, image = m.mapping, m.image
+        mapping, image, target_nbhds = m.mapping, m.image, m.target._neighborhoods
         surjective = injective = strong = True
-        for x in m.source.vertices:
-            nbhd = m.source.neighborhood(x)
-            local_image = {mapping[u] for u in nbhd}
-            target_nbhd = m.target.neighborhood(mapping[x])
+        for x, nbhd in m.source._neighborhoods.items():
+            local_image = set(map(mapping.__getitem__, nbhd))
+            target_nbhd = target_nbhds[mapping[x]]
             injective = injective and len(local_image) == len(nbhd)
             if not target_nbhd <= local_image:
                 surjective = False
@@ -205,6 +216,28 @@ def is_locally_strong(m: HomMap) -> bool:
 def is_pseudo_covering(m: HomMap) -> bool:
     """True iff the map is locally strong and surjective."""
     return is_locally_strong(m) and is_surjective(m)
+
+
+def _is_equitable(g: Graph, cells, cell_of) -> bool:
+    """True iff all members of each cell see every cell through equally many edges.
+
+    ``cell_of`` names the cell of each vertex.  Each vertex counts its
+    closed neighbourhood into a dict keyed by cell, so the test takes
+    O(|V| + |E|) whatever the number of cells.
+    """
+    neighborhoods = g._neighborhoods
+    for cell in cells:
+        reference = None
+        for x in cell:
+            row: dict = {}
+            for u in neighborhoods[x]:
+                c = cell_of[u]
+                row[c] = row.get(c, 0) + 1
+            if reference is None:
+                reference = row
+            elif row != reference:
+                return False
+    return True
 
 
 def is_component_equitable(m: HomMap) -> bool:
@@ -287,8 +320,6 @@ def classify(m: HomMap, grp=None) -> ClassificationReport:
     (which would mean a bug in the predicates, not in the input).
     """
     _require_hom(m)
-    from .partitions import is_equitable, partition_of_map
-
     surjective = is_surjective(m)
     complete = is_complete(m)
     bijective = len(m.image) == len(m.source.vertices) and surjective
@@ -302,7 +333,7 @@ def classify(m: HomMap, grp=None) -> ClassificationReport:
         locally_bijective=is_locally_bijective(m),
         locally_strong=is_locally_strong(m),
         pseudo_covering=is_pseudo_covering(m),
-        equitable=is_equitable(m.source, partition_of_map(m)),
+        equitable=_is_equitable(m.source, m.fibres.values(), m.mapping),
         component_equitable=is_component_equitable(m),
         orbit=None if grp is None else is_orbit_map(m, grp),
     )

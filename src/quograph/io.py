@@ -23,6 +23,8 @@ def _expect(cond: bool, message: str) -> None:
 
 def _expect_labels(labels, what: str) -> None:
     """Refuse labels that are not strings; a list would crash set lookups later."""
+    if set(map(type, labels)) <= {str}:
+        return
     for x in labels:
         _expect(isinstance(x, str), f"{what} {x!r} is not a string")
 
@@ -41,12 +43,11 @@ def graph_from_dict(data) -> Graph:
     edges = data["edges"]
     _expect(isinstance(vertices, list), '"vertices" must be a list')
     _expect(isinstance(edges, list), '"edges" must be a list')
-    pairs = []
     for e in edges:
-        _expect(isinstance(e, list) and len(e) == 2, f"edge {e!r} is not a two-element list")
-        _expect_labels(e, "edge endpoint")
-        pairs.append((e[0], e[1]))
-    return Graph(vertices, pairs)
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
+            _expect(isinstance(e, list) and len(e) == 2, f"edge {e!r} is not a two-element list")
+            _expect_labels(e, "edge endpoint")
+    return Graph(vertices, edges)
 
 
 # --------------------------------------------------------------- partitions

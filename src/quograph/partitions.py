@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError
 from .graphs import Graph
-from .homs import HomMap, is_complete
+from .homs import HomMap, _is_equitable, is_complete
 
 
 class Partition:
@@ -20,22 +20,10 @@ class Partition:
 
     def __init__(self, cells, universe):
         self.universe = frozenset(universe)
-        normalized = []
-        seen: set[str] = set()
-        for raw in cells:
-            cell = tuple(sorted(set(raw)))
-            if not cell:
-                raise ValueError("empty cell in partition")
-            for v in cell:
-                if v not in self.universe:
-                    raise ValueError(f"cell member {v!r} is outside the universe")
-                if v in seen:
-                    raise ValueError(f"vertex {v!r} appears in two cells")
-                seen.add(v)
-            normalized.append(cell)
-        if seen != self.universe:
-            missing = sorted(self.universe - seen)[0]
-            raise ValueError(f"vertex {missing!r} is not covered by any cell")
+        normalized = [tuple(sorted(set(raw))) for raw in cells]
+        members = set().union(*normalized)
+        if not all(normalized) or members != self.universe or sum(map(len, normalized)) != len(members):
+            _refuse_cells(normalized, self.universe)
         normalized.sort(key=lambda c: c[0])
         self.cells = tuple(normalized)
         self.cell_of = {v: i for i, cell in enumerate(self.cells) for v in cell}
@@ -59,6 +47,24 @@ class Partition:
         return f"Partition({len(self.cells)} cells over {len(self.universe)} vertices)"
 
 
+def _refuse_cells(cells, universe) -> None:
+    """Raise for the first fault of sorted cells, in cell order: an empty
+    cell, a member outside the universe, a member of two cells; then for
+    the smallest vertex no cell covers."""
+    seen: set[str] = set()
+    for cell in cells:
+        if not cell:
+            raise ValueError("empty cell in partition")
+        for v in cell:
+            if v not in universe:
+                raise ValueError(f"cell member {v!r} is outside the universe")
+            if v in seen:
+                raise ValueError(f"vertex {v!r} appears in two cells")
+            seen.add(v)
+    missing = sorted(universe - seen)[0]
+    raise ValueError(f"vertex {missing!r} is not covered by any cell")
+
+
 @dataclass(frozen=True)
 class QuotientResult:
     quotient: Graph
@@ -78,12 +84,11 @@ def quotient(g: Graph, p: Partition) -> QuotientResult:
         raise ValueError("partition universe does not match the graph's vertices")
     names = ["[" + cell[0] + "]" for cell in p.cells]
     qedges = set()
-    for e in g.proper_edges:
-        u, v = tuple(e)
+    for u, v in g.proper_edges:
         cu, cv = p.cell_of[u], p.cell_of[v]
         if cu != cv:
             qedges.add(frozenset((names[cu], names[cv])))
-    q = Graph(names, [tuple(e) for e in qedges])
+    q = Graph(names, qedges)
     projection = HomMap(g, q, {v: names[p.cell_of[v]] for v in g.vertices})
     if not is_complete(projection):
         raise InternalCheckError("quotient projection failed the completeness check")
@@ -98,18 +103,7 @@ def is_equitable(g: Graph, p: Partition) -> bool:
     """
     if p.universe != g.vertex_set:
         raise ValueError("partition universe does not match the graph's vertices")
-    k = len(p.cells)
-    for cell in p.cells:
-        reference = None
-        for x in cell:
-            row = [0] * k
-            for u in g.neighborhood(x):
-                row[p.cell_of[u]] += 1
-            if reference is None:
-                reference = row
-            elif row != reference:
-                return False
-    return True
+    return _is_equitable(g, p.cells, p.cell_of)
 
 
 def partition_of_map(m: HomMap) -> Partition:

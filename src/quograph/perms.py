@@ -82,8 +82,7 @@ def verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
     if grp.universe != g.vertex_set:
         raise ValueError("group universe does not match the graph's vertices")
     for f in grp.generators:
-        for e in g.proper_edges:
-            u, v = tuple(e)
+        for u, v in g.proper_edges:
             if frozenset((f.mapping[u], f.mapping[v])) not in g.proper_edges:
                 return False
     return True

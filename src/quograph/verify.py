@@ -46,8 +46,7 @@ def oracle_component_count(g: Graph) -> int:
             parent[x], x = root, parent[x]
         return root
 
-    for e in g.proper_edges:
-        u, v = tuple(e)
+    for u, v in g.proper_edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -139,7 +138,7 @@ class HomInstance:
     def pred(self, name: str) -> bool:
         if name not in self._preds:
             if name == "equitable":
-                value = partitions.is_equitable(self.m.source, partitions.partition_of_map(self.m))
+                value = homs._is_equitable(self.m.source, self.m.fibres.values(), self.m.mapping)
             else:
                 value = getattr(homs, f"is_{name}")(self.m)
             self._preds[name] = value
@@ -190,7 +189,7 @@ def _image_proper_edges(m: HomMap, vertices) -> set[frozenset]:
     out = set()
     for e in m.source.proper_edges:
         if e <= keep:
-            u, v = tuple(e)
+            u, v = e
             yu, yv = m.mapping[u], m.mapping[v]
             if yu != yv:
                 out.add(frozenset((yu, yv)))

@@ -223,3 +223,47 @@ def medium_test_graphs() -> list[Graph]:
         star6,
         square_plus_triangle,
     ]
+
+
+# Refusals, with the exact message each one must give.  Rows of a table are
+# (vertices, edges or blocks, message).  GRAPH_REFUSALS are Graph's own
+# checks; LOADER_REFUSALS are the shape checks the graph loader makes before
+# any edge reaches Graph, so a malformed edge is named even when an earlier
+# edge has an undeclared endpoint.
+GRAPH_REFUSALS = [
+    (["a", "b"], [["z", "y"]], "edge endpoint 'z' is not a declared vertex"),
+    (["a", "b"], [["a", "b"], ["a", "z"]], "edge endpoint 'z' is not a declared vertex"),
+    (["a", "b"], [["z", "z"]], "edge endpoint 'z' is not a declared vertex"),
+    (["a", "b"], [["a", "a"]], "loop at 'a' supplied as a proper edge; loops are implicit"),
+    (["a", "b"], [["a", "a"], ["a", "z"]], "loop at 'a' supplied as a proper edge; loops are implicit"),
+    (["a", "b"], [["b", "a"], ["a", "b"]], "duplicate edge ('a', 'b')"),
+    (["a", "b", "c"], [["a", "b"], ["c", "b"], ["b", "c"]], "duplicate edge ('b', 'c')"),
+    (["a", "a", 3], [], "duplicate vertex label 'a'"),
+    ([3, "a"], [], "vertex labels must be strings, got 3"),
+    ([["a"], "a"], [], "vertex labels must be strings, got ['a']"),
+    ([], [], "a graph needs at least one vertex"),
+]
+LOADER_REFUSALS = [
+    (["a", "b"], ["ab"], "edge 'ab' is not a two-element list"),
+    (["a", "b"], [["a", "b", "c"]], "edge ['a', 'b', 'c'] is not a two-element list"),
+    (["a", "b"], [{"a": "b"}], "edge {'a': 'b'} is not a two-element list"),
+    (["a", "b"], [["a", "z"], ["a"]], "edge ['a'] is not a two-element list"),
+    (["a", "b"], [["a", 1]], "edge endpoint 1 is not a string"),
+    (["a", "b"], [["a", "b"], [["a"], "b"]], "edge endpoint ['a'] is not a string"),
+]
+PARTITION_REFUSALS = [
+    (["a"], [["a"], []], "empty cell in partition"),
+    (["a"], [["z"], []], "cell member 'z' is outside the universe"),
+    (["a"], [["a", "z"]], "cell member 'z' is outside the universe"),
+    (["a", "b"], [["a", "b"], ["b"]], "vertex 'b' appears in two cells"),
+    (["b"], [["b"], ["b", "z"]], "vertex 'b' appears in two cells"),
+    (["a", "b", "c"], [["c"]], "vertex 'a' is not covered by any cell"),
+    (["a", "b", "c", "d"], [["a"], ["c"]], "vertex 'b' is not covered by any cell"),
+]
+MAP_REFUSALS = [  # (source vertices, target vertices, map, message)
+    (["a", "b"], ["x"], {"a": "x"}, "map is not total: no image for 'b'"),
+    (["a", "b", "c"], ["x"], {"c": "x", "q": "x"}, "map is not total: no image for 'a'"),
+    (["a"], ["x"], {"a": "x", "q": "x"}, "map defined on unknown vertex 'q'"),
+    (["a"], ["x"], {"q": "x", "a": "w"}, "map defined on unknown vertex 'q'"),
+    (["a", "b", "c"], ["x"], {"a": "x", "b": "w", "c": "v"}, "image vertex 'w' is not in the target"),
+]

@@ -129,6 +129,23 @@ def factorize(m: HomMap):
     return projection, injection
 
 
+def list_row_is_equitable(g: Graph, p: Partition) -> bool:
+    """Equitability by one count row per vertex, as long as the number of
+    cells; O(|V|·|cells|)."""
+    k = len(p.cells)
+    for cell in p.cells:
+        reference = None
+        for x in cell:
+            row = [0] * k
+            for u in g.neighborhood(x):
+                row[p.cell_of[u]] += 1
+            if reference is None:
+                reference = row
+            elif row != reference:
+                return False
+    return True
+
+
 def cell_scan_is_tame(g: Graph, p: Partition) -> bool:
     """Tameness of a partition: every cell lies inside a single component of g."""
     comp = g.components()

@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import itertools
 import json
+import random
 import shutil
+import string
 import subprocess
 import sys
 from io import StringIO
@@ -30,6 +32,10 @@ from quograph.cli import build_parser, main
 
 from conftest import subprocess_env
 from golden import (
+    GRAPH_REFUSALS,
+    LOADER_REFUSALS,
+    MAP_REFUSALS,
+    PARTITION_REFUSALS,
     balanced_two_component_map,
     two_arcs_graph,
 )
@@ -201,6 +207,80 @@ class TestCount:
         assert err == "error: hypotheses not satisfied: locally_surjective\n"
 
 
+def chorded_cycle_copies(rng, length, chords, copies):
+    """Copies of one chorded cycle, the cells stacking each vertex's copies,
+    and the copy shift as the group; documents in a shuffled order."""
+    labels = rng.sample([a + b for a in string.ascii_lowercase for b in string.ascii_lowercase], length)
+    edges = [(j, (j + 1) % length) for j in range(length)]
+    candidates = [(i, j) for i in range(length) for j in range(i + 2, length) if (i, j) != (0, length - 1)]
+    edges += rng.sample(candidates, chords)
+
+    def v(j, i):
+        return f"{labels[j]}.{i:02d}"
+
+    vertices = [v(j, i) for i in range(copies) for j in range(length)]
+    pairs = [[v(a, i), v(b, i)] if rng.random() < 0.5 else [v(b, i), v(a, i)] for i in range(copies) for a, b in edges]
+    rng.shuffle(vertices)
+    rng.shuffle(pairs)
+    blocks = [[v(j, i) for i in range(copies)] for j in range(length)]
+    shift = {v(j, i): v(j, (i + 1) % copies) for i in range(copies) for j in range(length)}
+    return {"vertices": vertices, "edges": pairs}, {"blocks": blocks}, {"generators": [shift]}
+
+
+def mixed_small_copies(rng, copies):
+    """Disjoint edges, triangles and 3-paths, each folded by its own
+    automorphism, whose orbits are the cells."""
+    shapes = {
+        "edge": (2, [(0, 1)], [[0, 1]], [1, 0]),
+        "triangle": (3, [(0, 1), (1, 2), (0, 2)], [[0, 1, 2]], [1, 2, 0]),
+        "path": (3, [(0, 1), (1, 2)], [[0, 2], [1]], [2, 1, 0]),
+    }
+    vertices, edges, blocks, aut = [], [], [], {}
+    for c in range(copies):
+        n, pairs, cells, images = shapes[rng.choice(sorted(shapes))]
+        names = [f"{c:03d}{x}" for x in "abc"[:n]]
+        vertices += names
+        edges += [[names[a], names[b]] for a, b in pairs]
+        blocks += [[names[x] for x in cell] for cell in cells]
+        aut.update({names[x]: names[images[x]] for x in range(n)})
+    return {"vertices": vertices, "edges": edges}, {"blocks": blocks}, {"generators": [aut]}
+
+
+class TestPinnedCountBytes:
+    # sha256 of `count G P --group GRP --method M` on each seeded input, for
+    # M = auto, A, ce, B.
+    PINNED_SHA256 = {
+        "chorded-cycles": (
+            "3f2a1f22125cfb5958e357d443795011da043efd9e61cf8520d881720b72e337",
+            "e144d12d9c9edf1abff7f7ddf1dbd7296cbf93a10f63c590451b5ec157ec2eb8",
+            "3f2a1f22125cfb5958e357d443795011da043efd9e61cf8520d881720b72e337",
+            "3f2a1f22125cfb5958e357d443795011da043efd9e61cf8520d881720b72e337",
+        ),
+        "small-copies": (
+            "4a38405f5e45d740ff98bc708f4bbb7061edbd9ed91ecd1e3d43b5f87e4174cb",
+            "5f50bfbf29c62c2da031215079808afaba87982e4d6d0d49ac85c3e3d87a4b97",
+            "4a38405f5e45d740ff98bc708f4bbb7061edbd9ed91ecd1e3d43b5f87e4174cb",
+            "4a38405f5e45d740ff98bc708f4bbb7061edbd9ed91ecd1e3d43b5f87e4174cb",
+        ),
+    }
+    INPUTS = {
+        "chorded-cycles": lambda: chorded_cycle_copies(random.Random(11), 10, 3, 12),
+        "small-copies": lambda: mixed_small_copies(random.Random(12), 30),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SHA256))
+    def test_pinned_output_bytes(self, tmp_path, capsys, name):
+        paths = [str(tmp_path / f) for f in ("g.json", "p.json", "grp.json")]
+        for path, doc in zip(paths, self.INPUTS[name]()):
+            io.save_json(path, doc)
+        outs = []
+        for method in ("auto", "A", "ce", "B"):
+            code, out, err = run_cli(capsys, "count", paths[0], paths[1], "--group", paths[2], "--method", method)
+            assert code == 0 and err == ""
+            outs.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(outs) == self.PINNED_SHA256[name]
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` so each call is recorded; return the record."""
     calls = []
@@ -235,6 +315,17 @@ class TestAutoRoute:
         code, out, _ = run_cli(capsys, "count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"))
         assert code == 0 and json.loads(out)["total"] == 2
         assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+
+    @pytest.mark.parametrize("method", ["auto", "A", "ce", "B"])
+    def test_one_edge_pass_and_no_fibre_partition(self, two_triangles_files, capsys, monkeypatch, method):
+        edge_passes = count_calls(monkeypatch, quograph.homs, "_edge_classes")
+        fibre_partitions = count_calls(monkeypatch, quograph.partitions, "partition_of_map")
+        d = two_triangles_files
+        argv = ["count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"), "--method", method]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["total"] == 2
+        assert len(edge_passes) == 1 and edge_passes[0][0].target.vertices == ("[a0]", "[a1]", "[a2]")
+        assert fibre_partitions == []
 
     def test_ce_route_checks_equitability_once(self, two_triangles_files, capsys, monkeypatch):
         calls = count_calls(monkeypatch, quograph.homs, "is_component_equitable")
@@ -428,6 +519,12 @@ class TestVerifyCommand:
             assert code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_pinned_report_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--max-vertices", "4", "--random", "200", "--seed", "3")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "47d5ee61800a0f41f8362811938616d24e145c6081e3599cfe24ec7522ba51b2"
+
     def test_bound_beyond_the_limit_is_refused_at_once(self, capsys, monkeypatch):
         # 7 source vertices would mean about 1.8e9 graph-and-partition pairs
         monkeypatch.setattr(verify, "run_suite", lambda cfg: pytest.fail("the sweep started"))
@@ -544,6 +641,28 @@ class TestErrors:
         code, out, err = run_cli(capsys, *(a.replace("@", f"{tmp_path}/") for a in argv))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "is not a string" in err
+
+    @pytest.mark.parametrize(
+        "argv,docs,message",
+        [(["components", "@g"], {"g": {"vertices": vs, "edges": es}}, msg) for vs, es, msg in GRAPH_REFUSALS + LOADER_REFUSALS]
+        + [
+            (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
+            for vs, bs, msg in PARTITION_REFUSALS
+        ]
+        + [
+            (
+                ["classify", "@s", "@t", "@m"],
+                {"s": {"vertices": ss, "edges": []}, "t": {"vertices": ts, "edges": []}, "m": {"map": mp}},
+                msg,
+            )
+            for ss, ts, mp, msg in MAP_REFUSALS
+        ],
+    )
+    def test_refusal_stderr(self, tmp_path, capsys, argv, docs, message):
+        for name, doc in docs.items():
+            io.save_json(tmp_path / name, doc)
+        code, out, err = run_cli(capsys, *(a.replace("@", f"{tmp_path}/") for a in argv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"

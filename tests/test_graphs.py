@@ -8,6 +8,7 @@ from quograph import Graph, find_isomorphism
 from quograph.verify import oracle_component_count
 
 from conftest import graphs
+from golden import GRAPH_REFUSALS
 
 
 def path(labels):
@@ -48,6 +49,12 @@ class TestConstruction:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError):
             Graph(["a", "b"], [("a", "b"), ("b", "a")])
+
+    @pytest.mark.parametrize("vertices,edges,message", GRAPH_REFUSALS)
+    def test_refusal_message(self, vertices, edges, message):
+        with pytest.raises(ValueError) as exc:
+            Graph(vertices, [tuple(e) for e in edges])
+        assert str(exc.value) == message
 
     def test_equality_ignores_edge_order(self):
         g1 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])

@@ -36,7 +36,7 @@ from quograph import (
 from quograph.verify import SweepConfig, enumerate_graphs, enumerate_homs, random_orbit_instance
 
 from conftest import homomorphisms, projections, vertex_maps
-from golden import GOLDEN_CASES, two_arcs_projection
+from golden import GOLDEN_CASES, MAP_REFUSALS, two_arcs_projection
 from reference import (
     cell_scan_is_tame,
     factorize,
@@ -71,6 +71,12 @@ class TestHomMap:
         src, tgt = Graph(["a"], []), Graph(["x"], [])
         with pytest.raises(ValueError):
             HomMap(src, tgt, {"a": "w"})
+
+    @pytest.mark.parametrize("sources,targets,mapping,message", MAP_REFUSALS)
+    def test_refusal_message(self, sources, targets, mapping, message):
+        with pytest.raises(ValueError) as exc:
+            HomMap(Graph(sources, []), Graph(targets, []), mapping)
+        assert str(exc.value) == message
 
     def test_fibres_sorted_and_queryable(self):
         src = Graph(["a", "b", "c"], [])

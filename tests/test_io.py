@@ -16,6 +16,7 @@ from quograph import (
 from quograph import io
 
 from conftest import graphs, graphs_with_partitions
+from golden import GRAPH_REFUSALS, LOADER_REFUSALS
 
 
 class TestGraphFormat:
@@ -43,6 +44,12 @@ class TestGraphFormat:
     def test_malformed_documents_rejected(self, doc):
         with pytest.raises(ValueError):
             io.graph_from_dict(doc)
+
+    @pytest.mark.parametrize("vertices,edges,message", GRAPH_REFUSALS + LOADER_REFUSALS)
+    def test_refusal_message(self, vertices, edges, message):
+        with pytest.raises(ValueError) as exc:
+            io.graph_from_dict({"vertices": vertices, "edges": edges})
+        assert str(exc.value) == message
 
 
 class TestPartitionFormat:

@@ -3,10 +3,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from quograph import Graph, HomMap, Partition, is_complete, is_equitable, is_tame
+from quograph import Graph, HomMap, Partition, classify, is_complete, is_equitable, is_tame
 from quograph import partition_of_map, quotient
+from quograph.verify import enumerate_graphs, enumerate_homs, set_partitions
 
 from conftest import graphs, graphs_with_partitions
+from golden import PARTITION_REFUSALS
+from reference import list_row_is_equitable
 
 
 @pytest.fixture
@@ -42,6 +45,16 @@ class TestPartition:
     def test_empty_cell_rejected(self):
         with pytest.raises(ValueError):
             Partition([["a"], []], {"a"})
+
+    @pytest.mark.parametrize("universe,cells,message", PARTITION_REFUSALS)
+    def test_refusal_message(self, universe, cells, message):
+        with pytest.raises(ValueError) as exc:
+            Partition(cells, universe)
+        assert str(exc.value) == message
+
+    def test_repeated_member_inside_a_cell_is_merged(self):
+        p = Partition([["b", "a", "a"], ["c", "c"]], {"a", "b", "c"})
+        assert p.cells == (("a", "b"), ("c",))
 
     def test_equality_ignores_cell_order(self):
         u = {"a", "b", "c"}
@@ -135,6 +148,33 @@ class TestEquitable:
         p = Partition([list(g.vertices)], g.vertex_set)
         degrees = {len(g.neighborhood(v)) for v in g.vertices}
         assert is_equitable(g, p) == (len(degrees) == 1)
+
+    @given(graphs_with_partitions())
+    def test_matches_list_row_oracle(self, gp):
+        g, p = gp
+        assert is_equitable(g, p) == list_row_is_equitable(g, p)
+
+    def test_matches_list_row_oracle_on_every_small_partition(self):
+        checked = 0
+        for g in enumerate_graphs(4):
+            for cells in set_partitions(g.vertices):
+                p = Partition(cells, g.vertex_set)
+                assert is_equitable(g, p) == list_row_is_equitable(g, p), (g.sorted_edges(), p.cells)
+                checked += 1
+        assert checked == 1 + 2 * 2 + 8 * 5 + 64 * 15
+
+    def test_classify_matches_list_row_oracle_on_the_hom_sweep(self):
+        targets = list(enumerate_graphs(3))
+        checked = equitable = 0
+        for src in enumerate_graphs(4):
+            for tgt in targets:
+                for mapping in enumerate_homs(src, tgt):
+                    m = HomMap(src, tgt, mapping)
+                    expected = list_row_is_equitable(src, partition_of_map(m))
+                    assert classify(m).equitable == expected, mapping
+                    checked += 1
+                    equitable += expected
+        assert (checked, equitable) == (21_387, 5_213)
 
 
 class TestPartitionOfMap:
