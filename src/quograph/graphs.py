@@ -15,7 +15,9 @@ class Graph:
     computation deterministic.
     """
 
-    __slots__ = ("vertices", "vertex_set", "proper_edges", "_neighborhoods", "_components")
+    __slots__ = (
+        "vertices", "vertex_set", "proper_edges", "_neighborhoods", "_components", "_induced",
+    )
 
     def __init__(self, vertices, proper_edges=()):
         labels = list(vertices)
@@ -48,6 +50,7 @@ class Graph:
         self.proper_edges = frozenset(edges)
         self._neighborhoods = {v: frozenset(s) for v, s in nbhd.items()}
         self._components = None
+        self._induced = None
 
     # ------------------------------------------------------------- queries
 
@@ -91,14 +94,24 @@ class Graph:
         return self._components
 
     def induced(self, subset) -> "Graph":
-        """Subgraph induced by a nonempty subset of the vertices."""
-        sub = set(subset)
+        """Subgraph induced by a nonempty subset of the vertices.
+
+        The result is computed once per distinct subset and cached (the
+        graph is immutable), so equal subsets share one subgraph object.
+        """
+        sub = frozenset(subset)
+        cache = self._induced
+        if cache is not None and sub in cache:
+            return cache[sub]
         if not sub:
             raise ValueError("cannot induce a subgraph on an empty vertex set")
         for v in sub:
             if v not in self.vertex_set:
                 raise ValueError(f"unknown vertex {v!r}")
-        return Graph(sorted(sub), [e for e in self.proper_edges if e <= sub])
+        if cache is None:
+            cache = self._induced = {}
+        sub_graph = cache[sub] = Graph(sorted(sub), [e for e in self.proper_edges if e <= sub])
+        return sub_graph
 
     def sorted_edges(self) -> list[tuple[str, str]]:
         """Proper edges as sorted pairs, in sorted order (the canonical form)."""

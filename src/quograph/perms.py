@@ -189,9 +189,22 @@ def is_consistent(m, grp: PermGroup) -> bool:
             if m.mapping[f.mapping[x]] != m.mapping[x]:
                 return False
     # Every generator leaves the map unchanged, so each orbit lies inside one
-    # fibre: the orbits refine the fibres, and a refinement with as many
-    # cells as the partition it refines is that partition.
-    return len(orbit_partition(grp).cells) == len(m.fibres)
+    # fibre, and a fibre is a single orbit exactly when the orbit of its
+    # first member, closed forward as in ``orbit_partition``, fills it.
+    gens = [f.mapping for f in grp.generators]
+    for fibre in m.fibres.values():
+        orbit = {fibre[0]}
+        frontier = [fibre[0]]
+        while frontier:
+            x = frontier.pop()
+            for f in gens:
+                y = f[x]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        if len(orbit) != len(fibre):
+            return False
+    return True
 
 
 def generated_elements(grp: PermGroup, limit: int = 100_000) -> list[Permutation]:

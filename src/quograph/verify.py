@@ -509,8 +509,9 @@ def _claim_orbit_admissible_single_orbit(inst: OrbitInstance):
     m = inst.m
     fails = []
     for y in sorted(m.fibres):
-        admissible = [frozenset(b) for b in counting.admissible_components(m, y)]
-        first = counting.admissible_components(m, y)[0]
+        blocks = counting.admissible_components(m, y)
+        admissible = [frozenset(b) for b in blocks]
+        first = blocks[0]
         closure = {frozenset(first)}
         frontier = [frozenset(first)]
         while frontier:

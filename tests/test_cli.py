@@ -307,6 +307,7 @@ class TestAutoRoute:
             name: count_calls(monkeypatch, module, name)
             for module, name in [
                 (quograph.perms, "verify_automorphisms"),
+                (quograph.perms, "is_consistent"),
                 (quograph.perms, "orbit_partition"),
                 (quograph.homs, "classify"),
             ]
@@ -314,7 +315,9 @@ class TestAutoRoute:
         d = two_triangles_files
         code, out, _ = run_cli(capsys, "count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"))
         assert code == 0 and json.loads(out)["total"] == 2
-        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
+        # the consistency test closes each fibre itself, with no orbit partition
+        expected = {"verify_automorphisms": 1, "is_consistent": 1, "orbit_partition": 0, "classify": 1}
+        assert {name: len(c) for name, c in calls.items()} == expected
 
     @pytest.mark.parametrize("method", ["auto", "A", "ce", "B"])
     def test_one_edge_pass_and_no_fibre_partition(self, two_triangles_files, capsys, monkeypatch, method):

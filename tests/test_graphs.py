@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,40 @@ class TestInduced:
     def test_component_blocks_induce_connected_subgraphs(self, g):
         for block in g.components().blocks:
             assert g.induced(block).components().count == 1
+
+    def test_equal_subsets_share_one_subgraph(self):
+        g = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+        assert g.induced(["a", "b"]) is g.induced({"b", "a"})
+        assert g.induced(("b", "a")) is g.induced(frozenset({"a", "b"}))
+        block = g.components().blocks[0]
+        assert g.induced(block) is g.induced(list(block)) is g.induced(set(block))
+        assert g.induced(block) is not g.induced(["a", "b"])
+
+    @given(graphs(), st.data())
+    def test_cached_subgraph_matches_a_fresh_build(self, g, data):
+        # later rounds may draw subsets an earlier round already cached
+        for _ in range(4):
+            sub = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
+            fresh = Graph(sorted(sub), [e for e in g.proper_edges if e <= sub])
+            for given_as in (sorted(sub), sub, tuple(sorted(sub, reverse=True))):
+                got = g.induced(given_as)
+                assert got.vertices == fresh.vertices
+                assert got.proper_edges == fresh.proper_edges
+
+    @pytest.mark.parametrize(
+        "subset, message",
+        [(set(), "cannot induce a subgraph on an empty vertex set"), (["a", "z"], "unknown vertex 'z'")],
+    )
+    def test_refusals_are_never_cached(self, subset, message):
+        g = Graph(["a", "b", "c"], [("a", "b")])
+        exact = f"^{re.escape(message)}$"
+        for _ in range(2):
+            with pytest.raises(ValueError, match=exact):
+                g.induced(subset)
+        sub = g.induced(["b", "a"])
+        assert sub.vertices == ("a", "b") and sub.proper_edges == g.proper_edges
+        with pytest.raises(ValueError, match=exact):  # and again with a warm cache
+            g.induced(subset)
 
 
 class TestIsomorphism:

@@ -187,6 +187,29 @@ class TestMutationSensitivity:
             assert replay_counterexample(failure) is True
         assert replay_counterexample(failure) is False
 
+    def test_broken_copy_test_is_caught_through_cached_subgraphs(self):
+        # Each source graph serves many maps in this sweep, so most of the
+        # subgraphs the isomorphism search compares come from the cache of
+        # `Graph.induced`: a warm cache must not hide a broken predicate.
+        cfg = SweepConfig(3, 2, 0, 1)
+        original = quograph.counting.component_iso_check
+        original_induced = Graph.induced
+        builds = []
+
+        def recorded_induced(g, subset):
+            builds.append((g, frozenset(subset)))
+            return original_induced(g, subset)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quograph.counting, "component_iso_check", lambda m, c: not original(m, c))
+            mp.setattr(Graph, "induced", recorded_induced)
+            results = sweep_hom_claims(cfg, claims={"component_image_iso_criterion"})
+            broken = results["component_image_iso_criterion"]
+            assert broken.failure_count > 0
+            assert all(replay_counterexample(f) is True for f in broken.failures)
+        assert len({(id(g), sub) for g, sub in builds}) < len(builds)
+        assert not any(replay_counterexample(f) for f in broken.failures)
+
     def test_clean_run_records_nothing(self):
         cfg = SweepConfig(3, 2, 0, 1)
         results = sweep_hom_claims(
