@@ -99,12 +99,15 @@ def cmd_orbits(args) -> int:
 def _group_from_spec(spec: str):
     kind, sep, rest = spec.partition(":")
     if sep:
-        if kind == "cyclic":
-            return groups.make_cyclic(int(rest))
-        if kind == "symmetric":
-            return groups.make_symmetric(int(rest))
         if kind == "cayley":
             return io.load_cayley(rest)
+        # an order is ASCII decimal digits only: int() would also take
+        # signs, spaces, underscores and other scripts' digits
+        if rest.isascii() and rest.isdecimal():
+            if kind == "cyclic":
+                return groups.make_cyclic(int(rest))
+            if kind == "symmetric":
+                return groups.make_symmetric(int(rest))
     raise ValueError(f"unrecognized group spec {spec!r}; use cyclic:N, symmetric:N, or cayley:PATH")
 
 

@@ -81,9 +81,14 @@ def verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
     """
     if grp.universe != g.vertex_set:
         raise ValueError("group universe does not match the graph's vertices")
+    # A closed neighbourhood also holds its own vertex, but a generator is a
+    # bijection, so the images of the two ends of a proper edge differ and
+    # membership means a proper edge.
+    nbhd = g._neighborhoods
     for f in grp.generators:
+        image = f.mapping
         for u, v in g.proper_edges:
-            if frozenset((f.mapping[u], f.mapping[v])) not in g.proper_edges:
+            if image[v] not in nbhd[image[u]]:
                 return False
     return True
 

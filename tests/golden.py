@@ -267,3 +267,36 @@ MAP_REFUSALS = [  # (source vertices, target vertices, map, message)
     (["a"], ["x"], {"q": "x", "a": "w"}, "map defined on unknown vertex 'q'"),
     (["a", "b", "c"], ["x"], {"a": "x", "b": "w", "c": "v"}, "image vertex 'w' is not in the target"),
 ]
+# The loaders' own shape checks, run before a Partition, PermGroup or
+# FiniteGroup is built; the first fault in document order is the one named.
+# Keys are in sorted order, so a document keeps its order through a file.
+PARTITION_LOADER_REFUSALS = [  # (vertices, blocks, message)
+    (["a", "b"], ["ab"], "block 'ab' is not a list"),
+    (["a", "b"], [["a"], {"b": 1}], "block {'b': 1} is not a list"),
+    (["a", "b"], [["a", 1], "b"], "block member 1 is not a string"),
+    (["a", "b"], [["a"], ["b", ["a"]], 3], "block member ['a'] is not a string"),
+    (["a", "b"], [["z", None]], "block member None is not a string"),
+    (["a"], [[], 7], "block 7 is not a list"),
+]
+GROUP_LOADER_REFUSALS = [  # (vertices, generators, message)
+    (["a", "b"], ["x"], "generator 'x' is not an object"),
+    (["a", "b"], [{"a": "a", "b": "b"}, [["a", "b"]]], "generator [['a', 'b']] is not an object"),
+    (["a", "b"], [{"a": "b", "b": 1}], "generator image 1 is not a string"),
+    (["a", "b"], [{"a": "b", "b": ["a"]}, "x"], "generator image ['a'] is not a string"),
+    (["a", "b"], [{"a": "a"}, 5], "generator 5 is not an object"),
+    (["a", "b"], [{"a": "a"}], "bad generator: generator domain does not match the universe"),
+    (["a", "b"], [{"a": "a", "b": "a"}], "bad generator: mapping is not a bijection of its domain"),
+]
+CAYLEY_LOADER_REFUSALS = [  # (document, message)
+    ({"identity": "e", "table": {}}, 'group table document needs "elements"'),
+    ({"elements": "e", "identity": "e", "table": {}}, '"elements" must be a list'),
+    ({"elements": ["e", 1], "identity": "e", "table": {"e": "x"}}, "group element 1 is not a string"),
+    ({"elements": ["e"], "identity": "e", "table": {"e": ["e"]}}, "table row ['e'] is not an object"),
+    ({"elements": ["e", "a"], "identity": "e", "table": {"a": "x", "e": {"e": 1}}}, "table row 'x' is not an object"),
+    ({"elements": ["e"], "identity": "e", "table": {"e": {"e": 1}}}, "product 1 is not a string"),
+    (
+        {"elements": ["e", "a"], "identity": "e", "table": {"a": {"a": ["a"], "e": "a"}, "e": "x"}},
+        "product ['a'] is not a string",
+    ),
+    ({"elements": ["e"], "identity": "e", "table": {}}, "Cayley table has no row for 'e'"),
+]

@@ -8,6 +8,7 @@ compute; the tests compare the two on the same inputs.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 from quograph.counting import (
@@ -22,6 +23,22 @@ from quograph.graphs import Graph
 from quograph.homs import HomMap, _require_hom, validate_hom
 from quograph.partitions import Partition, partition_of_map, quotient
 from quograph.perms import PermGroup, orbit_partition
+
+
+def indent_dumps(payload) -> str:
+    """Canonical JSON text by the standard library's indenting encoder."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def edge_set_verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
+    """Automorphism test by looking each image edge up in the edge set."""
+    if grp.universe != g.vertex_set:
+        raise ValueError("group universe does not match the graph's vertices")
+    for f in grp.generators:
+        for u, v in g.proper_edges:
+            if frozenset((f.mapping[u], f.mapping[v])) not in g.proper_edges:
+                return False
+    return True
 
 
 def fibre_scan_is_locally_strong(m: HomMap) -> bool:

@@ -32,13 +32,17 @@ from quograph.cli import build_parser, main
 
 from conftest import subprocess_env
 from golden import (
+    CAYLEY_LOADER_REFUSALS,
     GRAPH_REFUSALS,
+    GROUP_LOADER_REFUSALS,
     LOADER_REFUSALS,
     MAP_REFUSALS,
+    PARTITION_LOADER_REFUSALS,
     PARTITION_REFUSALS,
     balanced_two_component_map,
     two_arcs_graph,
 )
+from reference import indent_dumps
 
 
 @pytest.fixture
@@ -440,6 +444,25 @@ class TestPowergraph:
         assert code == 1
         assert "unrecognized group spec" in err
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["cyclic", "cyclic:", "cyclic:abc", "cyclic:1_0", "cyclic: 7", "cyclic:7 ", "symmetric:+3",
+         "cyclic:-3", "cyclic:\u0663", "symmetric:\u00b3", "cyclic:3.0"],
+    )
+    def test_order_other_than_ascii_digits_is_refused(self, capsys, spec):
+        code, out, err = run_cli(capsys, "powergraph", "--group", spec)
+        message = f"unrecognized group spec {spec!r}; use cyclic:N, symmetric:N, or cayley:PATH"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("spec", ["cyclic:0", "cyclic:61", "symmetric:6", "symmetric:00"])
+    def test_order_out_of_range_is_refused(self, capsys, spec):
+        code, out, err = run_cli(capsys, "powergraph", "--group", spec)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "out of the supported range" in err
+
+    def test_leading_zeros_are_digits(self, capsys):
+        assert run_cli(capsys, "powergraph", "--group", "cyclic:007") == run_cli(capsys, "powergraph", "--group", "cyclic:7")
+
     def test_trivial_group_has_no_proper_graph(self, capsys):
         code, _, err = run_cli(capsys, "powergraph", "--group", "cyclic:1", "--proper")
         assert code == 2
@@ -535,6 +558,40 @@ class TestVerifyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestCanonicalPayloads:
+    """Every payload shape the commands emit, written by ``io.dumps`` and by
+    the standard library's indenting encoder."""
+
+    @pytest.fixture
+    def payloads(self, monkeypatch):
+        recorded = []
+        dumps = io.dumps
+        monkeypatch.setattr(io, "dumps", lambda payload: recorded.append(payload) or dumps(payload))
+        return recorded
+
+    def test_each_command(self, two_triangles_files, capsys, payloads):
+        d = two_triangles_files
+        g, p, grp = (str(d / f) for f in ("g.json", "p.json", "grp.json"))
+        assert run_cli(capsys, "quotient", g, p, "--out", str(d / "q"))[0] == 0
+        for name, payload in zip(("q.quotient.json", "q.projection.json"), payloads):
+            assert (d / name).read_text(encoding="utf-8") == indent_dumps(payload)
+        argvs = [
+            ["components", g],
+            ["quotient", g, p],
+            ["classify", g, str(d / "q.quotient.json"), str(d / "q.projection.json"), "--group", grp],
+            *(["count", g, p, "--group", grp, "--method", m] for m in ("auto", "A", "ce", "B")),
+            ["orbits", g, grp],
+            ["powergraph", "--group", "symmetric:3"],
+            ["powergraph", "--group", "cyclic:12", "--proper"],
+            ["verify", "--max-vertices", "2", "--random", "5"],
+        ]
+        for argv in argvs:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert out == indent_dumps(payloads[-1]), argv
+        assert len(payloads) == 2 + len(argvs)
 
 
 LABELS = st.sampled_from(["e", "a", "b", "0", "1"])
@@ -659,7 +716,16 @@ class TestErrors:
                 msg,
             )
             for ss, ts, mp, msg in MAP_REFUSALS
-        ],
+        ]
+        + [
+            (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
+            for vs, bs, msg in PARTITION_LOADER_REFUSALS
+        ]
+        + [
+            (["orbits", "@g", "@grp"], {"g": {"vertices": vs, "edges": []}, "grp": {"generators": gens}}, msg)
+            for vs, gens, msg in GROUP_LOADER_REFUSALS
+        ]
+        + [(["powergraph", "--group", "cayley:@c"], {"c": doc}, msg) for doc, msg in CAYLEY_LOADER_REFUSALS],
     )
     def test_refusal_stderr(self, tmp_path, capsys, argv, docs, message):
         for name, doc in docs.items():

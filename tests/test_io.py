@@ -4,6 +4,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quograph import (
     Graph,
@@ -16,7 +17,14 @@ from quograph import (
 from quograph import io
 
 from conftest import graphs, graphs_with_partitions
-from golden import GRAPH_REFUSALS, LOADER_REFUSALS
+from golden import (
+    CAYLEY_LOADER_REFUSALS,
+    GRAPH_REFUSALS,
+    GROUP_LOADER_REFUSALS,
+    LOADER_REFUSALS,
+    PARTITION_LOADER_REFUSALS,
+)
+from reference import indent_dumps
 
 
 class TestGraphFormat:
@@ -72,6 +80,12 @@ class TestPartitionFormat:
         with pytest.raises(ValueError):
             io.partition_from_dict({"blocks": [["a"]]}, g)
 
+    @pytest.mark.parametrize("vertices,blocks,message", PARTITION_LOADER_REFUSALS)
+    def test_refusal_message(self, vertices, blocks, message):
+        with pytest.raises(ValueError) as exc:
+            io.partition_from_dict({"blocks": blocks}, Graph(vertices, []))
+        assert str(exc.value) == message
+
 
 class TestMapFormat:
     def test_round_trip(self):
@@ -108,6 +122,12 @@ class TestGroupFormat:
         with pytest.raises(ValueError):
             io.group_from_dict(doc, g)
 
+    @pytest.mark.parametrize("vertices,generators,message", GROUP_LOADER_REFUSALS)
+    def test_refusal_message(self, vertices, generators, message):
+        with pytest.raises(ValueError) as exc:
+            io.group_from_dict({"generators": generators}, Graph(vertices, []))
+        assert str(exc.value) == message
+
 
 class TestCayleyFormat:
     def test_round_trip(self):
@@ -134,8 +154,69 @@ class TestCayleyFormat:
         with pytest.raises(ValueError):
             io.cayley_from_dict(doc)
 
+    @pytest.mark.parametrize("doc,message", CAYLEY_LOADER_REFUSALS)
+    def test_refusal_message(self, doc, message):
+        with pytest.raises(ValueError) as exc:
+            io.cayley_from_dict(doc)
+        assert str(exc.value) == message
+
+
+# Strings that look like the emitter's own layout, or that the encoder must
+# escape, beside arbitrary text.
+TRICKY_TEXT = st.sampled_from(
+    ['"', "\\", "\n", "},\n  {", "],\n  [", "},\n    {", "é", "☃", "\x00", "\x1f", "\ud800", ""]
+) | st.text(max_size=6)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TRICKY_TEXT
+FLAT = SCALARS | st.builds(list) | st.builds(dict)
+LEAF_DICTS = st.dictionaries(TRICKY_TEXT, FLAT, max_size=4)
+LEAF_LISTS = st.lists(FLAT, max_size=4)
+
+
+def json_containers(children):
+    """Lists and objects of the subtrees, and lists of leaf containers: all
+    objects or all lists, which ``io.dumps`` may write in one call, or
+    mixed."""
+    return (
+        st.lists(children, max_size=4)
+        | st.dictionaries(TRICKY_TEXT, children, max_size=4)
+        | st.lists(LEAF_DICTS, max_size=4)
+        | st.lists(LEAF_LISTS, max_size=4)
+        | st.lists(LEAF_DICTS | LEAF_LISTS, min_size=2, max_size=4)
+    )
+
+
+JSON_TREES = st.recursive(SCALARS | LEAF_DICTS | LEAF_LISTS, json_containers, max_leaves=24)
+
 
 class TestCanonicalText:
+    @given(JSON_TREES)
+    @settings(max_examples=400)
+    def test_dumps_matches_the_indenting_encoder(self, tree):
+        assert io.dumps(tree) == indent_dumps(tree)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {1: ["a"], 2.5: {"b": [1]}, -3: [[]]},
+            {None: [[1], [2]]},
+            {True: [{"a": 1}], False: {"b": 2}},
+            ({"a": (1, 2)}, ("b", ("c",)), ((1,), (2, 3))),
+            [float("nan"), float("inf"), -0.0, 1e300],
+            [[[], []], [1, {}, []], [2]],
+            [{"a": [], "b": {}}, {"c": []}],
+        ],
+        ids=["number-keys", "null-key", "bool-keys", "tuples", "special-floats", "empty-in-lists", "empty-in-objects"],
+    )
+    def test_dumps_matches_on_edge_cases(self, payload):
+        assert io.dumps(payload) == indent_dumps(payload)
+
+    @pytest.mark.parametrize("payload", [{(1,): [1]}, {1: [1], "a": [2]}, [{(1,): 1}, {"a": 1}]])
+    def test_dumps_refuses_what_the_encoder_refuses(self, payload):
+        with pytest.raises(TypeError):
+            indent_dumps(payload)
+        with pytest.raises(TypeError):
+            io.dumps(payload)
+
     def test_dumps_is_sorted_indented_and_newline_terminated(self):
         text = io.dumps({"b": 1, "a": [2, 3]})
         assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'

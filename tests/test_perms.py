@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from quograph import (
     quotient,
     verify_automorphisms,
 )
+from quograph.verify import enumerate_graphs, random_orbit_instance
 
 from conftest import graphs
+from reference import edge_set_verify_automorphisms
 
 
 def cycle(n):
@@ -62,6 +65,35 @@ class TestVerifyAutomorphisms:
         g = Graph(["a", "b", "c"], [("a", "b")])
         swap_bc = Permutation({"a": "a", "b": "c", "c": "b"})
         assert not verify_automorphisms(g, PermGroup(g.vertex_set, [swap_bc]))
+
+    @staticmethod
+    def agree(g, grp, verdicts):
+        verdict = verify_automorphisms(g, grp)
+        assert verdict == edge_set_verify_automorphisms(g, grp)
+        verdicts.add(verdict)
+
+    def test_agrees_with_edge_set_oracle_on_the_small_sweep(self):
+        # the sources of SweepConfig(4, 3): each graph's automorphism group,
+        # then every single permutation of its vertices, most of which break
+        # an edge
+        verdicts = set()
+        for g in enumerate_graphs(4):
+            self.agree(g, automorphism_group(g), verdicts)
+            for perm in itertools.permutations(g.vertices):
+                self.agree(g, PermGroup(g.vertex_set, [dict(zip(g.vertices, perm))]), verdicts)
+        assert verdicts == {True, False}
+
+    def test_agrees_with_edge_set_oracle_on_random_orbit_instances(self):
+        verdicts = set()
+        for seed in range(50):
+            rng = random.Random(seed)
+            inst = random_orbit_instance(rng)
+            g = inst.g
+            self.agree(g, inst.grp, verdicts)
+            shuffled = list(g.vertices)
+            rng.shuffle(shuffled)
+            self.agree(g, PermGroup(g.vertex_set, [*inst.grp.generators, dict(zip(g.vertices, shuffled))]), verdicts)
+        assert verdicts == {True, False}
 
 
 class TestOrbitPartition:
@@ -108,8 +140,6 @@ class TestAutomorphismGroup:
     def test_exhaustive_agreement_with_brute_force(self):
         # dual route: compare the backtracking search against filtering all
         # label permutations, over every labeled graph with up to 4 vertices
-        from quograph.verify import enumerate_graphs
-
         for g in enumerate_graphs(4):
             expected = set()
             for perm in itertools.permutations(g.vertices):
