@@ -103,11 +103,15 @@ def _group_from_spec(spec: str):
             return io.load_cayley(rest)
         # an order is ASCII decimal digits only: int() would also take
         # signs, spaces, underscores and other scripts' digits
-        if rest.isascii() and rest.isdecimal():
+        if kind in ("cyclic", "symmetric") and rest.isascii() and rest.isdecimal():
+            digits = rest.lstrip("0") or "0"
+            # int() refuses more than 4,300 digits, and every builder's range
+            # ends far below 9 of them: refuse a long order unconverted
+            if len(digits) > 9:
+                raise ValueError(f"{kind} order of {len(digits)} digits out of the supported range")
             if kind == "cyclic":
-                return groups.make_cyclic(int(rest))
-            if kind == "symmetric":
-                return groups.make_symmetric(int(rest))
+                return groups.make_cyclic(int(digits))
+            return groups.make_symmetric(int(digits))
     raise ValueError(f"unrecognized group spec {spec!r}; use cyclic:N, symmetric:N, or cayley:PATH")
 
 

@@ -7,6 +7,12 @@ orbit quotients.  Every structural claim the package relies on is checked on
 every applicable instance, with counterexamples serialized so a reported
 failure can be replayed in isolation.
 
+The map claims take the ``HomMap`` itself and call the ``homs`` predicates
+(looked up at call time) where they need a value; the predicates cache their
+passes on the ``HomMap``.  Every claim call, in the sweeps and in replay,
+goes through ``_run``, which records a hypothesis or self-check error as an
+``exception: ...`` failure, so such a failure replays as True.
+
 Component counts are cross-checked against ``oracle_component_count``, a
 union-find counter kept deliberately separate from the breadth-first search
 used by ``Graph.components``.
@@ -124,34 +130,6 @@ def enumerate_homs(source: Graph, target: Graph):
 
 # ----------------------------------------------------------- instance kinds
 
-class HomInstance:
-    """One map under test, with lazily cached predicate values.
-
-    Predicates are resolved through the homs module at call time so a test
-    can corrupt one deliberately and watch the affected claims fail.
-    """
-
-    def __init__(self, m: HomMap):
-        self.m = m
-        self._preds: dict[str, bool] = {}
-
-    def pred(self, name: str) -> bool:
-        if name not in self._preds:
-            if name == "equitable":
-                value = homs._is_equitable(self.m.source, self.m.fibres.values(), self.m.mapping)
-            else:
-                value = getattr(homs, f"is_{name}")(self.m)
-            self._preds[name] = value
-        return self._preds[name]
-
-    def payload(self) -> dict:
-        return {
-            "source": io.graph_to_dict(self.m.source),
-            "target": io.graph_to_dict(self.m.target),
-            "map": dict(self.m.mapping),
-        }
-
-
 class PartitionInstance:
     """A (graph, partition) pair with its quotient computed once."""
 
@@ -162,6 +140,11 @@ class PartitionInstance:
 
     def payload(self) -> dict:
         return {"graph": io.graph_to_dict(self.g), "partition": io.partition_to_dict(self.p)}
+
+    @classmethod
+    def from_payload(cls, data: dict) -> "PartitionInstance":
+        g = io.graph_from_dict(data["graph"])
+        return cls(g, io.partition_from_dict(data["partition"], g))
 
 
 class OrbitInstance:
@@ -180,6 +163,19 @@ class OrbitInstance:
 
     def payload(self) -> dict:
         return {"graph": io.graph_to_dict(self.g), "group": io.group_to_dict(self.grp)}
+
+    @classmethod
+    def from_payload(cls, data: dict) -> "OrbitInstance":
+        g = io.graph_from_dict(data["graph"])
+        return cls.from_group(g, io.group_from_dict(data["group"], g))
+
+
+def _hom_payload(m: HomMap) -> dict:
+    return {"source": io.graph_to_dict(m.source), "target": io.graph_to_dict(m.target), **io.hom_to_dict(m)}
+
+
+def _hom_from_payload(data: dict) -> HomMap:
+    return io.hom_from_dict(data, io.graph_from_dict(data["source"]), io.graph_from_dict(data["target"]))
 
 
 # ------------------------------------------------------------ claim helpers
@@ -275,32 +271,32 @@ def _claim_connectedness_criterion_sound(inst: PartitionInstance):
 
 # --------------------------------------------------------------- hom claims
 
-def _claim_lsur_implies_ls(inst: HomInstance):
-    if not inst.pred("locally_surjective"):
+def _claim_lsur_implies_ls(m: HomMap):
+    if not homs.is_locally_surjective(m):
         return None
-    if not inst.pred("locally_strong"):
+    if not homs.is_locally_strong(m):
         return ["locally surjective map is not locally strong"]
     return []
 
 
-def _claim_ls_matches_lsur_when_surjective(inst: HomInstance):
-    if not inst.pred("surjective"):
+def _claim_ls_matches_lsur_when_surjective(m: HomMap):
+    if not homs.is_surjective(m):
         return None
-    ls = inst.pred("locally_strong")
-    lsur = inst.pred("locally_surjective")
+    ls = homs.is_locally_strong(m)
+    lsur = homs.is_locally_surjective(m)
     if ls != lsur:
         return [f"surjective map: locally_strong={ls} but locally_surjective={lsur}"]
     return []
 
 
-def _claim_class_inclusion_chain(inst: HomInstance):
-    sur = inst.pred("surjective")
-    com = inst.pred("complete")
-    ls = inst.pred("locally_strong")
-    lsur = inst.pred("locally_surjective")
-    pc = inst.pred("pseudo_covering")
-    eq = inst.pred("equitable")
-    iso = com and len(inst.m.image) == len(inst.m.source.vertices)
+def _claim_class_inclusion_chain(m: HomMap):
+    sur = homs.is_surjective(m)
+    com = homs.is_complete(m)
+    ls = homs.is_locally_strong(m)
+    lsur = homs.is_locally_surjective(m)
+    pc = homs.is_pseudo_covering(m)
+    eq = homs._is_equitable(m.source, m.fibres.values(), m.mapping)
+    iso = com and len(m.image) == len(m.source.vertices)
     fails = []
     if com and not sur:
         fails.append("complete map is not surjective")
@@ -317,8 +313,7 @@ def _claim_class_inclusion_chain(inst: HomInstance):
     return fails
 
 
-def _claim_component_sum_over_target(inst: HomInstance):
-    m = inst.m
+def _claim_component_sum_over_target(m: HomMap):
     scomp = m.source.components()
     tcomp = m.target.components()
     per_target = [0] * tcomp.count
@@ -332,10 +327,9 @@ def _claim_component_sum_over_target(inst: HomInstance):
     return []
 
 
-def _claim_component_migration(inst: HomInstance):
-    if not inst.pred("locally_surjective"):
+def _claim_component_migration(m: HomMap):
+    if not homs.is_locally_surjective(m):
         return None
-    m = inst.m
     scomp = m.source.components()
     tcomp = m.target.components()
     fails = []
@@ -367,10 +361,9 @@ def _claim_component_migration(inst: HomInstance):
     return fails
 
 
-def _claim_isolated_vertex_image(inst: HomInstance):
-    if not inst.pred("locally_surjective"):
+def _claim_isolated_vertex_image(m: HomMap):
+    if not homs.is_locally_surjective(m):
         return None
-    m = inst.m
     fails = []
     for v in m.source.vertices:
         if len(m.source.neighborhood(v)) == 1 and len(m.target.neighborhood(m.mapping[v])) != 1:
@@ -378,10 +371,9 @@ def _claim_isolated_vertex_image(inst: HomInstance):
     return fails
 
 
-def _claim_admissible_constant_on_target_components(inst: HomInstance):
-    if not inst.pred("locally_surjective"):
+def _claim_admissible_constant_on_target_components(m: HomMap):
+    if not homs.is_locally_surjective(m):
         return None
-    m = inst.m
     scomp = m.source.components()
     tcomp = m.target.components()
     fails = []
@@ -398,19 +390,18 @@ def _claim_admissible_constant_on_target_components(inst: HomInstance):
     return fails
 
 
-def _claim_admissible_count_total(inst: HomInstance):
-    if not inst.pred("locally_surjective"):
+def _claim_admissible_count_total(m: HomMap):
+    if not homs.is_locally_surjective(m):
         return None
-    breakdown = counting.count_admissible(inst.m)
-    if breakdown.total != oracle_component_count(inst.m.source):
+    breakdown = counting.count_admissible(m)
+    if breakdown.total != oracle_component_count(m.source):
         return [f"admissibility total {breakdown.total} disagrees with the union-find oracle"]
     return []
 
 
-def _claim_multiplicity_ratio_formula(inst: HomInstance):
-    if not (inst.pred("locally_surjective") and inst.pred("component_equitable")):
+def _claim_multiplicity_ratio_formula(m: HomMap):
+    if not (homs.is_locally_surjective(m) and homs.is_component_equitable(m)):
         return None
-    m = inst.m
     fails = []
     for y in sorted(m.fibres):
         admissible = counting.admissible_components(m, y)
@@ -427,10 +418,9 @@ def _claim_multiplicity_ratio_formula(inst: HomInstance):
     return fails
 
 
-def _claim_tame_pseudocover_component_bijection(inst: HomInstance):
-    if not (inst.pred("pseudo_covering") and inst.pred("tame")):
+def _claim_tame_pseudocover_component_bijection(m: HomMap):
+    if not (homs.is_pseudo_covering(m) and homs.is_tame(m)):
         return None
-    m = inst.m
     scomp = m.source.components()
     tcomp = m.target.components()
     fails = []
@@ -449,10 +439,9 @@ def _claim_tame_pseudocover_component_bijection(inst: HomInstance):
     return fails
 
 
-def _claim_single_main_component_image(inst: HomInstance):
-    if not inst.pred("complete"):
+def _claim_single_main_component_image(m: HomMap):
+    if not homs.is_complete(m):
         return None
-    m = inst.m
     scomp = m.source.components()
     nontrivial = [b for b in scomp.blocks if len(b) > 1]
     if len(nontrivial) > 1:
@@ -468,10 +457,9 @@ def _claim_single_main_component_image(inst: HomInstance):
     return []
 
 
-def _claim_component_image_iso_criterion(inst: HomInstance):
-    if not inst.pred("pseudo_covering"):
+def _claim_component_image_iso_criterion(m: HomMap):
+    if not homs.is_pseudo_covering(m):
         return None
-    m = inst.m
     fails = []
     for block in m.source.components().blocks:
         flag = counting.component_iso_check(m, block)
@@ -635,12 +623,15 @@ _ORBIT_CLAIMS = {
     "multiplicity_ratio_independence": _claim_multiplicity_ratio_independence,
 }
 
-CLAIM_KINDS = {
-    **{cid: "graph" for cid in _GRAPH_CLAIMS},
-    **{cid: "partition" for cid in _PARTITION_CLAIMS},
-    **{cid: "hom" for cid in _HOM_CLAIMS},
-    **{cid: "orbit" for cid in _ORBIT_CLAIMS},
+# kind -> (its claims, the decoder from a recorded payload to their argument)
+_KINDS = {
+    "graph": (_GRAPH_CLAIMS, lambda data: io.graph_from_dict(data["graph"])),
+    "partition": (_PARTITION_CLAIMS, PartitionInstance.from_payload),
+    "hom": (_HOM_CLAIMS, _hom_from_payload),
+    "orbit": (_ORBIT_CLAIMS, OrbitInstance.from_payload),
 }
+
+CLAIM_KINDS = {cid: kind for kind, (claims, _) in _KINDS.items() for cid in claims}
 
 
 # ----------------------------------------------------------- configuration
@@ -711,15 +702,19 @@ def _select(registry, claims):
     return {cid: registry[cid] for cid in registry if cid in claims}
 
 
+def _run(fn, instance):
+    """One claim's failures on one instance, None where its hypotheses are absent."""
+    try:
+        return fn(instance)
+    except (HypothesisError, InternalCheckError) as exc:
+        return [f"exception: {exc}"]
+
+
 def _apply(results, claims, instance, payload_fn):
     for cid, fn in claims.items():
-        try:
-            out = fn(instance)
-        except (HypothesisError, InternalCheckError) as exc:
-            out = [f"exception: {exc}"]
-        if out is None:
-            continue
-        results[cid].record(out, payload_fn)
+        out = _run(fn, instance)
+        if out is not None:
+            results[cid].record(out, payload_fn)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -747,8 +742,8 @@ def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None):
     for src in enumerate_graphs(cfg.max_source_vertices):
         for tgt in targets:
             for mapping in enumerate_homs(src, tgt):
-                inst = HomInstance(HomMap(src, tgt, mapping))
-                _apply(results, selected, inst, inst.payload)
+                m = HomMap(src, tgt, mapping)
+                _apply(results, selected, m, lambda m=m: _hom_payload(m))
     return results
 
 
@@ -836,16 +831,13 @@ def sweep_random_claims(cfg: SweepConfig, results=None):
     """Orbit-quotient and counting claims over the seeded randomized layer."""
     results = results if results is not None else new_results()
     rng = random.Random(cfg.seed)
-    extra = {"admissible_count_total": _claim_admissible_count_total}
+    hom_claims = _select(_HOM_CLAIMS, {"admissible_count_total"})
+    graph_claims = _select(_GRAPH_CLAIMS, {"oracle_component_agreement"})
     for _ in range(cfg.random_instances):
         inst = random_orbit_instance(rng)
         _apply(results, _ORBIT_CLAIMS, inst, inst.payload)
-        hom_inst = HomInstance(inst.m)
-        _apply(results, extra, hom_inst, hom_inst.payload)
-        results["oracle_component_agreement"].record(
-            _claim_oracle_component_agreement(inst.g),
-            lambda inst=inst: {"graph": io.graph_to_dict(inst.g)},
-        )
+        _apply(results, hom_claims, inst.m, lambda m=inst.m: _hom_payload(m))
+        _apply(results, graph_claims, inst.g, lambda g=inst.g: {"graph": io.graph_to_dict(g)})
     return results
 
 
@@ -869,26 +861,5 @@ def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
 def replay_counterexample(failure: dict) -> bool:
     """Re-run one recorded failure; True iff the violation reproduces."""
     cid = failure["claim"]
-    kind = CLAIM_KINDS[cid]
-    data = failure["data"]
-    if kind == "graph":
-        instance = io.graph_from_dict(data["graph"])
-        out = _GRAPH_CLAIMS[cid](instance)
-    elif kind == "partition":
-        g = io.graph_from_dict(data["graph"])
-        instance = PartitionInstance(g, io.partition_from_dict(data["partition"], g))
-        out = _PARTITION_CLAIMS[cid](instance)
-    elif kind == "hom":
-        src = io.graph_from_dict(data["source"])
-        tgt = io.graph_from_dict(data["target"])
-        instance = HomInstance(HomMap(src, tgt, data["map"]))
-        out = _HOM_CLAIMS[cid](instance)
-    elif kind == "orbit":
-        g = io.graph_from_dict(data["graph"])
-        grp = io.group_from_dict(data["group"], g)
-        instance = OrbitInstance.from_group(g, grp)
-        out = _ORBIT_CLAIMS[cid](instance)
-    else:  # pragma: no cover - registry and kinds are built together
-        raise InternalCheckError(f"unknown claim kind {kind!r}")
-    return bool(out)
-
+    claims, decode = _KINDS[CLAIM_KINDS[cid]]
+    return bool(_run(claims[cid], decode(failure["data"])))

@@ -454,14 +454,24 @@ class TestPowergraph:
         message = f"unrecognized group spec {spec!r}; use cyclic:N, symmetric:N, or cayley:PATH"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("spec", ["cyclic:0", "cyclic:61", "symmetric:6", "symmetric:00"])
+    @pytest.mark.parametrize(
+        "spec",
+        ["cyclic:0", "cyclic:61", "symmetric:6", "symmetric:00",
+         # past the 4,300 digits int() converts
+         pytest.param("cyclic:" + "9" * 5000, id="cyclic:9x5000"),
+         pytest.param("symmetric:" + "9" * 5000, id="symmetric:9x5000")],
+    )
     def test_order_out_of_range_is_refused(self, capsys, spec):
         code, out, err = run_cli(capsys, "powergraph", "--group", spec)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "out of the supported range" in err
+        assert err.count("\n") == 1 and "int_max_str_digits" not in err
 
     def test_leading_zeros_are_digits(self, capsys):
-        assert run_cli(capsys, "powergraph", "--group", "cyclic:007") == run_cli(capsys, "powergraph", "--group", "cyclic:7")
+        short_form = run_cli(capsys, "powergraph", "--group", "cyclic:7")
+        assert short_form[0] == 0
+        for spec in ["cyclic:007", "cyclic:" + "0" * 5000 + "7"]:
+            assert run_cli(capsys, "powergraph", "--group", spec) == short_form
 
     def test_trivial_group_has_no_proper_graph(self, capsys):
         code, _, err = run_cli(capsys, "powergraph", "--group", "cyclic:1", "--proper")

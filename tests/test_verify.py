@@ -126,15 +126,24 @@ class TestSuite:
 class TestMutationSensitivity:
     """Corrupting a predicate must surface as recorded, replayable failures."""
 
-    def test_broken_predicate_is_caught_and_replayed(self):
+    @pytest.mark.parametrize(
+        "predicate,claim",
+        [
+            ("is_locally_strong", "locally_surjective_implies_locally_strong"),
+            ("is_pseudo_covering", "class_inclusion_chain"),
+            ("_is_equitable", "class_inclusion_chain"),
+            ("is_surjective", "locally_strong_matches_locally_surjective_when_surjective"),
+            ("is_tame", "tame_pseudocover_component_bijection"),
+            ("is_component_equitable", "multiplicity_ratio_formula"),
+        ],
+    )
+    def test_broken_predicate_is_caught_and_replayed(self, predicate, claim):
         cfg = SweepConfig(3, 2, 0, 1)
-        original = quograph.homs.is_locally_strong
+        original = getattr(quograph.homs, predicate)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(quograph.homs, "is_locally_strong", lambda m: not original(m))
-            results = sweep_hom_claims(
-                cfg, claims={"locally_surjective_implies_locally_strong"}
-            )
-            broken = results["locally_surjective_implies_locally_strong"]
+            mp.setattr(quograph.homs, predicate, lambda *args: not original(*args))
+            results = sweep_hom_claims(cfg, claims={claim})
+            broken = results[claim]
             assert broken.failure_count > 0
             assert broken.failures
             failure = broken.failures[0]
@@ -209,6 +218,25 @@ class TestMutationSensitivity:
             assert all(replay_counterexample(f) is True for f in broken.failures)
         assert len({(id(g), sub) for g, sub in builds}) < len(builds)
         assert not any(replay_counterexample(f) for f in broken.failures)
+
+    def test_recorded_exception_is_replayed(self):
+        # A claim whose counter raises records an "exception:" failure; the
+        # replay goes through the same handling, so it reproduces instead of
+        # raising.
+        cfg = SweepConfig(2, 2, 0, 1)
+
+        def raising(m):
+            raise InternalCheckError("count self-check failed")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quograph.counting, "count_admissible", raising)
+            results = sweep_hom_claims(cfg, claims={"admissible_count_total"})
+            broken = results["admissible_count_total"]
+            assert broken.failure_count > 0
+            failure = broken.failures[0]
+            assert failure["detail"] == "exception: count self-check failed"
+            assert replay_counterexample(failure) is True
+        assert replay_counterexample(failure) is False
 
     def test_clean_run_records_nothing(self):
         cfg = SweepConfig(3, 2, 0, 1)
