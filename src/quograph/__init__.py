@@ -49,7 +49,7 @@ from .homs import (
     is_tame,
     validate_hom,
 )
-from .partitions import Partition, QuotientResult, is_equitable, partition_of_map, quotient
+from .partitions import Partition, QuotientResult, is_equitable, quotient
 from .perms import (
     PermGroup,
     Permutation,
@@ -119,7 +119,6 @@ __all__ = [
     "multiplicity",
     "oracle_component_count",
     "orbit_partition",
-    "partition_of_map",
     "power_graph",
     "preimage_of_component_vertices",
     "proper_power_graph",

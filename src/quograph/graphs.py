@@ -181,55 +181,57 @@ class ComponentIndex:
         return f"ComponentIndex({self.count} blocks)"
 
 
-def find_isomorphism(g1: Graph, g2: Graph):
+def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     """Search for a graph isomorphism from g1 onto g2.
 
-    Returns the witnessing map as a HomMap, or None when the graphs are not
-    isomorphic.  Plain backtracking with degree pruning; vertices are tried
-    in decreasing-degree order so constrained vertices are placed first.
-    Intended for the small graphs this package works with.
+    Returns the witnessing vertex map as a plain dict from g1's labels to
+    g2's, or None when the graphs are not isomorphic.  After the size and
+    degree prechecks this is one run of ``_extend_map``.  Intended for the
+    small graphs this package works with.
     """
-    if len(g1.vertices) != len(g2.vertices):
+    if len(g1.vertices) != len(g2.vertices) or len(g1.proper_edges) != len(g2.proper_edges):
         return None
-    if len(g1.proper_edges) != len(g2.proper_edges):
+    order, pool1 = _degree_layout(g1)
+    _, pool = _degree_layout(g2)
+    if {d: len(ws) for d, ws in pool1.items()} != {d: len(ws) for d, ws in pool.items()}:
         return None
-    deg1 = {v: len(g1.neighborhood(v)) for v in g1.vertices}
-    deg2 = {w: len(g2.neighborhood(w)) for w in g2.vertices}
-    if sorted(deg1.values()) != sorted(deg2.values()):
-        return None
-
-    order = sorted(g1.vertices, key=lambda v: (-deg1[v], v))
-    by_degree: dict[int, list[str]] = {}
-    for w in g2.vertices:
-        by_degree.setdefault(deg2[w], []).append(w)
-
     assigned: dict[str, str] = {}
-    used: set[str] = set()
+    start = pool[len(g1._neighborhoods[order[0]])]
+    if _extend_map(g1._neighborhoods, g2._neighborhoods, pool, order, 0, start, assigned, set()):
+        return assigned
+    return None
 
-    def extend(pos: int) -> bool:
-        if pos == len(order):
+
+def _degree_layout(g: Graph) -> tuple[list[str], dict[int, list[str]]]:
+    """The search order (by decreasing degree, then label) and each degree's vertices."""
+    nbhd = g._neighborhoods
+    pool: dict[int, list[str]] = {}
+    for w in g.vertices:
+        pool.setdefault(len(nbhd[w]), []).append(w)
+    return sorted(g.vertices, key=lambda v: (-len(nbhd[v]), v)), pool
+
+
+def _extend_map(nbhd1, nbhd2, pool, order, pos, candidates, assigned, used) -> bool:
+    """Backtrack to extend the injective partial map ``assigned`` over ``order[pos:]``.
+
+    ``order[pos]`` tries the unused ``candidates``, each later vertex the
+    ``pool`` vertices of its degree, in label order.  A candidate must agree
+    with every placed vertex on adjacency; as the map is injective, closed
+    neighbourhood membership tests a proper edge.  ``used`` holds the placed
+    images.  On failure ``assigned`` is left as it was given.
+    """
+    v = order[pos]
+    nv = nbhd1[v]
+    for w in candidates:
+        nw = nbhd2[w]
+        if w in used or any((u in nv) != (wu in nw) for u, wu in assigned.items()):
+            continue
+        assigned[v] = w
+        used.add(w)
+        if pos + 1 == len(order) or _extend_map(
+            nbhd1, nbhd2, pool, order, pos + 1, pool[len(nbhd1[order[pos + 1]])], assigned, used
+        ):
             return True
-        v = order[pos]
-        for w in by_degree.get(deg1[v], ()):
-            if w in used:
-                continue
-            ok = True
-            for u, wu in assigned.items():
-                if (frozenset((u, v)) in g1.proper_edges) != (frozenset((wu, w)) in g2.proper_edges):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned[v] = w
-            used.add(w)
-            if extend(pos + 1):
-                return True
-            del assigned[v]
-            used.discard(w)
-        return False
-
-    if not extend(0):
-        return None
-    from .homs import HomMap
-
-    return HomMap(g1, g2, dict(assigned))
+        del assigned[v]
+        used.discard(w)
+    return False

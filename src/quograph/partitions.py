@@ -105,7 +105,3 @@ def is_equitable(g: Graph, p: Partition) -> bool:
         raise ValueError("partition universe does not match the graph's vertices")
     return _is_equitable(g, p.cells, p.cell_of)
 
-
-def partition_of_map(m: HomMap) -> Partition:
-    """The partition of the source into the map's nonempty fibres."""
-    return Partition(list(m.fibres.values()), m.source.vertex_set)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _degree_layout, _extend_map
 from .partitions import Partition
+
+# Largest graph ``automorphism_group`` searches: the search is plain backtracking.
+MAX_AUTOMORPHISM_VERTICES = 10
 
 
 class Permutation:
@@ -48,8 +51,9 @@ class Permutation:
 class PermGroup:
     """A permutation group on a vertex set, given by generators.
 
-    Only generators are stored; orbits are computed by closure and the full
-    element list is materialized only in test oracles.
+    Only generators are stored; orbits are computed by closure, and the full
+    element list is materialized only on request (``generated_elements``,
+    which ``verify`` uses to draw subgroups of small automorphism groups).
     """
 
     __slots__ = ("universe", "generators")
@@ -119,70 +123,30 @@ def orbit_partition(grp: PermGroup) -> Partition:
     return Partition(cells, grp.universe)
 
 
-def automorphism_group(g: Graph, max_vertices: int = 10) -> PermGroup:
+def automorphism_group(g: Graph) -> PermGroup:
     """A generating set for the automorphism group of g.
 
-    Works through the vertices in a fixed search order: pass i keeps the
-    first i vertices pointwise fixed and backtracks for one automorphism
-    moving vertex i to each feasible image.  The collected maps generate the
-    full group (each pass contributes coset representatives for the next
-    pointwise stabilizer).  Degree pruning keeps the search small; the size
-    bound guards against graphs this simple search cannot handle.
+    Pass i keeps the first i vertices of the search order pointwise fixed
+    and runs the backtracking of ``find_isomorphism`` once for each feasible
+    image w of vertex i, with vertex i placed at w.  The maps found generate
+    the full group (each pass contributes coset representatives for the next
+    pointwise stabilizer).
     """
     n = len(g.vertices)
-    if n > max_vertices:
-        raise ValueError(f"graph has {n} vertices, above the search bound {max_vertices}")
-    deg = {v: len(g.neighborhood(v)) for v in g.vertices}
-    order = sorted(g.vertices, key=lambda v: (-deg[v], v))
-    position = {v: i for i, v in enumerate(order)}
+    if n > MAX_AUTOMORPHISM_VERTICES:
+        raise ValueError(f"graph has {n} vertices, above the search bound {MAX_AUTOMORPHISM_VERTICES}")
+    nbhd = g._neighborhoods
+    order, pool = _degree_layout(g)
     gens = []
     for i, v in enumerate(order):
-        for w in g.vertices:  # lexicographic, deterministic
-            if w == v or deg[w] != deg[v] or position[w] < i:
+        fixed = {u: u for u in order[:i]}
+        for w in pool[len(nbhd[v])]:  # label order, deterministic
+            if w == v or w in fixed:
                 continue
-            found = _stabilized_automorphism(g, order, deg, i, w)
-            if found is not None:
-                gens.append(Permutation(found))
+            assigned = dict(fixed)
+            if _extend_map(nbhd, nbhd, pool, order, i, (w,), assigned, set(fixed)):
+                gens.append(Permutation(assigned))
     return PermGroup(g.vertex_set, gens)
-
-
-def _stabilized_automorphism(g, order, deg, fixed, image_of_fixed):
-    """Backtrack for an automorphism fixing order[:fixed] and moving
-    order[fixed] to image_of_fixed; returns a mapping or None."""
-    assigned = {order[j]: order[j] for j in range(fixed)}
-    used = set(assigned.values())
-
-    def consistent(v, img):
-        for u, uimg in assigned.items():
-            if (frozenset((u, v)) in g.proper_edges) != (frozenset((uimg, img)) in g.proper_edges):
-                return False
-        return True
-
-    v0 = order[fixed]
-    if not consistent(v0, image_of_fixed):
-        return None
-    assigned[v0] = image_of_fixed
-    used.add(image_of_fixed)
-
-    def extend(pos):
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for cand in g.vertices:
-            if cand in used or deg[cand] != deg[v]:
-                continue
-            if consistent(v, cand):
-                assigned[v] = cand
-                used.add(cand)
-                if extend(pos + 1):
-                    return True
-                del assigned[v]
-                used.discard(cand)
-        return False
-
-    if extend(fixed + 1):
-        return dict(assigned)
-    return None
 
 
 def is_consistent(m, grp: PermGroup) -> bool:

@@ -36,6 +36,12 @@ _FAILURE_CAP = 20  # serialized counterexamples kept per claim
 # Largest sweep bounds: 6 source vertices already take hours (see README).
 MAX_SOURCE_VERTICES = 6
 MAX_TARGET_VERTICES = 3
+# Largest randomized layer: about the cost of the 6-vertex exhaustive layer.
+MAX_RANDOM_INSTANCES = 1_000_000
+
+# Subgroups generated by two automorphisms are tried only for graphs with at
+# most this many non-identity automorphisms.
+_PAIR_CAP = 150
 
 
 # ------------------------------------------------------------------- oracle
@@ -652,6 +658,8 @@ class SweepConfig:
             raise ValueError(f"at most {MAX_SOURCE_VERTICES} source, {MAX_TARGET_VERTICES} target vertices")
         if self.random_instances < 0:
             raise ValueError("random instance count cannot be negative")
+        if self.random_instances > MAX_RANDOM_INSTANCES:
+            raise ValueError(f"at most {MAX_RANDOM_INSTANCES} random instances")
 
 
 @dataclass
@@ -747,7 +755,7 @@ def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None):
     return results
 
 
-def orbit_instances_for(g: Graph, pair_cap: int = 150):
+def orbit_instances_for(g: Graph):
     """Orbit quotients of g from subgroups of its automorphism group.
 
     Subgroups are generated by one or two automorphisms (plus the trivial
@@ -759,7 +767,7 @@ def orbit_instances_for(g: Graph, pair_cap: int = 150):
     moving = [f for f in elements if not f.is_identity()]
     candidate_gens = [[]]
     candidate_gens += [[f] for f in moving]
-    if len(moving) <= pair_cap:
+    if len(moving) <= _PAIR_CAP:
         candidate_gens += [
             [f, h] for i, f in enumerate(moving) for h in moving[i + 1 :]
         ]

@@ -21,8 +21,8 @@ from quograph.counting import (
 from quograph.errors import InternalCheckError
 from quograph.graphs import Graph
 from quograph.homs import HomMap, _require_hom, validate_hom
-from quograph.partitions import Partition, partition_of_map, quotient
-from quograph.perms import PermGroup, orbit_partition
+from quograph.partitions import Partition, quotient
+from quograph.perms import PermGroup, Permutation, orbit_partition
 
 
 def indent_dumps(payload) -> str:
@@ -120,6 +120,11 @@ def exhaustive_is_associative(elements, table) -> bool:
     )
 
 
+def partition_of_map(m: HomMap) -> Partition:
+    """The partition of the source into the map's nonempty fibres."""
+    return Partition(list(m.fibres.values()), m.source.vertex_set)
+
+
 def factorize(m: HomMap):
     """Split a homomorphism through the quotient by its fibres.
 
@@ -214,3 +219,70 @@ def tuple_symmetric_table(n: int) -> tuple[list[str], str, dict[str, dict[str, s
         for pa in perms
     }
     return [one_line(p) for p in perms], one_line(tuple(range(1, n + 1))), table
+
+
+def edge_set_automorphism_group(g: Graph, max_vertices: int = 10) -> PermGroup:
+    """A generating set for the automorphism group of g, by a search of its
+    own that looks each pair up in the edge set.
+
+    Works through the vertices in a fixed search order: pass i keeps the
+    first i vertices pointwise fixed and backtracks for one automorphism
+    moving vertex i to each feasible image.  The collected maps generate the
+    full group (each pass contributes coset representatives for the next
+    pointwise stabilizer).  Degree pruning keeps the search small; the size
+    bound guards against graphs this simple search cannot handle.
+    """
+    n = len(g.vertices)
+    if n > max_vertices:
+        raise ValueError(f"graph has {n} vertices, above the search bound {max_vertices}")
+    deg = {v: len(g.neighborhood(v)) for v in g.vertices}
+    order = sorted(g.vertices, key=lambda v: (-deg[v], v))
+    position = {v: i for i, v in enumerate(order)}
+    gens = []
+    for i, v in enumerate(order):
+        for w in g.vertices:  # lexicographic, deterministic
+            if w == v or deg[w] != deg[v] or position[w] < i:
+                continue
+            found = _stabilized_automorphism(g, order, deg, i, w)
+            if found is not None:
+                gens.append(Permutation(found))
+    return PermGroup(g.vertex_set, gens)
+
+
+def _stabilized_automorphism(g, order, deg, fixed, image_of_fixed):
+    """Backtrack for an automorphism fixing order[:fixed] and moving
+    order[fixed] to image_of_fixed; returns a mapping or None."""
+    assigned = {order[j]: order[j] for j in range(fixed)}
+    used = set(assigned.values())
+
+    def consistent(v, img):
+        for u, uimg in assigned.items():
+            if (frozenset((u, v)) in g.proper_edges) != (frozenset((uimg, img)) in g.proper_edges):
+                return False
+        return True
+
+    v0 = order[fixed]
+    if not consistent(v0, image_of_fixed):
+        return None
+    assigned[v0] = image_of_fixed
+    used.add(image_of_fixed)
+
+    def extend(pos):
+        if pos == len(order):
+            return True
+        v = order[pos]
+        for cand in g.vertices:
+            if cand in used or deg[cand] != deg[v]:
+                continue
+            if consistent(v, cand):
+                assigned[v] = cand
+                used.add(cand)
+                if extend(pos + 1):
+                    return True
+                del assigned[v]
+                used.discard(cand)
+        return False
+
+    if extend(fixed + 1):
+        return dict(assigned)
+    return None

@@ -326,13 +326,13 @@ class TestAutoRoute:
     @pytest.mark.parametrize("method", ["auto", "A", "ce", "B"])
     def test_one_edge_pass_and_no_fibre_partition(self, two_triangles_files, capsys, monkeypatch, method):
         edge_passes = count_calls(monkeypatch, quograph.homs, "_edge_classes")
-        fibre_partitions = count_calls(monkeypatch, quograph.partitions, "partition_of_map")
+        partitions_built = count_calls(monkeypatch, quograph.partitions.Partition, "__init__")
         d = two_triangles_files
         argv = ["count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"), "--method", method]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and json.loads(out)["total"] == 2
         assert len(edge_passes) == 1 and edge_passes[0][0].target.vertices == ("[a0]", "[a1]", "[a2]")
-        assert fibre_partitions == []
+        assert len(partitions_built) == 1  # the loaded one, and no partition of the fibres
 
     def test_ce_route_checks_equitability_once(self, two_triangles_files, capsys, monkeypatch):
         calls = count_calls(monkeypatch, quograph.homs, "is_component_equitable")
@@ -561,10 +561,14 @@ class TestVerifyCommand:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "47d5ee61800a0f41f8362811938616d24e145c6081e3599cfe24ec7522ba51b2"
 
-    def test_bound_beyond_the_limit_is_refused_at_once(self, capsys, monkeypatch):
-        # 7 source vertices would mean about 1.8e9 graph-and-partition pairs
+    # 7 source vertices would mean about 1.8e9 graph-and-partition pairs, and
+    # a billion random instances about a month of randomized claims.
+    @pytest.mark.parametrize(
+        "bound", [["--max-vertices", "7"], ["--random", "1000001"]], ids=["max-vertices", "random"]
+    )
+    def test_bound_beyond_the_limit_is_refused_at_once(self, capsys, monkeypatch, bound):
         monkeypatch.setattr(verify, "run_suite", lambda cfg: pytest.fail("the sweep started"))
-        code, out, err = run_cli(capsys, "verify", "--max-vertices", "7")
+        code, out, err = run_cli(capsys, "verify", *bound)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err

@@ -182,8 +182,8 @@ class TestIsomorphism:
         g2 = cycle(["w", "x", "y", "z"])
         m = find_isomorphism(g1, g2)
         assert m is not None
-        assert sorted(m.mapping) == ["a", "b", "c", "d"]
-        back = {w: v for v, w in m.mapping.items()}
+        assert sorted(m) == ["a", "b", "c", "d"]
+        back = {w: v for v, w in m.items()}
         for e in g2.proper_edges:
             u, v = tuple(e)
             assert g1.has_edge(back[u], back[v])
@@ -212,5 +212,5 @@ class TestIsomorphism:
         assert m is not None
         for e in g.proper_edges:
             u, v = tuple(e)
-            assert h.has_edge(m.mapping[u], m.mapping[v])
-        assert len(set(m.mapping.values())) == len(g.vertices)
+            assert h.has_edge(m[u], m[v])
+        assert len(set(m.values())) == len(g.vertices)

@@ -30,7 +30,6 @@ from quograph import (
     is_component_equitable,
     is_consistent,
     is_tame,
-    partition_of_map,
     quotient,
 )
 from quograph.verify import SweepConfig, enumerate_graphs, enumerate_homs, random_orbit_instance
@@ -45,6 +44,7 @@ from reference import (
     fibre_scan_is_locally_strong,
     loop_is_locally_injective,
     loop_is_locally_surjective,
+    partition_of_map,
     two_loop_is_consistent,
 )
 

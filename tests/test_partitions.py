@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given
 
 from quograph import Graph, HomMap, Partition, classify, is_complete, is_equitable, is_tame
-from quograph import partition_of_map, quotient
+from quograph import quotient
 from quograph.verify import enumerate_graphs, enumerate_homs, set_partitions
 
 from conftest import graphs, graphs_with_partitions
 from golden import PARTITION_REFUSALS
-from reference import list_row_is_equitable
+from reference import list_row_is_equitable, partition_of_map
 
 
 @pytest.fixture

@@ -19,10 +19,11 @@ from quograph import (
     quotient,
     verify_automorphisms,
 )
+from quograph import perms
 from quograph.verify import enumerate_graphs, random_orbit_instance
 
 from conftest import graphs
-from reference import edge_set_verify_automorphisms
+from reference import edge_set_automorphism_group, edge_set_verify_automorphisms
 
 
 def cycle(n):
@@ -155,6 +156,19 @@ class TestAutomorphismGroup:
                 for f in generated_elements(automorphism_group(g))
             }
             assert found == expected, f"automorphism mismatch on {g!r}"
+
+    def test_generators_match_the_oracle_in_order(self, monkeypatch):
+        # The randomized verify layer draws ``rng.choice(base_aut.generators)``,
+        # so the generators, in their order, are part of every seeded report.
+        bases = []
+        search = perms.automorphism_group
+        monkeypatch.setattr(perms, "automorphism_group", lambda g: bases.append(g) or search(g))
+        rng = random.Random(5)
+        for _ in range(50):
+            random_orbit_instance(rng)
+        assert len(bases) == 50
+        for g in [*enumerate_graphs(5), *bases]:
+            assert search(g).generators == edge_set_automorphism_group(g).generators, g
 
     @given(graphs(max_vertices=5))
     @settings(max_examples=40)

@@ -96,6 +96,7 @@ class TestSweepConfig:
             {"random_instances": -1},
             {"max_source_vertices": 7},
             {"max_target_vertices": 4},
+            {"random_instances": 1_000_001},
         ],
     )
     def test_validation(self, kwargs):
