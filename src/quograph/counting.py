@@ -21,9 +21,7 @@ from dataclasses import dataclass
 
 from . import homs
 from .errors import HypothesisError, InternalCheckError
-from .graphs import Graph
 from .homs import HomMap
-from .partitions import Partition, quotient
 
 
 @dataclass(frozen=True)
@@ -218,17 +216,16 @@ def component_iso_check(m: HomMap, c) -> bool:
     return all(table[y].get(i) == 1 for y in image_of_component(m, block))
 
 
-def connectedness_criterion(g: Graph, p: Partition) -> bool:
-    """Connectedness of g from quotient data.
+def connectedness_criterion(m: HomMap) -> bool:
+    """Connectedness of the source from a map onto a connected target.
 
-    Requires the quotient to be connected and the projection to be a
-    pseudo-covering.  Returns True when some cell lies inside a single
-    component of g, which forces g to be connected; False means the test is
-    inconclusive (g may or may not be connected).
+    Requires the target to be connected and the map to be a pseudo-covering.
+    Returns True when some fibre lies inside a single source component, which
+    forces the source to be connected; False means the test is inconclusive
+    (the source may or may not be connected).
     """
-    result = quotient(g, p)
-    if result.quotient.components().count != 1:
-        raise HypothesisError("hypotheses not satisfied: quotient is not connected")
-    if not homs.is_pseudo_covering(result.projection):
-        raise HypothesisError("hypotheses not satisfied: projection is not a pseudo-covering")
-    return any(len(counts) == 1 for counts in homs._fibre_blocks(result.projection).values())
+    if m.target.components().count != 1:
+        raise HypothesisError("hypotheses not satisfied: target is not connected")
+    if not homs.is_pseudo_covering(m):
+        raise HypothesisError("hypotheses not satisfied: map is not a pseudo-covering")
+    return any(len(counts) == 1 for counts in homs._fibre_blocks(m).values())

@@ -7,6 +7,8 @@ from .partitions import Partition
 
 # Largest graph ``automorphism_group`` searches: the search is plain backtracking.
 MAX_AUTOMORPHISM_VERTICES = 10
+# Largest group ``generated_elements`` materializes.
+MAX_GENERATED_ELEMENTS = 100_000
 
 
 class Permutation:
@@ -97,29 +99,34 @@ def verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
     return True
 
 
-def orbit_partition(grp: PermGroup) -> Partition:
-    """Orbits of the generated group, by forward closure under the generators.
+def _orbit(seed: str, gens) -> set[str]:
+    """The orbit of seed under the generator mappings, by forward closure.
 
     Repeated application of a permutation cycles back, so forward closure
     already accounts for inverses and the full group is never materialized.
     """
+    orbit = {seed}
+    frontier = [seed]
+    while frontier:
+        x = frontier.pop()
+        for f in gens:
+            y = f[x]
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
+
+
+def orbit_partition(grp: PermGroup) -> Partition:
+    """Orbits of the generated group, one ``_orbit`` closure per orbit."""
+    gens = [f.mapping for f in grp.generators]
     unseen = set(grp.universe)
     cells = []
     for seed in sorted(grp.universe):
-        if seed not in unseen:
-            continue
-        unseen.discard(seed)
-        cell = [seed]
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for f in grp.generators:
-                y = f.mapping[x]
-                if y in unseen:
-                    unseen.discard(y)
-                    cell.append(y)
-                    frontier.append(y)
-        cells.append(cell)
+        if seed in unseen:
+            orbit = _orbit(seed, gens)
+            unseen -= orbit
+            cells.append(orbit)
     return Partition(cells, grp.universe)
 
 
@@ -159,24 +166,12 @@ def is_consistent(m, grp: PermGroup) -> bool:
                 return False
     # Every generator leaves the map unchanged, so each orbit lies inside one
     # fibre, and a fibre is a single orbit exactly when the orbit of its
-    # first member, closed forward as in ``orbit_partition``, fills it.
+    # first member fills it.
     gens = [f.mapping for f in grp.generators]
-    for fibre in m.fibres.values():
-        orbit = {fibre[0]}
-        frontier = [fibre[0]]
-        while frontier:
-            x = frontier.pop()
-            for f in gens:
-                y = f[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        if len(orbit) != len(fibre):
-            return False
-    return True
+    return all(len(_orbit(fibre[0], gens)) == len(fibre) for fibre in m.fibres.values())
 
 
-def generated_elements(grp: PermGroup, limit: int = 100_000) -> list[Permutation]:
+def generated_elements(grp: PermGroup) -> list[Permutation]:
     """Materialize every element of the generated group (test-scale only)."""
     universe = sorted(grp.universe)
     identity = Permutation.identity(universe)
@@ -188,8 +183,8 @@ def generated_elements(grp: PermGroup, limit: int = 100_000) -> list[Permutation
             for f in grp.generators:
                 q = Permutation({v: f.mapping[p.mapping[v]] for v in universe})
                 if q not in seen:
-                    if len(seen) >= limit:
-                        raise ValueError(f"group exceeds the materialization limit {limit}")
+                    if len(seen) >= MAX_GENERATED_ELEMENTS:
+                        raise ValueError(f"group exceeds the materialization limit {MAX_GENERATED_ELEMENTS}")
                     seen.add(q)
                     new.append(q)
         frontier = new

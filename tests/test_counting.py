@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from quograph import (
     Graph,
+    HomMap,
     HypothesisError,
     Partition,
     PermGroup,
@@ -16,12 +17,13 @@ from quograph import (
     count_ce,
     count_orbit,
     image_of_component,
+    is_pseudo_covering,
     multiplicity,
     orbit_partition,
     preimage_of_component_vertices,
     quotient,
 )
-from quograph.verify import oracle_component_count
+from quograph.verify import enumerate_graphs, enumerate_homs, oracle_component_count
 
 from conftest import orbit_instances
 from reference import every_choice_terms, rebuilding_ratio_count
@@ -245,23 +247,40 @@ class TestConnectednessCriterion:
     def test_hexagon_fold_proves_connectedness(self):
         g, grp, m = hexagon_antipodal()
         p = Partition([["0", "3"], ["1", "4"], ["2", "5"]], g.vertex_set)
-        assert connectedness_criterion(g, p) is True
+        assert connectedness_criterion(quotient(g, p).projection) is True
 
     def test_two_triangles_stay_inconclusive(self):
         # quotient is connected and pseudo-covered, but every cell straddles
         # both components, so the criterion cannot certify anything
         g, _, _ = two_triangles()
         p = Partition([["a0", "b0"], ["a1", "b1"], ["a2", "b2"]], g.vertex_set)
-        assert connectedness_criterion(g, p) is False
+        assert connectedness_criterion(quotient(g, p).projection) is False
 
     def test_rejects_wild_projection(self):
         g = two_arcs_graph()
         p = Partition([["1a", "1b"], ["2"], ["3"]], g.vertex_set)
         with pytest.raises(HypothesisError):
-            connectedness_criterion(g, p)
+            connectedness_criterion(quotient(g, p).projection)
 
     def test_rejects_disconnected_quotient(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
         p = Partition([["a", "b"], ["c", "d"]], g.vertex_set)
         with pytest.raises(HypothesisError):
-            connectedness_criterion(g, p)
+            connectedness_criterion(quotient(g, p).projection)
+
+    def test_sound_on_pseudo_coverings_that_are_not_projections(self):
+        # Targets keep their own labels, so no map here is a quotient
+        # projection; a True verdict must still mean a connected source.
+        targets = [t for t in enumerate_graphs(3) if t.components().count == 1]
+        verdicts = {True: 0, False: 0}
+        for g in enumerate_graphs(4):
+            for t in targets:
+                for mapping in enumerate_homs(g, t):
+                    m = HomMap(g, t, mapping)
+                    if not is_pseudo_covering(m):
+                        continue
+                    verdict = connectedness_criterion(m)
+                    verdicts[verdict] += 1
+                    if verdict:
+                        assert oracle_component_count(g) == 1
+        assert verdicts[True] and verdicts[False]

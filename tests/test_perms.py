@@ -215,8 +215,9 @@ class TestGeneratedElements:
         grp = PermGroup(cycle(7).vertex_set, [rotation(7)])
         assert len(generated_elements(grp)) == 7
 
-    def test_limit_enforced(self):
+    def test_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr(perms, "MAX_GENERATED_ELEMENTS", 100)
         g = Graph([f"v{i}" for i in range(8)], [])
         grp = automorphism_group(g)  # symmetric group on 8 points
-        with pytest.raises(ValueError):
-            generated_elements(grp, limit=100)
+        with pytest.raises(ValueError, match="materialization limit 100"):
+            generated_elements(grp)

@@ -124,6 +124,35 @@ class TestSuite:
             sweep_hom_claims(TINY, claims={"no_such_claim"})
 
 
+class TestOneBuildPerObject:
+    """The sweeps build one ``HomMap`` per object and never rebuild one."""
+
+    @staticmethod
+    def count_builds(monkeypatch, sweep, cfg):
+        original = HomMap.__init__
+        builds = []
+
+        def counted(self, *args, **kwargs):
+            builds.append(None)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(HomMap, "__init__", counted)
+        sweep(cfg)
+        return len(builds)
+
+    def test_hom_sweep_builds_one_map_per_enumerated_map(self, monkeypatch):
+        small = list(enumerate_graphs(3))
+        maps = sum(1 for s in small for t in small for _ in enumerate_homs(s, t))
+        assert maps == 1339
+        assert self.count_builds(monkeypatch, sweep_hom_claims, SweepConfig(3, 3, 0, 1)) == maps
+
+    def test_partition_sweep_builds_one_projection_per_pair_and_graph(self, monkeypatch):
+        # 45 (graph, partition) pairs, plus the singleton quotient of each of
+        # the 11 graphs
+        builds = self.count_builds(monkeypatch, verify.sweep_partition_claims, SweepConfig(3, 3, 0, 1))
+        assert builds == 45 + 11
+
+
 class TestMutationSensitivity:
     """Corrupting a predicate must surface as recorded, replayable failures."""
 
@@ -136,6 +165,7 @@ class TestMutationSensitivity:
             ("is_surjective", "locally_strong_matches_locally_surjective_when_surjective"),
             ("is_tame", "tame_pseudocover_component_bijection"),
             ("is_component_equitable", "multiplicity_ratio_formula"),
+            ("is_locally_surjective", "component_migration"),
         ],
     )
     def test_broken_predicate_is_caught_and_replayed(self, predicate, claim):
