@@ -8,7 +8,10 @@ from one cached pass over the source edges, the local classes from one cached
 pass over the maps N(x) -> N(m(x)), the component classes from one cached
 table of the source components each fibre meets.  ``classify`` evaluates
 every class at once and cross-checks the implications that must hold
-between them.
+between them.  Given a group whose orbits are the fibres and which acts by
+automorphisms, it runs the local pass on one member per fibre and skips the
+equitability test, since the group moves any fibre member onto any other
+while fixing the map.
 """
 
 from __future__ import annotations
@@ -165,25 +168,35 @@ def is_tame(m: HomMap) -> bool:
     return all(len(counts) == 1 for counts in _fibre_blocks(m).values())
 
 
+def _local_pass(m: HomMap, vertices) -> tuple[bool, bool, bool]:
+    """(locally surjective, locally injective, locally strong) over ``vertices``.
+
+    Builds each local image m(N(x)) once and compares it with N(m(x)), at
+    O(deg x + deg m(x)) per vertex.
+    """
+    mapping, image = m.mapping, m.image
+    source_nbhds, target_nbhds = m.source._neighborhoods, m.target._neighborhoods
+    surjective = injective = strong = True
+    for x in vertices:
+        nbhd = source_nbhds[x]
+        local_image = set(map(mapping.__getitem__, nbhd))
+        target_nbhd = target_nbhds[mapping[x]]
+        injective = injective and len(local_image) == len(nbhd)
+        if not target_nbhd <= local_image:
+            surjective = False
+            strong = strong and (target_nbhd & image) <= local_image
+    return surjective, injective, strong
+
+
 def _local_classes(m: HomMap) -> tuple[bool, bool, bool]:
     """(locally surjective, locally injective, locally strong) of the map.
 
-    One pass over the restrictions N(x) -> N(m(x)) builds each local image
-    m(N(x)) once and compares it with N(m(x)), at O(deg x + deg m(x)) per
-    vertex.  The triple is cached on the map, like edge preservation.
+    One ``_local_pass`` over every source vertex; the triple is cached on
+    the map, like edge preservation.
     """
     if m._local_classes is None:
         _require_hom(m)
-        mapping, image, target_nbhds = m.mapping, m.image, m.target._neighborhoods
-        surjective = injective = strong = True
-        for x, nbhd in m.source._neighborhoods.items():
-            local_image = set(map(mapping.__getitem__, nbhd))
-            target_nbhd = target_nbhds[mapping[x]]
-            injective = injective and len(local_image) == len(nbhd)
-            if not target_nbhd <= local_image:
-                surjective = False
-                strong = strong and (target_nbhd & image) <= local_image
-        m._local_classes = (surjective, injective, strong)
+        m._local_classes = _local_pass(m, m.source.vertices)
     return m._local_classes
 
 
@@ -315,11 +328,28 @@ def _check_report(r: ClassificationReport) -> None:
 def classify(m: HomMap, grp=None) -> ClassificationReport:
     """Evaluate every class predicate on a valid homomorphism.
 
+    The orbit test comes first.  On an orbit map each generator g fixes the
+    map and is an automorphism, so it carries N(x) onto N(g·x) fibre by
+    fibre: all members of a fibre have the same local classes and see every
+    fibre through equally many edges.  The local classes are then read off
+    one member per fibre, and the map is equitable without a test.  This
+    representative pass is not cached on the map, so a later
+    ``is_locally_*`` call still makes its own pass over every vertex.  On any
+    other map both passes run over the whole source.
+
     Raises HypothesisError when the map is not edge-preserving, and
     InternalCheckError if the computed memberships contradict each other
     (which would mean a bug in the predicates, not in the input).
     """
     _require_hom(m)
+    orbit = None if grp is None else is_orbit_map(m, grp)
+    if orbit:
+        local = _local_pass(m, [fibre[0] for fibre in m.fibres.values()])
+        equitable = True
+    else:
+        local = _local_classes(m)
+        equitable = _is_equitable(m.source, m.fibres.values(), m.mapping)
+    locally_surjective, locally_injective, locally_strong = local
     surjective = is_surjective(m)
     complete = is_complete(m)
     bijective = len(m.image) == len(m.source.vertices) and surjective
@@ -328,14 +358,14 @@ def classify(m: HomMap, grp=None) -> ClassificationReport:
         complete=complete,
         isomorphism=bijective and complete,
         tame=is_tame(m),
-        locally_surjective=is_locally_surjective(m),
-        locally_injective=is_locally_injective(m),
-        locally_bijective=is_locally_bijective(m),
-        locally_strong=is_locally_strong(m),
-        pseudo_covering=is_pseudo_covering(m),
-        equitable=_is_equitable(m.source, m.fibres.values(), m.mapping),
+        locally_surjective=locally_surjective,
+        locally_injective=locally_injective,
+        locally_bijective=locally_surjective and locally_injective,
+        locally_strong=locally_strong,
+        pseudo_covering=locally_strong and surjective,
+        equitable=equitable,
         component_equitable=is_component_equitable(m),
-        orbit=None if grp is None else is_orbit_map(m, grp),
+        orbit=orbit,
     )
     _check_report(report)
     return report

@@ -323,6 +323,20 @@ class TestAutoRoute:
         expected = {"verify_automorphisms": 1, "is_consistent": 1, "orbit_partition": 0, "classify": 1}
         assert {name: len(c) for name, c in calls.items()} == expected
 
+    def test_orbit_route_reads_one_member_per_fibre(self, two_triangles_files, capsys, monkeypatch):
+        names = ("_local_classes", "_is_equitable", "classify")
+        calls = {name: count_calls(monkeypatch, quograph.homs, name) for name in names}
+        d = two_triangles_files
+        code, out, _ = run_cli(capsys, "count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"))
+        assert code == 0 and json.loads(out)["total"] == 2
+        assert {name: len(c) for name, c in calls.items()} == {"_local_classes": 0, "_is_equitable": 0, "classify": 1}
+        # the representative pass is not cached, so a later local predicate walks every vertex itself
+        g = io.load_graph(d / "g.json")
+        m = quotient(g, io.load_partition(d / "p.json", g)).projection
+        assert quograph.homs.classify(m, io.load_group(d / "grp.json", g)).orbit
+        assert m._local_classes is None
+        assert quograph.homs.is_locally_strong(m) and m._local_classes == (True, True, True)
+
     @pytest.mark.parametrize("method", ["auto", "A", "ce", "B"])
     def test_one_edge_pass_and_no_fibre_partition(self, two_triangles_files, capsys, monkeypatch, method):
         edge_passes = count_calls(monkeypatch, quograph.homs, "_edge_classes")

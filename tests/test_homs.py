@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,16 +26,26 @@ from quograph import (
 )
 from quograph import (
     PermGroup,
+    Permutation,
     admissible_components,
     automorphism_group,
     is_component_equitable,
     is_consistent,
+    is_orbit_map,
     is_tame,
     quotient,
+    verify_automorphisms,
 )
-from quograph.verify import SweepConfig, enumerate_graphs, enumerate_homs, random_orbit_instance
+from quograph.verify import (
+    SweepConfig,
+    enumerate_graphs,
+    enumerate_homs,
+    orbit_instances_for,
+    random_orbit_instance,
+    set_partitions,
+)
 
-from conftest import homomorphisms, projections, vertex_maps
+from conftest import homomorphisms, orbit_instances, projections, vertex_maps
 from golden import GOLDEN_CASES, MAP_REFUSALS, two_arcs_projection
 from reference import (
     cell_scan_is_tame,
@@ -241,6 +252,67 @@ class TestFibreTableOracles:
             for cells in (Partition.singletons(g.vertex_set), Partition([g.vertices], g.vertex_set)):
                 self.check(quotient(g, cells).projection, inst.grp, verdicts)
         assert {v[2] for v in verdicts} == {True, False}
+
+
+class TestOrbitRepresentativePass:
+    """``classify`` with a group reads an orbit map's local classes off one
+    member per fibre and takes equitability from the group.  Each report must
+    equal, field by field, the full passes of ``classify`` with no group on a
+    second fresh map, with ``orbit`` set by ``is_orbit_map``."""
+
+    @staticmethod
+    def check(m, grp) -> bool:
+        report = asdict(classify(HomMap(m.source, m.target, m.mapping), grp))
+        fresh = HomMap(m.source, m.target, m.mapping)
+        assert report == asdict(replace(classify(fresh), orbit=is_orbit_map(fresh, grp)))
+        return report["orbit"]
+
+    @staticmethod
+    def non_automorphism(g):
+        """The first transposition of g that is not an automorphism, or None."""
+        for u, v in itertools.combinations(g.vertices, 2):
+            swap = Permutation({x: {u: v, v: u}.get(x, x) for x in g.vertices})
+            if not verify_automorphisms(g, PermGroup(g.vertex_set, [swap])):
+                return swap
+        return None
+
+    def check_instance(self, inst) -> tuple[bool, bool]:
+        """The orbit group, then both fallbacks where they apply; returns which applied."""
+        assert self.check(inst.m, inst.grp) is True
+        g = inst.g
+        trivial = len(inst.m.fibres) < len(g.vertices)  # a fibre the trivial group cannot fill
+        if trivial:
+            assert self.check(inst.m, PermGroup.trivial(g.vertex_set)) is False
+        swap = self.non_automorphism(g)
+        if swap is not None:
+            assert self.check(inst.m, PermGroup(g.vertex_set, [*inst.grp.generators, swap])) is False
+        return trivial, swap is not None
+
+    def test_every_orbit_instance_on_five_vertices(self):
+        applied = [self.check_instance(inst) for g in enumerate_graphs(5) for inst in orbit_instances_for(g)]
+        assert len(applied) == 3857
+        assert any(t for t, _ in applied) and any(s for _, s in applied)
+
+    @given(orbit_instances())
+    @settings(max_examples=150)
+    def test_random_orbit_instances(self, inst):
+        self.check_instance(inst)
+
+    def test_fallback_on_every_quotient_of_four_vertices(self):
+        # Most of these maps are not orbit maps of any group, so the full
+        # passes must run whenever the orbit test fails.
+        verdicts = set()
+        for g in enumerate_graphs(4):
+            groups = [PermGroup.trivial(g.vertex_set)]
+            swap = self.non_automorphism(g)
+            if swap is not None:
+                groups.append(PermGroup(g.vertex_set, [swap]))
+            for cells in set_partitions(g.vertices):
+                m = quotient(g, Partition(cells, g.vertex_set)).projection
+                for grp in groups:
+                    orbit = self.check(m, grp)
+                    verdicts.add((orbit, classify(m).equitable))
+        assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 class TestFactorize:

@@ -206,6 +206,30 @@ class TestMutationSensitivity:
         assert replay_counterexample(failure) is False
         assert classify(identity).locally_strong
 
+    def test_broken_representative_pass_is_caught_and_replayed(self):
+        # On an orbit map classify runs the local pass on one member per
+        # fibre only; a wrong answer there must still trip the self-check.
+        cfg = SweepConfig(3, 2, 0, 1)
+        original = quograph.homs._local_pass
+
+        def flipped_strong(m, vertices):
+            surjective, injective, strong = original(m, vertices)
+            return surjective, injective, not strong
+
+        inst = next(orbit_instances_for(Graph(["a", "b"], [("a", "b")])))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quograph.homs, "_local_pass", flipped_strong)
+            with pytest.raises(InternalCheckError, match="classification self-check failed"):
+                classify(inst.m, inst.grp)
+            results = verify.sweep_orbit_claims(cfg, claims={"orbit_projection_consistent"})
+            broken = results["orbit_projection_consistent"]
+            assert broken.failure_count > 0
+            failure = broken.failures[0]
+            assert failure["detail"].startswith("exception: classification self-check failed")
+            assert replay_counterexample(failure) is True
+        assert replay_counterexample(failure) is False
+        assert classify(inst.m, inst.grp).locally_strong
+
     def test_choice_dependent_multiplicity_is_caught_and_replayed(self):
         # Off by one only away from the first admissible component: the
         # default walk's total stays right, so only the every-choice check
