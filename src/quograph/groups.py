@@ -7,6 +7,9 @@ by automorphisms, so the orbit machinery of the rest of the package applies.
 
 from __future__ import annotations
 
+import itertools
+from operator import itemgetter
+
 from .errors import HypothesisError, InternalCheckError
 from .graphs import Graph
 from .perms import PermGroup, Permutation, verify_automorphisms
@@ -17,83 +20,94 @@ MAX_ORDER = 120
 class FiniteGroup:
     """A finite group given by its full Cayley table.
 
+    Labels live only at the edges: ``elements`` holds them in order,
+    ``_index`` maps each back to its position, and ``_rows[a][b]`` is the
+    index of the product of elements a and b, a tuple of n integer tuples.
+
     Validation happens at construction and proves the group axioms: closure,
     the identity and inverses are checked on the whole table, and
     associativity by Light's test on the generators ``generating_set`` finds,
-    O(|S|·n²) lookups instead of n³.  Those generators are kept as
-    ``generators``.
+    one comparison of two n-tuples per (x, s) instead of n³ lookups.  Those
+    generators are kept as ``generators``.
     """
 
-    __slots__ = ("elements", "identity", "generators", "_table")
+    __slots__ = ("elements", "identity", "generators", "_index", "_rows")
 
     def __init__(self, elements, identity, table):
-        self.elements = tuple(elements)
-        if len(self.elements) != len(set(self.elements)):
+        elements = tuple(elements)
+        if len(elements) != len(set(elements)):
             raise ValueError("duplicate group element")
-        if not self.elements:
+        if not elements:
             raise ValueError("a group needs at least one element")
-        if len(self.elements) > MAX_ORDER:
-            raise ValueError(f"group order {len(self.elements)} exceeds the cap {MAX_ORDER}")
-        if identity not in self.elements:
+        if len(elements) > MAX_ORDER:
+            raise ValueError(f"group order {len(elements)} exceeds the cap {MAX_ORDER}")
+        if identity not in elements:
             raise ValueError(f"identity {identity!r} is not an element")
-        self.identity = identity
-        universe = set(self.elements)
-        self._table = {}
-        for a in self.elements:
+        index = {a: i for i, a in enumerate(elements)}
+        rows = []
+        for a in elements:
             row = table.get(a)
             if row is None:
                 raise ValueError(f"Cayley table has no row for {a!r}")
-            for b in self.elements:
-                if b not in row:
-                    raise ValueError(f"Cayley table misses the product {a!r}*{b!r}")
-                c = row[b]
-                if c not in universe:
-                    raise ValueError(f"product {a!r}*{b!r} = {c!r} is not an element")
-                self._table[(a, b)] = c
-        self._validate()
+            try:
+                rows.append(tuple([index[row[b]] for b in elements]))
+            except (LookupError, TypeError):
+                _refuse_row(a, row, elements, index)
+                raise
+        self._validate(index, index[identity], tuple(rows))
 
-    def _validate(self):
-        e, table = self.identity, self._table
-        for a in self.elements:
-            if table[(e, a)] != a or table[(a, e)] != a:
-                raise ValueError(f"{e!r} does not act as the identity on {a!r}")
-        units = {ab for ab, c in table.items() if c == e}
-        invertible = {a for a, b in units if (b, a) in units}
-        for a in self.elements:
-            if a not in invertible:
-                raise ValueError(f"element {a!r} has no inverse")
+    @classmethod
+    def _from_rows(cls, elements, e, rows):
+        """A group from labels, the identity's index e and integer rows that
+        the caller built itself; the group axioms are still proved."""
+        group = cls.__new__(cls)
+        group._validate({a: i for i, a in enumerate(elements)}, e, rows)
+        return group
+
+    def _validate(self, index, e, rows):
+        """Keep the label index and the rows, and prove the group axioms on
+        them; e is the identity's index."""
+        self.elements = elements = tuple(index)
+        self.identity, self._index, self._rows = elements[e], index, rows
+        ident = tuple(range(len(rows)))
+        if rows[e] != ident or tuple(row[e] for row in rows) != ident:
+            a = next(a for a in ident if rows[e][a] != a or rows[a][e] != a)
+            raise ValueError(f"{elements[e]!r} does not act as the identity on {elements[a]!r}")
+        for a, row in enumerate(rows):
+            # the first right inverse settles a group's row; a table that is
+            # no group may need another of a's right units
+            if e not in row or (
+                rows[row.index(e)][a] != e and not any(rows[b][a] == e for b in ident if row[b] == e)
+            ):
+                raise ValueError(f"element {elements[a]!r} has no inverse")
         # Light's test.  The middle factors s with (x*s)*y == x*(s*y) for all
         # x, y are closed under the product and hold the identity, and
         # generating_set closes the identity under products with its
         # generators until every element is reached; so passing the test on
-        # the generators proves the whole table associative.
+        # the generators proves the whole table associative.  Row x*s must
+        # equal row x read through row s.  A generator exists only when
+        # n >= 2, so itemgetter always returns a tuple here.
         self.generators = tuple(generating_set(self))
-        for s in self.generators:
-            for x in self.elements:
-                xs = table[(x, s)]
-                for y in self.elements:
-                    if table[(xs, y)] != table[(x, table[(s, y)])]:
-                        raise ValueError(f"associativity fails on ({x!r}, {s!r}, {y!r})")
+        for s in map(index.__getitem__, self.generators):
+            through_s = itemgetter(*rows[s])
+            for x, row in enumerate(rows):
+                if rows[row[s]] != through_s(row):
+                    y = next(y for y in ident if rows[row[s]][y] != row[rows[s][y]])
+                    raise ValueError(
+                        f"associativity fails on ({elements[x]!r}, {elements[s]!r}, {elements[y]!r})"
+                    )
 
     # ------------------------------------------------------------ operations
 
     def op(self, a: str, b: str) -> str:
-        return self._table[(a, b)]
+        return self.elements[self._rows[self._index[a]][self._index[b]]]
 
     def inverse(self, a: str) -> str:
-        for b in self.elements:
-            if self._table[(a, b)] == self.identity:
-                return b
-        raise InternalCheckError(f"no inverse found for {a!r} after validation")
+        return self.elements[self._rows[self._index[a]].index(self._index[self.identity])]
 
     def powers(self, a: str) -> frozenset[str]:
         """All positive powers of a; always contains a and the identity."""
-        out = {a}
-        x = a
-        while x != self.identity:
-            x = self._table[(x, a)]
-            out.add(x)
-        return frozenset(out)
+        return frozenset(map(self.elements.__getitem__, _cyclic_subgroup(self._rows, self._index[a])))
 
     def order(self) -> int:
         return len(self.elements)
@@ -102,15 +116,36 @@ class FiniteGroup:
         return f"FiniteGroup(order {len(self.elements)})"
 
 
+def _refuse_row(a, row, elements, index):
+    """Word the first fault of a's row, cell by cell in element order."""
+    for b in elements:
+        if b not in row:
+            raise ValueError(f"Cayley table misses the product {a!r}*{b!r}")
+        c = row[b]
+        if c not in index:
+            raise ValueError(f"product {a!r}*{b!r} = {c!r} is not an element")
+
+
+def _cyclic_subgroup(rows, a):
+    """Indices of a, a², ... through the identity, until the powers return to a."""
+    row = rows[a]
+    out = [a]
+    x = row[a]
+    while x != a:
+        out.append(x)
+        x = row[x]
+    return out
+
+
 # ------------------------------------------------------------------ builders
 
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n (1 <= n <= 60), elements "0".."n-1", addition mod n."""
     if not 1 <= n <= 60:
         raise ValueError(f"cyclic order {n} out of the supported range 1..60")
-    elements = [str(i) for i in range(n)]
-    table = {a: {b: str((int(a) + int(b)) % n) for b in elements} for a in elements}
-    return FiniteGroup(elements, "0", table)
+    # row a is range(n) rotated left by a: a + b mod n
+    twice = tuple(range(n)) * 2
+    return FiniteGroup._from_rows([str(i) for i in range(n)], 0, tuple(twice[a : a + n] for a in range(n)))
 
 
 def make_symmetric(n: int) -> FiniteGroup:
@@ -121,15 +156,14 @@ def make_symmetric(n: int) -> FiniteGroup:
     """
     if not 1 <= n <= 5:
         raise ValueError(f"symmetric degree {n} out of the supported range 1..5")
-    import itertools
-    from operator import itemgetter
-
-    identity = "12345"[:n]
-    elements = ["".join(p) for p in itertools.permutations(identity)]
-    # a*b picks the letters a[b(1)-1], ..., a[b(n)-1] of a's label
-    picks = {b: itemgetter(*(int(i) - 1 for i in b)) for b in elements}
-    table = {a: {b: "".join(pick(a)) for b, pick in picks.items()} for a in elements}
-    return FiniteGroup(elements, identity, table)
+    perms = list(itertools.permutations(range(n)))
+    # picks[j](a) is a∘b for the j-th permutation b: (a[b[0]], ..., a[b[n-1]]),
+    # or the bare a[b[0]] when n == 1, so the index is keyed on picks[0](a),
+    # a composed with the identity
+    picks = [itemgetter(*b) for b in perms]
+    index = {picks[0](a): i for i, a in enumerate(perms)}
+    rows = tuple(tuple([index[pick(a)] for pick in picks]) for a in perms)
+    return FiniteGroup._from_rows(["".join(str(i + 1) for i in p) for p in perms], 0, rows)
 
 
 def make_klein_four() -> FiniteGroup:
@@ -147,13 +181,15 @@ def make_klein_four() -> FiniteGroup:
 # ---------------------------------------------------------------- power graphs
 
 def _power_edges(group: FiniteGroup, elements) -> frozenset[frozenset[str]]:
-    """Distinct x, y among ``elements`` where one is a positive power of the other."""
-    pows = {a: group.powers(a) for a in elements}
+    """Distinct x, y among ``elements`` where one is a positive power of the
+    other: each x is joined to the rest of its cyclic subgroup."""
+    labels, index, rows = group.elements, group._index, group._rows
+    keep = set(map(index.__getitem__, elements))
     return frozenset(
-        frozenset((x, y))
-        for i, x in enumerate(elements)
-        for y in elements[i + 1 :]
-        if x in pows[y] or y in pows[x]
+        frozenset((labels[x], labels[y]))
+        for x in keep
+        for y in _cyclic_subgroup(rows, x)
+        if y != x and y in keep
     )
 
 
@@ -177,9 +213,10 @@ def generating_set(group: FiniteGroup) -> list[str]:
     Every element is reached from the identity by multiplying, on either
     side, by generators; ``FiniteGroup``'s associativity proof rests on it.
     """
-    gens: list[str] = []
-    closed = {group.identity}
-    for a in group.elements:
+    rows = group._rows
+    gens: list[int] = []
+    closed = {group._index[group.identity]}
+    for a in range(len(rows)):
         if a in closed:
             continue
         gens.append(a)
@@ -189,13 +226,13 @@ def generating_set(group: FiniteGroup) -> list[str]:
         while frontier:
             x = frontier.pop()
             for s in gens:
-                for y in (group.op(x, s), group.op(s, x)):
+                for y in (rows[x][s], rows[s][x]):
                     if y not in closed:
                         closed.add(y)
                         frontier.append(y)
-        if len(closed) == group.order():
+        if len(closed) == len(rows):
             break
-    return gens
+    return [group.elements[a] for a in gens]
 
 
 def conjugation_group(group: FiniteGroup, on_graph: Graph) -> PermGroup:
@@ -214,10 +251,12 @@ def conjugation_group(group: FiniteGroup, on_graph: Graph) -> PermGroup:
         on_graph.proper_edges != _power_edges(group, verts)
     ):
         raise ValueError("graph is not a power graph of this group")
+    labels, index, rows = group.elements, group._index, group._rows
+    e = index[group.identity]
     gens = []
-    for s in group.generators:
-        s_inv = group.inverse(s)
-        gens.append(Permutation({x: group.op(group.op(s_inv, x), s) for x in verts}))
+    for s in map(index.__getitem__, group.generators):
+        by_s_inv = rows[rows[s].index(e)]
+        gens.append(Permutation({x: labels[rows[by_s_inv[index[x]]][s]] for x in verts}))
     grp = PermGroup(verts, gens)
     if not verify_automorphisms(on_graph, grp):
         raise InternalCheckError("conjugation failed the automorphism check on the power graph")

@@ -300,3 +300,40 @@ CAYLEY_LOADER_REFUSALS = [  # (document, message)
     ),
     ({"elements": ["e"], "identity": "e", "table": {}}, "Cayley table has no row for 'e'"),
 ]
+# FiniteGroup's own refusals, one per check, through a well-formed document;
+# the first fault in element order is the one named.
+CAYLEY_TABLE_REFUSALS = [  # (document, message)
+    ({"elements": ["e", "a", "e"], "identity": "e", "table": {}}, "duplicate group element"),
+    ({"elements": [], "identity": "e", "table": {}}, "a group needs at least one element"),
+    ({"elements": [str(i) for i in range(121)], "identity": "0", "table": {}}, "group order 121 exceeds the cap 120"),
+    ({"elements": ["e", "a"], "identity": "x", "table": {}}, "identity 'x' is not an element"),
+    ({"elements": ["e", "a"], "identity": "e", "table": {"e": {"a": "a", "e": "e"}}}, "Cayley table has no row for 'a'"),
+    (  # and 'a'*'a' is not an element
+        {"elements": ["e", "a"], "identity": "e", "table": {"a": {"a": "x"}, "e": {"a": "a", "e": "e"}}},
+        "Cayley table misses the product 'a'*'e'",
+    ),
+    (  # and 'a'*'a' is missing
+        {"elements": ["e", "a"], "identity": "e", "table": {"a": {"e": "x"}, "e": {"a": "a", "e": "e"}}},
+        "product 'a'*'e' = 'x' is not an element",
+    ),
+    (  # Z_3 with 2*0 = 1
+        {
+            "elements": ["0", "1", "2"],
+            "identity": "0",
+            "table": {"0": {"0": "0", "1": "1", "2": "2"}, "1": {"0": "1", "1": "2", "2": "0"}, "2": {"0": "1", "1": "0", "2": "1"}},
+        },
+        "'0' does not act as the identity on '2'",
+    ),
+    (  # x*y = x
+        {"elements": ["0", "1"], "identity": "0", "table": {"0": {"0": "0", "1": "1"}, "1": {"0": "1", "1": "1"}}},
+        "element '1' has no inverse",
+    ),
+    (  # Z_3 with 1*1 = 1*2 = 2*1 = 0: (1*1)*2 = 2 but 1*(1*2) = 1
+        {
+            "elements": ["0", "1", "2"],
+            "identity": "0",
+            "table": {"0": {"0": "0", "1": "1", "2": "2"}, "1": {"0": "1", "1": "0", "2": "0"}, "2": {"0": "2", "1": "0", "2": "1"}},
+        },
+        "associativity fails on ('1', '1', '2')",
+    ),
+]

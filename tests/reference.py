@@ -20,6 +20,7 @@ from quograph.counting import (
 )
 from quograph.errors import InternalCheckError
 from quograph.graphs import Graph
+from quograph.groups import MAX_ORDER, FiniteGroup
 from quograph.homs import HomMap, _require_hom, validate_hom
 from quograph.partitions import Partition, quotient
 from quograph.perms import PermGroup, Permutation, orbit_partition
@@ -117,6 +118,90 @@ def exhaustive_is_associative(elements, table) -> bool:
         for a in elements
         for b in elements
         for c in elements
+    )
+
+
+def dict_table_refusal(elements, identity, table) -> str | None:
+    """The refusal ``FiniteGroup`` must give for a nested-dict Cayley table,
+    or None when it must accept it: the table copied into a dict keyed by
+    label pairs, then the identity, inverses and Light's test over the
+    greedy generating set, each on label lookups."""
+    elements = tuple(elements)
+    if len(elements) != len(set(elements)):
+        return "duplicate group element"
+    if not elements:
+        return "a group needs at least one element"
+    if len(elements) > MAX_ORDER:
+        return f"group order {len(elements)} exceeds the cap {MAX_ORDER}"
+    if identity not in elements:
+        return f"identity {identity!r} is not an element"
+    universe = set(elements)
+    pairs = {}
+    for a in elements:
+        row = table.get(a)
+        if row is None:
+            return f"Cayley table has no row for {a!r}"
+        for b in elements:
+            if b not in row:
+                return f"Cayley table misses the product {a!r}*{b!r}"
+            c = row[b]
+            if c not in universe:
+                return f"product {a!r}*{b!r} = {c!r} is not an element"
+            pairs[(a, b)] = c
+    e = identity
+    for a in elements:
+        if pairs[(e, a)] != a or pairs[(a, e)] != a:
+            return f"{e!r} does not act as the identity on {a!r}"
+    units = {ab for ab, c in pairs.items() if c == e}
+    invertible = {a for a, b in units if (b, a) in units}
+    for a in elements:
+        if a not in invertible:
+            return f"element {a!r} has no inverse"
+    gens = []
+    closed = {e}
+    for a in elements:
+        if a in closed:
+            continue
+        gens.append(a)
+        frontier = list(closed)
+        closed.add(a)
+        frontier.append(a)
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                for y in (pairs[(x, s)], pairs[(s, x)]):
+                    if y not in closed:
+                        closed.add(y)
+                        frontier.append(y)
+        if len(closed) == len(elements):
+            break
+    for s in gens:
+        for x in elements:
+            xs = pairs[(x, s)]
+            for y in elements:
+                if pairs[(xs, y)] != pairs[(x, pairs[(s, y)])]:
+                    return f"associativity fails on ({x!r}, {s!r}, {y!r})"
+    return None
+
+
+def pairwise_power_edges(group: FiniteGroup, elements) -> frozenset[frozenset[str]]:
+    """Distinct x, y among ``elements`` where one is a positive power of the
+    other, by testing every pair against powers taken with ``group.op``."""
+
+    def powers(a):
+        out = {a}
+        x = a
+        while x != group.identity:
+            x = group.op(x, a)
+            out.add(x)
+        return out
+
+    pows = {a: powers(a) for a in elements}
+    return frozenset(
+        frozenset((x, y))
+        for i, x in enumerate(elements)
+        for y in elements[i + 1 :]
+        if x in pows[y] or y in pows[x]
     )
 
 

@@ -33,6 +33,7 @@ from quograph.cli import build_parser, main
 from conftest import subprocess_env
 from golden import (
     CAYLEY_LOADER_REFUSALS,
+    CAYLEY_TABLE_REFUSALS,
     GRAPH_REFUSALS,
     GROUP_LOADER_REFUSALS,
     LOADER_REFUSALS,
@@ -541,6 +542,20 @@ class TestPowergraph:
             outs.append(hashlib.sha256(out.encode()).hexdigest())
         assert tuple(outs) == self.PINNED_SHA256[spec]
 
+    # sha256 of the stdout of `powergraph --group SPEC`, then of
+    # `powergraph --group SPEC --proper`, for every SPEC in turn.
+    BUILT_IN_SPECS = [f"cyclic:{n}" for n in range(2, 61)] + [f"symmetric:{n}" for n in range(2, 6)]
+    BUILT_IN_SHA256 = "839892fd7f0880e2c99ff4a7e6f6d4d0eed764ee047f3b33487f24dfa61da732"
+
+    def test_every_built_in_spec_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for spec in self.BUILT_IN_SPECS:
+            for proper in ([], ["--proper"]):
+                code, out, err = run_cli(capsys, "powergraph", "--group", spec, *proper)
+                assert code == 0 and err == ""
+                digest.update(out.encode())
+        assert digest.hexdigest() == self.BUILT_IN_SHA256
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -753,7 +768,10 @@ class TestErrors:
             (["orbits", "@g", "@grp"], {"g": {"vertices": vs, "edges": []}, "grp": {"generators": gens}}, msg)
             for vs, gens, msg in GROUP_LOADER_REFUSALS
         ]
-        + [(["powergraph", "--group", "cayley:@c"], {"c": doc}, msg) for doc, msg in CAYLEY_LOADER_REFUSALS],
+        + [
+            (["powergraph", "--group", "cayley:@c"], {"c": doc}, msg)
+            for doc, msg in CAYLEY_LOADER_REFUSALS + CAYLEY_TABLE_REFUSALS
+        ],
     )
     def test_refusal_stderr(self, tmp_path, capsys, argv, docs, message):
         for name, doc in docs.items():

@@ -20,12 +20,39 @@ from quograph import (
     proper_power_graph,
 )
 from quograph.io import cayley_to_dict
-from reference import exhaustive_is_associative, tuple_symmetric_table
+from golden import CAYLEY_TABLE_REFUSALS
+from reference import (
+    dict_table_refusal,
+    exhaustive_is_associative,
+    pairwise_power_edges,
+    tuple_symmetric_table,
+)
 
 
 def _mod_table(n):
     els = [str(i) for i in range(n)]
     return els, {a: {b: str((int(a) + int(b)) % n) for b in els} for a in els}
+
+
+def _label_cyclic_table(n):
+    els, table = _mod_table(n)
+    return els, "0", table
+
+
+def _refusal(elements, identity, table):
+    """The constructor's refusal message for a table, or None if it accepts."""
+    try:
+        FiniteGroup(elements, identity, table)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _assert_power_edges_match(group):
+    assert power_graph(group).proper_edges == pairwise_power_edges(group, group.elements)
+    if group.order() > 1:
+        rest = tuple(x for x in group.elements if x != group.identity)
+        assert proper_power_graph(group).proper_edges == pairwise_power_edges(group, rest)
 
 
 def _has_inverses(elements, identity, table):
@@ -71,6 +98,38 @@ def perturbed_tables(draw):
     for a, b in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=3, unique=True)):
         table[a][b] = draw(st.sampled_from(group.elements))
     return group.elements, group.identity, table
+
+
+@st.composite
+def broken_tables(draw):
+    """A group table of order 2..6 with one or two faults of the kinds the
+    constructor names before the axioms: a missing row, a missing product, a
+    product that is not an element, or a changed cell in the identity's row
+    or column.  A second fault lands in the same row half the time, so the
+    order in which one row's faults are named is drawn too."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    els, e = group.elements, group.identity
+    table = cayley_to_dict(group)["table"]
+    element = st.sampled_from(els)
+    a = draw(element)
+    for kind in draw(st.lists(st.sampled_from(["row", "product", "outsider", "identity"]), min_size=1, max_size=2)):
+        if draw(st.booleans()):
+            a = draw(element)
+        row, b = a, draw(element)
+        if kind == "identity":
+            row, b = draw(st.sampled_from([(e, b), (b, e)]))
+            kept = b if row == e else row
+        if row not in table:
+            continue
+        if kind == "row":
+            del table[row]
+        elif kind == "product":
+            table[row].pop(b, None)
+        elif kind == "outsider":
+            table[row][b] = "x"
+        else:
+            table[row][b] = draw(st.sampled_from([c for c in els if c != kept]))
+    return els, e, table
 
 
 class TestFiniteGroupValidation:
@@ -181,6 +240,24 @@ class TestAssociativityProof:
                 assert exhaustive_is_associative(group.elements, cayley_to_dict(group)["table"])
 
 
+class TestDictKeyedOracle:
+    """The constructor against the plain dict-keyed validator: the same
+    decision on every table, and the same message on every refusal."""
+
+    @given(st.one_of(perturbed_tables(), broken_tables()))
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_tables_agree(self, case):
+        message = _refusal(*case)
+        assert message == dict_table_refusal(*case)
+        if message is None:
+            _assert_power_edges_match(FiniteGroup(*case))
+
+    @pytest.mark.parametrize("doc,message", CAYLEY_TABLE_REFUSALS)
+    def test_golden_refusals(self, doc, message):
+        case = (doc["elements"], doc["identity"], doc["table"])
+        assert _refusal(*case) == message == dict_table_refusal(*case)
+
+
 def _swap_intercalate(table, n, a):
     """Swap the 2x2 Latin subsquare of Z_n on {a, a + n/2} x {a, a + n/2}."""
     h = n // 2
@@ -213,10 +290,18 @@ class TestBuilders:
         assert s3.op("213", "231") == "132"
         assert s3.op("231", "213") == "321"
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_symmetric_table_matches_tuple_composition(self, n):
-        expected = FiniteGroup(*tuple_symmetric_table(n))
-        assert cayley_to_dict(make_symmetric(n)) == cayley_to_dict(expected)
+    @pytest.mark.parametrize(
+        "builder,label_table,n",
+        [pytest.param(make_symmetric, tuple_symmetric_table, n, id=str(n)) for n in range(1, 6)]
+        + [pytest.param(make_cyclic, _label_cyclic_table, n, id=f"cyclic:{n}") for n in range(1, 61)],
+    )
+    def test_symmetric_table_matches_tuple_composition(self, builder, label_table, n):
+        built, expected = builder(n), FiniteGroup(*label_table(n))
+        assert cayley_to_dict(built) == cayley_to_dict(expected)
+        assert built.generators == expected.generators
+        for a in built.elements:
+            assert built.inverse(a) == expected.inverse(a)
+            assert built.powers(a) == expected.powers(a)
 
     @pytest.mark.parametrize("n", [0, 6])
     def test_symmetric_range(self, n):
@@ -237,6 +322,15 @@ class TestBuilders:
 
 
 class TestPowerGraphs:
+    @pytest.mark.parametrize(
+        "group",
+        [pytest.param(make_cyclic(n), id=f"cyclic:{n}") for n in range(1, 61)]
+        + [pytest.param(make_symmetric(n), id=f"symmetric:{n}") for n in range(1, 6)]
+        + [pytest.param(make_klein_four(), id="klein")],
+    )
+    def test_edges_match_the_pairwise_oracle(self, group):
+        _assert_power_edges_match(group)
+
     def test_cyclic3_is_complete(self):
         g = power_graph(make_cyclic(3))
         assert len(g.sorted_edges()) == 3
