@@ -114,12 +114,13 @@ def preimage_of_component_vertices(m: HomMap, c) -> frozenset[str]:
     Computed as a union of component blocks and cross-checked against the
     plain preimage of the image component's vertex set.
     """
-    _require_locally_surjective(m)
-    block = _component_block(m, c)
-    target_block = set(image_of_component(m, block))
-    comp = m.source.components()
+    return _preimage_union(m, set(image_of_component(m, c)))
+
+
+def _preimage_union(m: HomMap, target_block: set[str]) -> frozenset[str]:
+    """The source components mapping into a target component, checked as above."""
     union: set[str] = set()
-    for other in comp.blocks:
+    for other in m.source.components().blocks:
         if m.mapping[other[0]] in target_block:
             union.update(other)
     direct = {v for v in m.source.vertices if m.mapping[v] in target_block}

@@ -16,12 +16,9 @@ class Permutation:
 
     __slots__ = ("mapping",)
 
-    def __init__(self, mapping, universe=None):
+    def __init__(self, mapping):
         self.mapping = dict(mapping)
-        keys = set(self.mapping)
-        if universe is not None and keys != set(universe):
-            raise ValueError("permutation domain does not match the universe")
-        if set(self.mapping.values()) != keys:
+        if self.mapping.keys() != set(self.mapping.values()):
             raise ValueError("mapping is not a bijection of its domain")
 
     @classmethod

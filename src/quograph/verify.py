@@ -7,11 +7,12 @@ orbit quotients.  Every structural claim the package relies on is checked on
 every applicable instance, with counterexamples serialized so a reported
 failure can be replayed in isolation.
 
-The map claims take the ``HomMap`` itself and call the ``homs`` predicates
-(looked up at call time) where they need a value; the predicates cache their
-passes on the ``HomMap``.  Every claim call, in the sweeps and in replay,
-goes through ``_run``, which records a hypothesis or self-check error as an
-``exception: ...`` failure, so such a failure replays as True.
+Each claim kind takes one argument (a graph, a quotient projection, a
+``HomMap`` or an ``OrbitInstance``) and has one payload encoder and decoder.
+The claims call the ``homs`` predicates (looked up at call time), which cache
+their passes on the ``HomMap``.  Every claim call, in the sweeps and in replay
+with its decoding, goes through ``_run``, which records a hypothesis or
+self-check error as an ``exception: ...`` failure, so it replays as True.
 
 Component counts are cross-checked against ``oracle_component_count``, a
 union-find counter kept deliberately separate from the breadth-first search
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import counting, homs, io, partitions, perms
 from .errors import HypothesisError, InternalCheckError
@@ -136,52 +138,15 @@ def enumerate_homs(source: Graph, target: Graph):
 
 # ----------------------------------------------------------- instance kinds
 
-class PartitionInstance:
-    """A (graph, partition) pair with its quotient computed once."""
+class OrbitInstance(NamedTuple):
+    """An orbit quotient: the projection onto the orbits of the group."""
 
-    def __init__(self, g: Graph, p: Partition):
-        self.g = g
-        self.p = p
-        self.result = partitions.quotient(g, p)
-
-    def payload(self) -> dict:
-        return {"graph": io.graph_to_dict(self.g), "partition": io.partition_to_dict(self.p)}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "PartitionInstance":
-        g = io.graph_from_dict(data["graph"])
-        return cls(g, io.partition_from_dict(data["partition"], g))
+    m: HomMap
+    grp: PermGroup
 
 
-class OrbitInstance:
-    """An orbit quotient: graph, group, orbit partition, and the projection."""
-
-    def __init__(self, g: Graph, p: Partition, grp: PermGroup, m: HomMap):
-        self.g = g
-        self.p = p
-        self.grp = grp
-        self.m = m
-
-    @classmethod
-    def from_group(cls, g: Graph, grp: PermGroup) -> "OrbitInstance":
-        p = perms.orbit_partition(grp)
-        return cls(g, p, grp, partitions.quotient(g, p).projection)
-
-    def payload(self) -> dict:
-        return {"graph": io.graph_to_dict(self.g), "group": io.group_to_dict(self.grp)}
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "OrbitInstance":
-        g = io.graph_from_dict(data["graph"])
-        return cls.from_group(g, io.group_from_dict(data["group"], g))
-
-
-def _hom_payload(m: HomMap) -> dict:
-    return {"source": io.graph_to_dict(m.source), "target": io.graph_to_dict(m.target), **io.hom_to_dict(m)}
-
-
-def _hom_from_payload(data: dict) -> HomMap:
-    return io.hom_from_dict(data, io.graph_from_dict(data["source"]), io.graph_from_dict(data["target"]))
+def _orbit_instance(g: Graph, grp: PermGroup) -> OrbitInstance:
+    return OrbitInstance(partitions.quotient(g, perms.orbit_partition(grp)).projection, grp)
 
 
 # ------------------------------------------------------------ claim helpers
@@ -219,28 +184,29 @@ def _claim_singleton_quotient_isomorphic(g: Graph):
 
 
 # --------------------------------------------------------- partition claims
+# Each takes the projection m of a graph (m.source) onto its quotient (m.target).
 
-def _claim_quotient_count_monotone(inst: PartitionInstance):
-    cq = inst.result.quotient.components().count
-    cg = inst.g.components().count
+def _claim_quotient_count_monotone(m: HomMap):
+    cq = m.target.components().count
+    cg = m.source.components().count
     if cq > cg:
         return [f"quotient has {cq} components, more than the graph's {cg}"]
     return []
 
 
-def _claim_quotient_count_equality_iff_tame(inst: PartitionInstance):
-    cq = inst.result.quotient.components().count
-    cg = inst.g.components().count
-    tame = homs.is_tame(inst.result.projection)
+def _claim_quotient_count_equality_iff_tame(m: HomMap):
+    cq = m.target.components().count
+    cg = m.source.components().count
+    tame = homs.is_tame(m)
     if (cq == cg) != tame:
         return [f"component counts {cq}/{cg} disagree with tame={tame}"]
     return []
 
 
-def _claim_quotient_connectivity_transfer(inst: PartitionInstance):
-    connected = inst.g.components().count == 1
-    q_connected = inst.result.quotient.components().count == 1
-    tame = homs.is_tame(inst.result.projection)
+def _claim_quotient_connectivity_transfer(m: HomMap):
+    connected = m.source.components().count == 1
+    q_connected = m.target.components().count == 1
+    tame = homs.is_tame(m)
     if connected != (q_connected and tame):
         return [
             f"graph connected={connected} but quotient connected={q_connected}, tame={tame}"
@@ -248,19 +214,19 @@ def _claim_quotient_connectivity_transfer(inst: PartitionInstance):
     return []
 
 
-def _claim_projection_complete(inst: PartitionInstance):
-    if not homs.is_complete(inst.result.projection):
+def _claim_projection_complete(m: HomMap):
+    if not homs.is_complete(m):
         return ["quotient projection is not complete"]
     return []
 
 
-def _claim_connectedness_criterion_sound(inst: PartitionInstance):
-    if inst.result.quotient.components().count != 1:
+def _claim_connectedness_criterion_sound(m: HomMap):
+    if m.target.components().count != 1:
         return None
-    if not homs.is_pseudo_covering(inst.result.projection):
+    if not homs.is_pseudo_covering(m):
         return None
-    verdict = counting.connectedness_criterion(inst.result.projection)
-    if verdict and oracle_component_count(inst.g) != 1:
+    verdict = counting.connectedness_criterion(m)
+    if verdict and oracle_component_count(m.source) != 1:
         return ["criterion returned True on a disconnected graph"]
     return []
 
@@ -343,15 +309,9 @@ def _claim_component_migration(m: HomMap):
         # each y of the target component, and two cells are joined exactly
         # when a proper edge of C maps onto the edge between their two y's.
         # So y ↦ fibre(y) ∩ C is already an isomorphism from m(C) onto C/∼.
-        pre = {v for v in m.source.vertices if m.mapping[v] in direct}
-        union: set[str] = set()
-        for other in scomp.blocks:
-            if m.mapping[other[0]] in direct:
-                union.update(other)
-        if pre != union:
-            fails.append(
-                f"preimage of the image of component of {block[0]!r} is not a union of components"
-            )
+        # The preimage of m(C) must be a union of components: the counting
+        # layer's check raises InternalCheckError when it is not.
+        counting._preimage_union(m, direct)
     return fails
 
 
@@ -470,10 +430,11 @@ def _claim_component_image_iso_criterion(m: HomMap):
 # ------------------------------------------------------------- orbit claims
 
 def _claim_orbit_partition_equitable(inst: OrbitInstance):
+    m = inst.m
     fails = []
-    if not perms.verify_automorphisms(inst.g, inst.grp):
+    if not perms.verify_automorphisms(m.source, inst.grp):
         fails.append("group does not act by automorphisms")
-    if not partitions.is_equitable(inst.g, inst.p):
+    if not homs._is_equitable(m.source, m.fibres.values(), m.mapping):
         fails.append("orbit partition is not equitable")
     return fails
 
@@ -532,7 +493,7 @@ def _claim_orbit_count_vertex_ratio(inst: OrbitInstance):
 
 def _claim_orbit_multiplicity_total(inst: OrbitInstance):
     m = inst.m
-    expected = oracle_component_count(inst.g)
+    expected = oracle_component_count(m.source)
     breakdown = counting.count_orbit(m, inst.grp)
     fails = []
     if breakdown.total != expected:
@@ -617,15 +578,46 @@ _ORBIT_CLAIMS = {
     "multiplicity_ratio_independence": _claim_multiplicity_ratio_independence,
 }
 
-# kind -> (its claims, the decoder from a recorded payload to their argument)
+def _pair_payload(g: Graph, p: Partition) -> dict:
+    return {"graph": io.graph_to_dict(g), "partition": io.partition_to_dict(p)}
+
+
+def _decode_projection(data: dict) -> HomMap:
+    g = io.graph_from_dict(data["graph"])
+    return partitions.quotient(g, io.partition_from_dict(data["partition"], g)).projection
+
+
+def _decode_orbit(data: dict) -> OrbitInstance:
+    g = io.graph_from_dict(data["graph"])
+    return _orbit_instance(g, io.group_from_dict(data["group"], g))
+
+
+# kind -> (its claims, the encoder of their argument into a recorded payload,
+# the decoder from that payload back to their argument)
 _KINDS = {
-    "graph": (_GRAPH_CLAIMS, lambda data: io.graph_from_dict(data["graph"])),
-    "partition": (_PARTITION_CLAIMS, PartitionInstance.from_payload),
-    "hom": (_HOM_CLAIMS, _hom_from_payload),
-    "orbit": (_ORBIT_CLAIMS, OrbitInstance.from_payload),
+    "graph": (
+        _GRAPH_CLAIMS, lambda g: {"graph": io.graph_to_dict(g)}, lambda d: io.graph_from_dict(d["graph"])
+    ),
+    "partition": (
+        _PARTITION_CLAIMS,
+        lambda m: _pair_payload(m.source, Partition(m.fibres.values(), m.source.vertex_set)),
+        _decode_projection,
+    ),
+    "hom": (
+        _HOM_CLAIMS,
+        lambda m: {
+            "source": io.graph_to_dict(m.source), "target": io.graph_to_dict(m.target), **io.hom_to_dict(m)
+        },
+        lambda d: io.hom_from_dict(d, io.graph_from_dict(d["source"]), io.graph_from_dict(d["target"])),
+    ),
+    "orbit": (
+        _ORBIT_CLAIMS,
+        lambda inst: {"graph": io.graph_to_dict(inst.m.source), "group": io.group_to_dict(inst.grp)},
+        _decode_orbit,
+    ),
 }
 
-CLAIM_KINDS = {cid: kind for kind, (claims, _) in _KINDS.items() for cid in claims}
+CLAIM_KINDS = {cid: kind for kind, (claims, _, _) in _KINDS.items() for cid in claims}
 
 
 # ----------------------------------------------------------- configuration
@@ -681,9 +673,6 @@ class VerificationReport:
             "claims": [asdict(c) for c in sorted(self.claims, key=lambda c: c.claim)],
         }
 
-    def to_json(self) -> str:
-        return io.dumps(self.as_dict())
-
 
 def new_results() -> dict[str, ClaimResult]:
     return {cid: ClaimResult(cid) for cid in CLAIM_KINDS}
@@ -706,8 +695,11 @@ def _run(fn, instance):
         return [f"exception: {exc}"]
 
 
-def _apply(results, claims, instance, payload_fn):
-    for cid, fn in claims.items():
+def _apply(results, kind, instance, claims=None):
+    """Run a kind's claims, or the selected ones, on one instance and record the outcomes."""
+    registry, encode, _ = _KINDS[kind]
+    payload_fn = lambda: encode(instance)
+    for cid, fn in (registry if claims is None else claims).items():
         out = _run(fn, instance)
         if out is not None:
             results[cid].record(out, payload_fn)
@@ -719,10 +711,15 @@ def sweep_partition_claims(cfg: SweepConfig, results=None):
     """Graph-level and (graph, partition)-level claims, exhaustively."""
     results = results if results is not None else new_results()
     for g in enumerate_graphs(cfg.max_source_vertices):
-        _apply(results, _GRAPH_CLAIMS, g, lambda g=g: {"graph": io.graph_to_dict(g)})
+        _apply(results, "graph", g)
         for cells in set_partitions(g.vertices):
-            inst = PartitionInstance(g, Partition(cells, g.vertex_set))
-            _apply(results, _PARTITION_CLAIMS, inst, inst.payload)
+            p = Partition(cells, g.vertex_set)
+            try:
+                m = partitions.quotient(g, p).projection
+            except InternalCheckError as exc:  # the projection failed quotient's completeness check
+                results["projection_complete"].record([f"exception: {exc}"], lambda: _pair_payload(g, p))
+                continue  # the other partition claims need the projection
+            _apply(results, "partition", m)
     return results
 
 
@@ -738,8 +735,7 @@ def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None):
     for src in enumerate_graphs(cfg.max_source_vertices):
         for tgt in targets:
             for mapping in enumerate_homs(src, tgt):
-                m = HomMap(src, tgt, mapping)
-                _apply(results, selected, m, lambda m=m: _hom_payload(m))
+                _apply(results, "hom", HomMap(src, tgt, mapping), selected)
     return results
 
 
@@ -769,17 +765,16 @@ def orbit_instances_for(g: Graph):
             seen[p.cells] = (p, grp)
     for cells in sorted(seen):
         p, grp = seen[cells]
-        yield OrbitInstance(g, p, grp, partitions.quotient(g, p).projection)
+        yield OrbitInstance(partitions.quotient(g, p).projection, grp)
 
 
-def sweep_orbit_claims(cfg: SweepConfig, results=None, graphs=None, claims=None):
-    """Orbit-quotient claims over subgroup instances of the given graphs."""
+def sweep_orbit_claims(cfg: SweepConfig, results=None, claims=None):
+    """Orbit-quotient claims over subgroup instances of every graph in the bounds."""
     results = results if results is not None else new_results()
     selected = _select(_ORBIT_CLAIMS, claims)
-    source = graphs if graphs is not None else enumerate_graphs(cfg.max_source_vertices)
-    for g in source:
+    for g in enumerate_graphs(cfg.max_source_vertices):
         for inst in orbit_instances_for(g):
-            _apply(results, selected, inst, inst.payload)
+            _apply(results, "orbit", inst, selected)
     return results
 
 
@@ -820,7 +815,7 @@ def random_orbit_instance(rng: random.Random, max_vertices: int = 40) -> OrbitIn
                 word = {v: f.mapping[word[v]] for v in labels}
         gens.append(Permutation({tag(v, i): tag(word[v], i) for i in range(copies) for v in labels}))
     grp = PermGroup(g.vertex_set, gens)
-    return OrbitInstance.from_group(g, grp)
+    return _orbit_instance(g, grp)
 
 
 def sweep_random_claims(cfg: SweepConfig, results=None):
@@ -831,9 +826,9 @@ def sweep_random_claims(cfg: SweepConfig, results=None):
     graph_claims = _select(_GRAPH_CLAIMS, {"oracle_component_agreement"})
     for _ in range(cfg.random_instances):
         inst = random_orbit_instance(rng)
-        _apply(results, _ORBIT_CLAIMS, inst, inst.payload)
-        _apply(results, hom_claims, inst.m, lambda m=inst.m: _hom_payload(m))
-        _apply(results, graph_claims, inst.g, lambda g=inst.g: {"graph": io.graph_to_dict(g)})
+        _apply(results, "orbit", inst)
+        _apply(results, "hom", inst.m, hom_claims)
+        _apply(results, "graph", inst.m.source, graph_claims)
     return results
 
 
@@ -855,7 +850,7 @@ def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
 # ------------------------------------------------------------------- replay
 
 def replay_counterexample(failure: dict) -> bool:
-    """Re-run one recorded failure; True iff the violation reproduces."""
+    """Re-run one recorded failure, decoding included; True iff the violation reproduces."""
     cid = failure["claim"]
-    claims, decode = _KINDS[CLAIM_KINDS[cid]]
-    return bool(_run(claims[cid], decode(failure["data"])))
+    claims, _, decode = _KINDS[CLAIM_KINDS[cid]]
+    return bool(_run(lambda data: claims[cid](decode(data)), failure["data"]))

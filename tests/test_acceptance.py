@@ -121,7 +121,7 @@ def test_criterion_4_admissible_count_vs_oracle(hom_sweep):
     mismatches = 0
     for _ in range(1000):
         inst = random_orbit_instance(rng)
-        if count_admissible(inst.m).total != oracle_component_count(inst.g):
+        if count_admissible(inst.m).total != oracle_component_count(inst.m.source):
             mismatches += 1
     ok = ok and mismatches == 0
     elapsed = sweep_elapsed + (time.perf_counter() - start)
@@ -135,7 +135,7 @@ def test_criterion_5_orbit_count_and_reselection(orbit_pool):
         # term per target component, and those terms sum to the oracle count
         terms = every_choice_terms(inst.m)
         walk = count_orbit(inst.m, inst.grp)
-        if terms != [{t.value} for t in walk.terms] or walk.total != oracle_component_count(inst.g):
+        if terms != [{t.value} for t in walk.terms] or walk.total != oracle_component_count(inst.m.source):
             mismatches += 1
     ok = mismatches == 0 and len(orbit_pool) > 0
     report(5, "orbit count equals oracle under re-selection", ok)

@@ -584,6 +584,13 @@ class TestVerifyCommand:
             assert code == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_out_file_holds_the_printed_bytes(self, tmp_path, capsys):
+        argv = ["verify", "--max-vertices", "3", "--random", "10"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "report.json")) == (0, "", "")
+        assert (tmp_path / "report.json").read_bytes() == out.encode()
+
     def test_pinned_report_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-vertices", "4", "--random", "200", "--seed", "3")
         assert code == 0

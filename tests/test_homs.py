@@ -246,7 +246,7 @@ class TestFibreTableOracles:
         verdicts = set()
         for seed in range(50):
             inst = random_orbit_instance(random.Random(seed))
-            g = inst.g
+            g = inst.m.source
             self.check(inst.m, inst.grp, verdicts)
             self.check(inst.m, PermGroup.trivial(g.vertex_set), verdicts)
             for cells in (Partition.singletons(g.vertex_set), Partition([g.vertices], g.vertex_set)):
@@ -279,7 +279,7 @@ class TestOrbitRepresentativePass:
     def check_instance(self, inst) -> tuple[bool, bool]:
         """The orbit group, then both fallbacks where they apply; returns which applied."""
         assert self.check(inst.m, inst.grp) is True
-        g = inst.g
+        g = inst.m.source
         trivial = len(inst.m.fibres) < len(g.vertices)  # a fibre the trivial group cannot fill
         if trivial:
             assert self.check(inst.m, PermGroup.trivial(g.vertex_set)) is False

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 
 import quograph.homs
-from quograph import Graph, HomMap, InternalCheckError, classify, validate_hom
+from quograph import Graph, HomMap, InternalCheckError, Partition, classify, io, quotient, validate_hom
 from quograph import verify
 from quograph.verify import (
     CLAIM_KINDS,
@@ -113,10 +114,10 @@ class TestSuite:
         assert len(exercised) == len(report.claims)
 
     def test_reports_are_byte_identical_for_equal_configs(self):
-        a = run_suite(TINY).to_json()
-        b = run_suite(TINY).to_json()
+        a = io.dumps(run_suite(TINY).as_dict())
+        b = io.dumps(run_suite(TINY).as_dict())
         assert a == b
-        c = run_suite(SweepConfig(3, 2, 25, 2)).to_json()
+        c = io.dumps(run_suite(SweepConfig(3, 2, 25, 2)).as_dict())
         assert c != a
 
     def test_unknown_claim_subset_rejected(self):
@@ -274,6 +275,29 @@ class TestMutationSensitivity:
         assert len({(id(g), sub) for g, sub in builds}) < len(builds)
         assert not any(replay_counterexample(f) for f in broken.failures)
 
+    def test_broken_completeness_pass_is_recorded_and_replayed(self):
+        # quotient raises when its projection fails the completeness check:
+        # the sweep records that as a failure of projection_complete with the
+        # pair as payload, and replay rebuilds the quotient inside _run.
+        cfg = SweepConfig(3, 2, 0, 1)
+        original = quograph.homs._edge_classes
+
+        def incomplete(m):
+            m._edge_classes = (original(m)[0], False)
+            return m._edge_classes
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quograph.homs, "_edge_classes", incomplete)
+            results = verify.sweep_partition_claims(cfg)
+            broken = results["projection_complete"]
+            assert broken.failure_count == broken.instances == 45
+            assert broken.failures[0]["detail"] == "exception: quotient projection failed the completeness check"
+            assert all(replay_counterexample(f) is True for f in broken.failures)
+            assert results["quotient_count_monotone"].instances == 0
+        assert not any(replay_counterexample(f) for f in broken.failures)
+        _, encode, decode = verify._KINDS["partition"]
+        assert all(encode(decode(f["data"])) == f["data"] for f in broken.failures)
+
     def test_recorded_exception_is_replayed(self):
         # A claim whose counter raises records an "exception:" failure; the
         # replay goes through the same handling, so it reproduces instead of
@@ -312,11 +336,37 @@ class TestFailureCap:
         assert len(res.failures) == 20
 
 
+def _codec_instances():
+    path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    edge = Graph(["x", "y"], [("x", "y")])
+    return {
+        "graph": path,
+        "partition": quotient(path, Partition([["a", "c"], ["b"]], path.vertex_set)).projection,
+        "hom": HomMap(path, edge, {"a": "x", "b": "y", "c": "x"}),
+        "orbit": random_orbit_instance(random.Random(9)),
+    }
+
+
+class TestPayloadCodecs:
+    """Each claim kind's payload decodes to an argument that encodes to the same payload."""
+
+    @pytest.mark.parametrize("kind", sorted(verify._KINDS))
+    def test_round_trip(self, kind):
+        _, encode, decode = verify._KINDS[kind]
+        payload = encode(_codec_instances()[kind])
+        assert encode(decode(payload)) == payload
+        assert json.loads(io.dumps(payload)) == payload
+
+    def test_partition_payload_holds_the_cells(self):
+        encode = verify._KINDS["partition"][1]
+        assert encode(_codec_instances()["partition"])["partition"] == {"blocks": [["a", "c"], ["b"]]}
+
+
 class TestOrbitInstances:
     def test_dedupe_by_orbit_partition(self):
         g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         insts = list(orbit_instances_for(g))
-        cells = [inst.p.cells for inst in insts]
+        cells = [tuple(inst.m.fibres.values()) for inst in insts]
         assert len(cells) == len(set(cells))
         assert (("a",), ("b",), ("c",)) in cells  # trivial subgroup
         assert (("a", "b", "c"),) in cells  # full symmetry
@@ -324,7 +374,8 @@ class TestOrbitInstances:
     def test_random_instance_is_deterministic(self):
         a = random_orbit_instance(random.Random(9))
         b = random_orbit_instance(random.Random(9))
-        assert a.payload() == b.payload()
+        encode = verify._KINDS["orbit"][1]
+        assert encode(a) == encode(b)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_instances_are_orbit_maps_by_construction(self, seed):
