@@ -22,7 +22,7 @@ from .counting import (
     preimage_of_component_vertices,
 )
 from .errors import HypothesisError, InternalCheckError
-from .graphs import ComponentIndex, Graph, find_isomorphism
+from .graphs import Graph, Partition, find_isomorphism
 from .groups import (
     FiniteGroup,
     conjugation_group,
@@ -49,7 +49,7 @@ from .homs import (
     is_tame,
     validate_hom,
 )
-from .partitions import Partition, QuotientResult, is_equitable, quotient
+from .partitions import QuotientResult, is_equitable, quotient
 from .perms import (
     PermGroup,
     Permutation,
@@ -72,7 +72,6 @@ from .verify import (
 
 __all__ = [
     "ClassificationReport",
-    "ComponentIndex",
     "CountBreakdown",
     "CountTerm",
     "FiniteGroup",

@@ -31,23 +31,26 @@ def _emit(payload, out_path=None) -> None:
         sys.stdout.write(io.dumps(payload))
 
 
+def _emit_parts(parts: dict, prefix=None) -> None:
+    """Each named payload to ``PREFIX.<name>.json`` in order, or all on stdout as one object."""
+    if prefix:
+        for name, payload in parts.items():
+            io.save_json(f"{prefix}.{name}.json", payload)
+    else:
+        _emit(parts)
+
+
 def cmd_components(args) -> int:
     comp = io.load_graph(args.graph).components()
-    _emit({"c": comp.count, "blocks": [list(b) for b in comp.blocks]}, args.out)
+    _emit({"c": comp.count, **io.partition_to_dict(comp)}, args.out)
     return 0
 
 
 def cmd_quotient(args) -> int:
     g = io.load_graph(args.graph)
     p = io.load_partition(args.partition, g)
-    result = partitions.quotient(g, p)
-    quotient_payload = io.graph_to_dict(result.quotient)
-    projection_payload = io.hom_to_dict(result.projection)
-    if args.out:
-        io.save_json(f"{args.out}.quotient.json", quotient_payload)
-        io.save_json(f"{args.out}.projection.json", projection_payload)
-    else:
-        _emit({"quotient": quotient_payload, "projection": projection_payload})
+    q = partitions.quotient(g, p)
+    _emit_parts({"quotient": io.graph_to_dict(q.quotient), "projection": io.hom_to_dict(q.projection)}, args.out)
     return 0
 
 
@@ -119,13 +122,7 @@ def cmd_powergraph(args) -> int:
     group = _group_from_spec(args.group)
     g = groups.proper_power_graph(group) if args.proper else groups.power_graph(group)
     grp = groups.conjugation_group(group, g)
-    graph_payload = io.graph_to_dict(g)
-    group_payload = io.group_to_dict(grp)
-    if args.out:
-        io.save_json(f"{args.out}.graph.json", graph_payload)
-        io.save_json(f"{args.out}.group.json", group_payload)
-    else:
-        _emit({"graph": graph_payload, "group": group_payload})
+    _emit_parts({"graph": io.graph_to_dict(g), "group": io.group_to_dict(grp)}, args.out)
     return 0
 
 

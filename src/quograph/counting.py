@@ -12,7 +12,7 @@ The counting formulas need different hypotheses:
   the same ratio terms without any group.
 
 All three return a CountBreakdown whose total is checked against the
-component index of the source before it is handed back.
+number of source components before it is handed back.
 """
 
 from __future__ import annotations

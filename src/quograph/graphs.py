@@ -1,4 +1,6 @@
-"""Finite reflexive graphs: neighborhoods, components, induced subgraphs, isomorphism."""
+"""Finite reflexive graphs (neighborhoods, components, induced subgraphs,
+isomorphism) and ``Partition``, the one type for a graph's components, a
+group's orbits and a loaded partition file."""
 
 from __future__ import annotations
 
@@ -67,11 +69,12 @@ class Graph:
             raise ValueError(f"unknown vertex in edge test: ({u!r}, {v!r})")
         return u == v or frozenset((u, v)) in self.proper_edges
 
-    def components(self) -> "ComponentIndex":
-        """Connected components, found by breadth-first traversal.
+    def components(self) -> "Partition":
+        """The partition into connected components, by breadth-first traversal.
 
-        Blocks are ordered by their smallest member label; the result is
-        computed once and cached (the graph is immutable).
+        Each seed is the smallest vertex not yet reached, so the blocks come
+        out ordered by smallest member and the partition needs no check.
+        The result is computed once and cached (the graph is immutable).
         """
         if self._components is None:
             unseen = set(self.vertices)
@@ -89,8 +92,8 @@ class Graph:
                             unseen.discard(u)
                             block.append(u)
                             queue.append(u)
-                blocks.append(sorted(block))
-            self._components = ComponentIndex(blocks)
+                blocks.append(tuple(sorted(block)))
+            self._components = Partition._from_sorted(tuple(blocks), self.vertex_set)
         return self._components
 
     def induced(self, subset) -> "Graph":
@@ -142,21 +145,39 @@ def _refuse_labels(labels) -> None:
         seen.add(v)
 
 
-class ComponentIndex:
-    """A graph's vertex partition into connected components.
+class Partition:
+    """A partition of a vertex set into nonempty blocks.
 
-    ``blocks`` is a tuple of sorted label tuples, ordered by smallest member;
-    ``block_of`` maps each vertex to its block ordinal.
+    Blocks are stored sorted and ordered by their smallest member, so each
+    partition has exactly one representation; ``block_of`` maps each vertex
+    to its block ordinal.  This one type holds a graph's components, a
+    group's orbits and a loaded partition file.
     """
 
-    __slots__ = ("blocks", "block_of")
+    __slots__ = ("blocks", "block_of", "universe")
 
-    def __init__(self, blocks):
-        self.blocks = tuple(tuple(b) for b in blocks)
-        self.block_of = {}
-        for i, block in enumerate(self.blocks):
-            for v in block:
-                self.block_of[v] = i
+    def __init__(self, blocks, universe):
+        self.universe = frozenset(universe)
+        normalized = [tuple(sorted(set(raw))) for raw in blocks]
+        members = set().union(*normalized)
+        if not all(normalized) or members != self.universe or sum(map(len, normalized)) != len(members):
+            _refuse_cells(normalized, self.universe)
+        normalized.sort(key=lambda b: b[0])
+        self.blocks = tuple(normalized)
+        self.block_of = {v: i for i, block in enumerate(self.blocks) for v in block}
+
+    @classmethod
+    def _from_sorted(cls, blocks, universe: frozenset) -> "Partition":
+        """A partition from blocks that already are one: sorted tuples, ordered
+        by smallest member, covering ``universe``.  Nothing is checked."""
+        p = cls.__new__(cls)
+        p.universe, p.blocks = universe, blocks
+        p.block_of = {v: i for i, block in enumerate(blocks) for v in block}
+        return p
+
+    @classmethod
+    def singletons(cls, universe) -> "Partition":
+        return cls([[v] for v in universe], universe)
 
     @property
     def count(self) -> int:
@@ -165,20 +186,34 @@ class ComponentIndex:
     def block_containing(self, v: str) -> tuple[str, ...]:
         return self.blocks[self.block_of[v]]
 
-    def leaders(self) -> tuple[str, ...]:
-        """Smallest label of each block, in block order."""
-        return tuple(b[0] for b in self.blocks)
-
     def __eq__(self, other):
-        if not isinstance(other, ComponentIndex):
+        if not isinstance(other, Partition):
             return NotImplemented
-        return self.blocks == other.blocks
+        return self.blocks == other.blocks and self.universe == other.universe
 
     def __hash__(self):
-        return hash(self.blocks)
+        return hash((self.blocks, self.universe))
 
     def __repr__(self):
-        return f"ComponentIndex({self.count} blocks)"
+        return f"Partition({self.count} blocks over {len(self.universe)} vertices)"
+
+
+def _refuse_cells(blocks, universe) -> None:
+    """Raise for the first fault of sorted blocks, in block order: an empty
+    block, a member outside the universe, a member of two blocks; then for
+    the smallest vertex no block covers."""
+    seen: set[str] = set()
+    for block in blocks:
+        if not block:
+            raise ValueError("empty cell in partition")
+        for v in block:
+            if v not in universe:
+                raise ValueError(f"cell member {v!r} is outside the universe")
+            if v in seen:
+                raise ValueError(f"vertex {v!r} appears in two cells")
+            seen.add(v)
+    missing = sorted(universe - seen)[0]
+    raise ValueError(f"vertex {missing!r} is not covered by any cell")
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import perms
 from .errors import HypothesisError, InternalCheckError
 from .graphs import Graph
 
@@ -231,21 +232,21 @@ def is_pseudo_covering(m: HomMap) -> bool:
     return is_locally_strong(m) and is_surjective(m)
 
 
-def _is_equitable(g: Graph, cells, cell_of) -> bool:
-    """True iff all members of each cell see every cell through equally many edges.
+def _is_equitable(g: Graph, blocks, block_of) -> bool:
+    """True iff all members of each block see every block through equally many edges.
 
-    ``cell_of`` names the cell of each vertex.  Each vertex counts its
-    closed neighbourhood into a dict keyed by cell, so the test takes
-    O(|V| + |E|) whatever the number of cells.
+    ``block_of`` names the block of each vertex.  Each vertex counts its
+    closed neighbourhood into a dict keyed by block, so the test takes
+    O(|V| + |E|) whatever the number of blocks.
     """
     neighborhoods = g._neighborhoods
-    for cell in cells:
+    for block in blocks:
         reference = None
-        for x in cell:
+        for x in block:
             row: dict = {}
             for u in neighborhoods[x]:
-                c = cell_of[u]
-                row[c] = row.get(c, 0) + 1
+                b = block_of[u]
+                row[b] = row.get(b, 0) + 1
             if reference is None:
                 reference = row
             elif row != reference:
@@ -373,6 +374,4 @@ def classify(m: HomMap, grp=None) -> ClassificationReport:
 
 def is_orbit_map(m: HomMap, grp) -> bool:
     """True iff ``grp`` acts by automorphisms of the source and its orbits are the fibres."""
-    from .perms import is_consistent, verify_automorphisms
-
-    return verify_automorphisms(m.source, grp) and is_consistent(m, grp)
+    return perms.verify_automorphisms(m.source, grp) and perms.is_consistent(m, grp)

@@ -11,10 +11,9 @@ import functools
 import json
 from itertools import chain
 
-from .graphs import Graph
+from .graphs import Graph, Partition
 from .groups import FiniteGroup
 from .homs import HomMap
-from .partitions import Partition
 from .perms import PermGroup
 
 
@@ -61,7 +60,7 @@ def graph_from_dict(data) -> Graph:
 # --------------------------------------------------------------- partitions
 
 def partition_to_dict(p: Partition) -> dict:
-    return {"blocks": [list(cell) for cell in p.cells]}
+    return {"blocks": [list(block) for block in p.blocks]}
 
 
 def partition_from_dict(data, g: Graph) -> Partition:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import Graph, _degree_layout, _extend_map
-from .partitions import Partition
+from .graphs import Graph, Partition, _degree_layout, _extend_map
 
 # Largest graph ``automorphism_group`` searches: the search is plain backtracking.
 MAX_AUTOMORPHISM_VERTICES = 10

@@ -28,9 +28,8 @@ from typing import NamedTuple
 
 from . import counting, homs, io, partitions, perms
 from .errors import HypothesisError, InternalCheckError
-from .graphs import Graph, find_isomorphism
+from .graphs import Graph, Partition, find_isomorphism
 from .homs import HomMap
-from .partitions import Partition
 from .perms import PermGroup, Permutation
 
 _FAILURE_CAP = 20  # serialized counterexamples kept per claim
@@ -147,6 +146,17 @@ class OrbitInstance(NamedTuple):
 
 def _orbit_instance(g: Graph, grp: PermGroup) -> OrbitInstance:
     return OrbitInstance(partitions.quotient(g, perms.orbit_partition(grp)).projection, grp)
+
+
+def _project(results, cid: str, g: Graph, p: Partition, payload_fn) -> HomMap | None:
+    """The projection of g onto its quotient by p, or None when it fails
+    ``quotient``'s completeness check, which is then recorded as a failure
+    of claim ``cid`` with ``payload_fn()`` as its counterexample."""
+    try:
+        return partitions.quotient(g, p).projection
+    except InternalCheckError as exc:
+        results[cid].record([f"exception: {exc}"], payload_fn)
+        return None
 
 
 # ------------------------------------------------------------ claim helpers
@@ -378,9 +388,7 @@ def _claim_tame_pseudocover_component_bijection(m: HomMap):
     scomp = m.source.components()
     tcomp = m.target.components()
     fails = []
-    assignment = {}
-    for i, block in enumerate(scomp.blocks):
-        assignment[i] = tcomp.block_of[m.mapping[block[0]]]
+    assignment = {i: tcomp.block_of[m.mapping[block[0]]] for i, block in enumerate(scomp.blocks)}
     if len(set(assignment.values())) != scomp.count:
         fails.append("two source components share an image component")
     if set(assignment.values()) != set(range(tcomp.count)):
@@ -518,11 +526,7 @@ def _claim_multiplicity_ratio_independence(inst: OrbitInstance):
     fails = []
     for block in m.source.components().blocks:
         t_block = counting.image_of_component(m, block)
-        pairs = []
-        for y in t_block:
-            k_x = len(m.fibre(y))
-            k_c = counting.multiplicity(m, block, y)
-            pairs.append((y, k_x, k_c))
+        pairs = [(y, len(m.fibre(y)), counting.multiplicity(m, block, y)) for y in t_block]
         _, kx0, kc0 = pairs[0]
         for y, k_x, k_c in pairs[1:]:
             if k_x * kc0 != kx0 * k_c:
@@ -587,6 +591,10 @@ def _decode_projection(data: dict) -> HomMap:
     return partitions.quotient(g, io.partition_from_dict(data["partition"], g)).projection
 
 
+def _orbit_payload(g: Graph, grp: PermGroup) -> dict:
+    return {"graph": io.graph_to_dict(g), "group": io.group_to_dict(grp)}
+
+
 def _decode_orbit(data: dict) -> OrbitInstance:
     g = io.graph_from_dict(data["graph"])
     return _orbit_instance(g, io.group_from_dict(data["group"], g))
@@ -612,7 +620,7 @@ _KINDS = {
     ),
     "orbit": (
         _ORBIT_CLAIMS,
-        lambda inst: {"graph": io.graph_to_dict(inst.m.source), "group": io.group_to_dict(inst.grp)},
+        lambda inst: _orbit_payload(inst.m.source, inst.grp),
         _decode_orbit,
     ),
 }
@@ -712,14 +720,11 @@ def sweep_partition_claims(cfg: SweepConfig, results=None):
     results = results if results is not None else new_results()
     for g in enumerate_graphs(cfg.max_source_vertices):
         _apply(results, "graph", g)
-        for cells in set_partitions(g.vertices):
-            p = Partition(cells, g.vertex_set)
-            try:
-                m = partitions.quotient(g, p).projection
-            except InternalCheckError as exc:  # the projection failed quotient's completeness check
-                results["projection_complete"].record([f"exception: {exc}"], lambda: _pair_payload(g, p))
-                continue  # the other partition claims need the projection
-            _apply(results, "partition", m)
+        for blocks in set_partitions(g.vertices):
+            p = Partition(blocks, g.vertex_set)
+            m = _project(results, "projection_complete", g, p, lambda: _pair_payload(g, p))
+            if m is not None:  # the other partition claims need the projection
+                _apply(results, "partition", m)
     return results
 
 
@@ -739,12 +744,12 @@ def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None):
     return results
 
 
-def orbit_instances_for(g: Graph):
-    """Orbit quotients of g from subgroups of its automorphism group.
+def _orbit_subgroups(g: Graph) -> list[tuple[Partition, PermGroup]]:
+    """Subgroups of g's automorphism group, one per orbit partition, with it.
 
     Subgroups are generated by one or two automorphisms (plus the trivial
-    subgroup and the full group); instances are deduplicated by orbit
-    partition, which is what the projection depends on.
+    subgroup and the full group); they are deduplicated by orbit partition,
+    which is what the projection depends on, and come in block order.
     """
     aut = perms.automorphism_group(g)
     elements = perms.generated_elements(aut)
@@ -761,10 +766,14 @@ def orbit_instances_for(g: Graph):
     for gens in candidate_gens:
         grp = PermGroup(g.vertex_set, gens)
         p = perms.orbit_partition(grp)
-        if p.cells not in seen:
-            seen[p.cells] = (p, grp)
-    for cells in sorted(seen):
-        p, grp = seen[cells]
+        if p.blocks not in seen:
+            seen[p.blocks] = (p, grp)
+    return [seen[blocks] for blocks in sorted(seen)]
+
+
+def orbit_instances_for(g: Graph):
+    """Orbit quotients of g from subgroups of its automorphism group (see ``_orbit_subgroups``)."""
+    for p, grp in _orbit_subgroups(g):
         yield OrbitInstance(partitions.quotient(g, p).projection, grp)
 
 
@@ -773,13 +782,20 @@ def sweep_orbit_claims(cfg: SweepConfig, results=None, claims=None):
     results = results if results is not None else new_results()
     selected = _select(_ORBIT_CLAIMS, claims)
     for g in enumerate_graphs(cfg.max_source_vertices):
-        for inst in orbit_instances_for(g):
-            _apply(results, "orbit", inst, selected)
+        for p, grp in _orbit_subgroups(g):
+            m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp))
+            if m is not None:
+                _apply(results, "orbit", OrbitInstance(m, grp), selected)
     return results
 
 
 def random_orbit_instance(rng: random.Random, max_vertices: int = 40) -> OrbitInstance:
-    """A randomized orbit quotient, built so the hypotheses hold by construction.
+    """A randomized orbit quotient, built so the hypotheses hold by construction."""
+    return _orbit_instance(*_draw_orbit_group(rng, max_vertices))
+
+
+def _draw_orbit_group(rng: random.Random, max_vertices: int = 40) -> tuple[Graph, PermGroup]:
+    """A random graph and a group acting on it, as ``random_orbit_instance`` quotients them.
 
     Takes a random base graph, lays out disjoint copies, and acts on them
     with a copy shift and/or diagonal automorphisms of the base; the
@@ -814,8 +830,7 @@ def random_orbit_instance(rng: random.Random, max_vertices: int = 40) -> OrbitIn
             if f is not None:
                 word = {v: f.mapping[word[v]] for v in labels}
         gens.append(Permutation({tag(v, i): tag(word[v], i) for i in range(copies) for v in labels}))
-    grp = PermGroup(g.vertex_set, gens)
-    return _orbit_instance(g, grp)
+    return g, PermGroup(g.vertex_set, gens)
 
 
 def sweep_random_claims(cfg: SweepConfig, results=None):
@@ -825,10 +840,14 @@ def sweep_random_claims(cfg: SweepConfig, results=None):
     hom_claims = _select(_HOM_CLAIMS, {"admissible_count_total"})
     graph_claims = _select(_GRAPH_CLAIMS, {"oracle_component_agreement"})
     for _ in range(cfg.random_instances):
-        inst = random_orbit_instance(rng)
-        _apply(results, "orbit", inst)
-        _apply(results, "hom", inst.m, hom_claims)
-        _apply(results, "graph", inst.m.source, graph_claims)
+        g, grp = _draw_orbit_group(rng)
+        p = perms.orbit_partition(grp)
+        m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp))
+        if m is None:
+            continue  # every claim below needs the projection
+        _apply(results, "orbit", OrbitInstance(m, grp))
+        _apply(results, "hom", m, hom_claims)
+        _apply(results, "graph", g, graph_claims)
     return results
 
 

@@ -239,13 +239,13 @@ def factorize(m: HomMap):
 def list_row_is_equitable(g: Graph, p: Partition) -> bool:
     """Equitability by one count row per vertex, as long as the number of
     cells; O(|V|·|cells|)."""
-    k = len(p.cells)
-    for cell in p.cells:
+    k = len(p.blocks)
+    for cell in p.blocks:
         reference = None
         for x in cell:
             row = [0] * k
             for u in g.neighborhood(x):
-                row[p.cell_of[u]] += 1
+                row[p.block_of[u]] += 1
             if reference is None:
                 reference = row
             elif row != reference:
@@ -256,7 +256,7 @@ def list_row_is_equitable(g: Graph, p: Partition) -> bool:
 def cell_scan_is_tame(g: Graph, p: Partition) -> bool:
     """Tameness of a partition: every cell lies inside a single component of g."""
     comp = g.components()
-    return all(len({comp.block_of[v] for v in cell}) == 1 for cell in p.cells)
+    return all(len({comp.block_of[v] for v in cell}) == 1 for cell in p.blocks)
 
 
 def fibre_count_is_component_equitable(m: HomMap) -> bool:
@@ -288,7 +288,7 @@ def two_loop_is_consistent(m: HomMap, grp: PermGroup) -> bool:
             if m.mapping[f.mapping[x]] != m.mapping[x]:
                 return False
     orbits = orbit_partition(grp)
-    return all(len({orbits.cell_of[v] for v in fibre}) == 1 for fibre in m.fibres.values())
+    return all(len({orbits.block_of[v] for v in fibre}) == 1 for fibre in m.fibres.values())
 
 
 def tuple_symmetric_table(n: int) -> tuple[list[str], str, dict[str, dict[str, str]]]:

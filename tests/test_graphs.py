@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quograph import Graph, find_isomorphism
+from quograph import Graph, Partition, find_isomorphism
 from quograph.verify import oracle_component_count
 
 from conftest import graphs
@@ -103,7 +103,7 @@ class TestComponents:
         comp = g.components()
         assert comp.blocks == (("1a", "3"), ("1b", "2"))
         assert comp.block_containing("2") == ("1b", "2")
-        assert comp.leaders() == ("1a", "1b")
+        assert [block[0] for block in comp.blocks] == ["1a", "1b"]
 
     def test_block_of_indexes_match(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b")])
@@ -123,6 +123,16 @@ class TestComponents:
         for e in g.proper_edges:
             u, v = tuple(e)
             assert comp.block_of[u] == comp.block_of[v]
+
+    @given(graphs())
+    def test_components_are_the_checked_partition_of_their_blocks(self, g):
+        # components() skips Partition's checks; the checked constructor,
+        # given the same blocks, must build an equal partition with the
+        # same block ordinals.
+        comp = g.components()
+        checked = Partition(comp.blocks, g.vertex_set)
+        assert type(comp) is Partition
+        assert comp == checked and comp.block_of == checked.block_of
 
 
 class TestInduced:

@@ -414,18 +414,18 @@ class TestConjugation:
         grp = make_cyclic(6)
         pg = proper_power_graph(grp)
         action = conjugation_group(grp, pg)
-        assert len(orbit_partition(action).cells) == len(pg.vertices)
+        assert len(orbit_partition(action).blocks) == len(pg.vertices)
 
     def test_s3_orbits_are_conjugacy_classes(self):
         grp = make_symmetric(3)
         action = conjugation_group(grp, proper_power_graph(grp))
-        cells = orbit_partition(action).cells
+        cells = orbit_partition(action).blocks
         assert cells == (("132", "213", "321"), ("231", "312"))
 
     def test_accepts_full_power_graph(self):
         grp = make_symmetric(3)
         action = conjugation_group(grp, power_graph(grp))
-        assert ("123",) in orbit_partition(action).cells
+        assert ("123",) in orbit_partition(action).blocks
 
     def test_rejects_unrelated_graph(self):
         from quograph import Graph

@@ -23,12 +23,12 @@ def two_arcs():
 class TestPartition:
     def test_cells_normalized_by_smallest_member(self):
         p = Partition([["c"], ["b", "a"]], {"a", "b", "c"})
-        assert p.cells == (("a", "b"), ("c",))
-        assert p.cell_containing("b") == ("a", "b")
+        assert p.blocks == (("a", "b"), ("c",))
+        assert p.block_containing("b") == ("a", "b")
 
     def test_singletons(self):
         p = Partition.singletons({"x", "y"})
-        assert p.cells == (("x",), ("y",))
+        assert p.blocks == (("x",), ("y",))
 
     def test_overlapping_cells_rejected(self):
         with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ class TestPartition:
 
     def test_repeated_member_inside_a_cell_is_merged(self):
         p = Partition([["b", "a", "a"], ["c", "c"]], {"a", "b", "c"})
-        assert p.cells == (("a", "b"), ("c",))
+        assert p.blocks == (("a", "b"), ("c",))
 
     def test_equality_ignores_cell_order(self):
         u = {"a", "b", "c"}
@@ -98,8 +98,8 @@ class TestQuotient:
         g, p = gp
         result = quotient(g, p)
         proj = result.projection.mapping
-        for c1 in p.cells:
-            for c2 in p.cells:
+        for c1 in p.blocks:
+            for c2 in p.blocks:
                 if c1 >= c2:
                     continue
                 expected = any(g.has_edge(u, v) for u in c1 for v in c2)
@@ -159,7 +159,7 @@ class TestEquitable:
         for g in enumerate_graphs(4):
             for cells in set_partitions(g.vertices):
                 p = Partition(cells, g.vertex_set)
-                assert is_equitable(g, p) == list_row_is_equitable(g, p), (g.sorted_edges(), p.cells)
+                assert is_equitable(g, p) == list_row_is_equitable(g, p), (g.sorted_edges(), p.blocks)
                 checked += 1
         assert checked == 1 + 2 * 2 + 8 * 5 + 64 * 15
 
@@ -183,4 +183,4 @@ class TestPartitionOfMap:
         tgt = Graph(["x", "y", "z"], [])
         m = HomMap(src, tgt, {"a": "x", "b": "x", "c": "y"})
         p = partition_of_map(m)
-        assert p.cells == (("a", "b"), ("c",))
+        assert p.blocks == (("a", "b"), ("c",))

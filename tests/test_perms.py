@@ -100,19 +100,19 @@ class TestOrbitPartition:
 
     def test_full_rotation_gives_single_orbit(self):
         grp = PermGroup(cycle(5).vertex_set, [rotation(5)])
-        assert len(orbit_partition(grp).cells) == 1
+        assert len(orbit_partition(grp).blocks) == 1
 
     def test_antipodal_map_pairs_vertices(self):
         grp = PermGroup(cycle(6).vertex_set, [rotation(6, step=3)])
         p = orbit_partition(grp)
-        assert p.cells == (("0", "3"), ("1", "4"), ("2", "5"))
+        assert p.blocks == (("0", "3"), ("1", "4"), ("2", "5"))
 
     def test_orbits_closed_under_generators(self):
         g = cycle(6)
         grp = PermGroup(g.vertex_set, [rotation(6, step=2), rotation(6, step=3)])
         p = orbit_partition(grp)
         for f in grp.generators:
-            for cell in p.cells:
+            for cell in p.blocks:
                 assert {f.mapping[v] for v in cell} == set(cell)
 
 

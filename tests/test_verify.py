@@ -277,26 +277,37 @@ class TestMutationSensitivity:
 
     def test_broken_completeness_pass_is_recorded_and_replayed(self):
         # quotient raises when its projection fails the completeness check:
-        # the sweep records that as a failure of projection_complete with the
-        # pair as payload, and replay rebuilds the quotient inside _run.
-        cfg = SweepConfig(3, 2, 0, 1)
+        # each sweep records that as a failure of one claim, with its kind's
+        # payload (the graph and partition, or the graph and group), skips
+        # the instance's other claims, and replay rebuilds the quotient
+        # inside _run.
+        cfg = SweepConfig(3, 2, 5, 1)
         original = quograph.homs._edge_classes
+        sweeps = [  # sweep, the claim recording the failure, its kind, a skipped claim, failures
+            (verify.sweep_partition_claims, "projection_complete", "partition", "quotient_count_monotone", 45),
+            (verify.sweep_orbit_claims, "orbit_projection_consistent", "orbit", "orbit_multiplicity_total", 27),
+            (verify.sweep_random_claims, "orbit_projection_consistent", "orbit", "admissible_count_total", 5),
+        ]
 
         def incomplete(m):
             m._edge_classes = (original(m)[0], False)
             return m._edge_classes
 
+        recorded = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quograph.homs, "_edge_classes", incomplete)
-            results = verify.sweep_partition_claims(cfg)
-            broken = results["projection_complete"]
-            assert broken.failure_count == broken.instances == 45
-            assert broken.failures[0]["detail"] == "exception: quotient projection failed the completeness check"
-            assert all(replay_counterexample(f) is True for f in broken.failures)
-            assert results["quotient_count_monotone"].instances == 0
-        assert not any(replay_counterexample(f) for f in broken.failures)
-        _, encode, decode = verify._KINDS["partition"]
-        assert all(encode(decode(f["data"])) == f["data"] for f in broken.failures)
+            for sweep, claim, kind, skipped, count in sweeps:
+                results = sweep(cfg)
+                broken = results[claim]
+                assert broken.failure_count == broken.instances == count
+                assert broken.failures[0]["detail"] == "exception: quotient projection failed the completeness check"
+                assert all(replay_counterexample(f) is True for f in broken.failures)
+                assert results[skipped].instances == 0
+                recorded.append((kind, broken.failures))
+        for kind, failures in recorded:
+            assert not any(replay_counterexample(f) for f in failures)
+            _, encode, decode = verify._KINDS[kind]
+            assert all(encode(decode(f["data"])) == f["data"] for f in failures)
 
     def test_recorded_exception_is_replayed(self):
         # A claim whose counter raises records an "exception:" failure; the
