@@ -47,7 +47,6 @@ from .homs import (
     is_pseudo_covering,
     is_surjective,
     is_tame,
-    validate_hom,
 )
 from .partitions import QuotientResult, is_equitable, quotient
 from .perms import (
@@ -125,7 +124,6 @@ __all__ = [
     "replay_counterexample",
     "run_suite",
     "set_partitions",
-    "validate_hom",
     "verify_automorphisms",
 ]
 

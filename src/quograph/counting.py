@@ -61,7 +61,6 @@ class CountBreakdown:
 
 def multiplicity(m: HomMap, u, y: str) -> int:
     """Number of vertices of u inside the fibre of y."""
-    homs._require_hom(m)
     members = set(u)
     for v in members:
         if v not in m.source.vertex_set:

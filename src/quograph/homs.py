@@ -1,17 +1,18 @@
 """Vertex maps between reflexive graphs and their classification.
 
-The predicates here sort a homomorphism into the classes that drive the
-component-counting results: surjective, complete, tame, the local
-surjective/injective/bijective variants, locally strong, pseudo-covering,
-equitable, and component equitable.  Edge preservation and completeness come
-from one cached pass over the source edges, the local classes from one cached
-pass over the maps N(x) -> N(m(x)), the component classes from one cached
-table of the source components each fibre meets.  ``classify`` evaluates
-every class at once and cross-checks the implications that must hold
-between them.  Given a group whose orbits are the fibres and which acts by
-automorphisms, it runs the local pass on one member per fibre and skips the
-equitability test, since the group moves any fibre member onto any other
-while fixing the map.
+A ``HomMap`` is always a homomorphism: its constructor refuses a map that
+does not preserve edges.  The predicates here sort a homomorphism into the
+classes that drive the component-counting results: surjective, complete,
+tame, the local surjective/injective/bijective variants, locally strong,
+pseudo-covering, equitable, and component equitable.  Edge preservation and
+completeness come from one pass over the source edges, made when the map is
+built, the local classes from one cached pass over the maps N(x) -> N(m(x)),
+the component classes from one cached table of the source components each
+fibre meets.  ``classify`` evaluates every class at once and cross-checks
+the implications that must hold between them.  Given a group whose orbits
+are the fibres and which acts by automorphisms, it runs the local pass on
+one member per fibre and skips the equitability test, since the group moves
+any fibre member onto any other while fixing the map.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from .graphs import Graph
 
 
 class HomMap:
-    """A total vertex map between two reflexive graphs.
+    """A homomorphism between two reflexive graphs.
 
-    Totality and vertex membership are enforced at construction.  Whether the
-    map actually preserves edges is computed lazily and exposed through
-    ``validate_hom``, so ill-formed candidate maps can still be represented
-    and reported instead of crashing the loaders.
+    The constructor raises ValueError for a map that is not total or leaves
+    the graphs' vertex sets, and HypothesisError for a total map that does
+    not preserve edges.  A proper source edge may land on a proper target
+    edge or collapse onto a single vertex (its implicit loop); implicit
+    source loops are preserved automatically.
     """
 
     __slots__ = (
@@ -47,30 +49,16 @@ class HomMap:
         for v in source.vertices:  # sorted, so each fibre tuple is sorted
             fibres.setdefault(self.mapping[v], []).append(v)
         self.fibres = {y: tuple(vs) for y, vs in fibres.items()}
-        self._edge_classes = None
         self._local_classes = None
         self._fibre_blocks = None
-
-    def __call__(self, v: str) -> str:
-        return self.mapping[v]
+        if not _edge_classes(self)[0]:
+            raise HypothesisError("map is not a homomorphism (an edge is not preserved)")
 
     def fibre(self, y: str) -> tuple[str, ...]:
         """Preimage of a target vertex (possibly empty)."""
         if y not in self.target.vertex_set:
             raise ValueError(f"unknown target vertex {y!r}")
         return self.fibres.get(y, ())
-
-    def __eq__(self, other):
-        if not isinstance(other, HomMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.mapping == other.mapping
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, tuple(sorted(self.mapping.items()))))
 
     def __repr__(self):
         return f"HomMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"
@@ -95,8 +83,8 @@ def _edge_classes(m: HomMap) -> tuple[bool, bool]:
     The pass collects the target pairs the proper source edges land on when
     they do not collapse.  The map preserves edges when every such pair is a
     proper target edge, and is complete when it also covers them all and
-    the map is surjective.  ``validate_hom`` runs the pass once per map and
-    caches the pair on it, where ``is_complete`` reads it.
+    the map is surjective.  ``HomMap`` runs the pass once, when it is built,
+    and the pair stays cached on the map, where ``is_complete`` reads it.
     """
     mapping = m.mapping
     covered = set()
@@ -111,26 +99,10 @@ def _edge_classes(m: HomMap) -> tuple[bool, bool]:
     return m._edge_classes
 
 
-def validate_hom(m: HomMap) -> bool:
-    """True iff the map preserves edges.
-
-    A proper source edge may land on a proper target edge or collapse onto a
-    single vertex (its implicit loop); implicit source loops are preserved
-    automatically.
-    """
-    return (m._edge_classes or _edge_classes(m))[0]
-
-
-def _require_hom(m: HomMap) -> None:
-    if not validate_hom(m):
-        raise HypothesisError("map is not a homomorphism (an edge is not preserved)")
-
-
 # ----------------------------------------------------------------- classes
 
 def is_surjective(m: HomMap) -> bool:
     """True iff every target vertex has a preimage."""
-    _require_hom(m)
     return m.image == m.target.vertex_set
 
 
@@ -141,7 +113,6 @@ def is_complete(m: HomMap) -> bool:
     the image of some proper source edge (loops take care of themselves once
     the map is surjective).
     """
-    _require_hom(m)
     return m._edge_classes[1]
 
 
@@ -153,7 +124,6 @@ def _fibre_blocks(m: HomMap) -> dict[str, dict[int, int]]:
     components and the counting ratios are all read off this table.
     """
     if m._fibre_blocks is None:
-        _require_hom(m)
         block_of = m.source.components().block_of
         table: dict[str, dict[int, int]] = {}
         for x, y in m.mapping.items():
@@ -196,7 +166,6 @@ def _local_classes(m: HomMap) -> tuple[bool, bool, bool]:
     the map, like edge preservation.
     """
     if m._local_classes is None:
-        _require_hom(m)
         m._local_classes = _local_pass(m, m.source.vertices)
     return m._local_classes
 
@@ -327,7 +296,7 @@ def _check_report(r: ClassificationReport) -> None:
 
 
 def classify(m: HomMap, grp=None) -> ClassificationReport:
-    """Evaluate every class predicate on a valid homomorphism.
+    """Evaluate every class predicate on the map.
 
     The orbit test comes first.  On an orbit map each generator g fixes the
     map and is an automorphism, so it carries N(x) onto N(g·x) fibre by
@@ -338,11 +307,9 @@ def classify(m: HomMap, grp=None) -> ClassificationReport:
     ``is_locally_*`` call still makes its own pass over every vertex.  On any
     other map both passes run over the whole source.
 
-    Raises HypothesisError when the map is not edge-preserving, and
-    InternalCheckError if the computed memberships contradict each other
-    (which would mean a bug in the predicates, not in the input).
+    Raises InternalCheckError if the computed memberships contradict each
+    other (which would mean a bug in the predicates, not in the input).
     """
-    _require_hom(m)
     orbit = None if grp is None else is_orbit_map(m, grp)
     if orbit:
         local = _local_pass(m, [fibre[0] for fibre in m.fibres.values()])

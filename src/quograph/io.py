@@ -2,7 +2,8 @@
 
 All emitters produce canonical JSON: vertices and blocks sorted, edges as
 sorted pairs in sorted order, keys sorted.  Loaders validate eagerly and
-raise ValueError with a pointed message on malformed input.
+raise ValueError with a pointed message on malformed input; the map loader
+raises HypothesisError for a total map that is not a homomorphism.
 """
 
 from __future__ import annotations
@@ -125,14 +126,6 @@ def cayley_from_dict(data) -> FiniteGroup:
             _expect(isinstance(row, dict), f"table row {row!r} is not an object")
             _expect_labels(row.values(), "product")
     return FiniteGroup(data["elements"], data["identity"], data["table"])
-
-
-def cayley_to_dict(group: FiniteGroup) -> dict:
-    return {
-        "elements": list(group.elements),
-        "identity": group.identity,
-        "table": {a: {b: group.op(a, b) for b in group.elements} for a in group.elements},
-    }
 
 
 # --------------------------------------------------------------------- files

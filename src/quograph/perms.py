@@ -24,9 +24,6 @@ class Permutation:
     def identity(cls, universe) -> "Permutation":
         return cls({v: v for v in universe})
 
-    def __call__(self, v: str) -> str:
-        return self.mapping[v]
-
     def is_identity(self) -> bool:
         return all(k == v for k, v in self.mapping.items())
 

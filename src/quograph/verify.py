@@ -144,10 +144,6 @@ class OrbitInstance(NamedTuple):
     grp: PermGroup
 
 
-def _orbit_instance(g: Graph, grp: PermGroup) -> OrbitInstance:
-    return OrbitInstance(partitions.quotient(g, perms.orbit_partition(grp)).projection, grp)
-
-
 def _project(results, cid: str, g: Graph, p: Partition, payload_fn) -> HomMap | None:
     """The projection of g onto its quotient by p, or None when it fails
     ``quotient``'s completeness check, which is then recorded as a failure
@@ -597,7 +593,8 @@ def _orbit_payload(g: Graph, grp: PermGroup) -> dict:
 
 def _decode_orbit(data: dict) -> OrbitInstance:
     g = io.graph_from_dict(data["graph"])
-    return _orbit_instance(g, io.group_from_dict(data["group"], g))
+    grp = io.group_from_dict(data["group"], g)
+    return OrbitInstance(partitions.quotient(g, perms.orbit_partition(grp)).projection, grp)
 
 
 # kind -> (its claims, the encoder of their argument into a recorded payload,
@@ -771,12 +768,6 @@ def _orbit_subgroups(g: Graph) -> list[tuple[Partition, PermGroup]]:
     return [seen[blocks] for blocks in sorted(seen)]
 
 
-def orbit_instances_for(g: Graph):
-    """Orbit quotients of g from subgroups of its automorphism group (see ``_orbit_subgroups``)."""
-    for p, grp in _orbit_subgroups(g):
-        yield OrbitInstance(partitions.quotient(g, p).projection, grp)
-
-
 def sweep_orbit_claims(cfg: SweepConfig, results=None, claims=None):
     """Orbit-quotient claims over subgroup instances of every graph in the bounds."""
     results = results if results is not None else new_results()
@@ -789,13 +780,8 @@ def sweep_orbit_claims(cfg: SweepConfig, results=None, claims=None):
     return results
 
 
-def random_orbit_instance(rng: random.Random, max_vertices: int = 40) -> OrbitInstance:
-    """A randomized orbit quotient, built so the hypotheses hold by construction."""
-    return _orbit_instance(*_draw_orbit_group(rng, max_vertices))
-
-
 def _draw_orbit_group(rng: random.Random, max_vertices: int = 40) -> tuple[Graph, PermGroup]:
-    """A random graph and a group acting on it, as ``random_orbit_instance`` quotients them.
+    """A random graph and a group acting on it, for the randomized orbit layer.
 
     Takes a random base graph, lays out disjoint copies, and acts on them
     with a copy shift and/or diagonal automorphisms of the base; the

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import quograph
 from quograph import Graph, HomMap, Partition, PermGroup, quotient
-from quograph.verify import random_orbit_instance
+
+from reference import random_orbit_instance
 
 
 def subprocess_env() -> dict[str, str]:

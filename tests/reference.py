@@ -18,12 +18,13 @@ from quograph.counting import (
     admissible_components,
     multiplicity,
 )
-from quograph.errors import InternalCheckError
+from quograph.errors import HypothesisError, InternalCheckError
 from quograph.graphs import Graph
 from quograph.groups import MAX_ORDER, FiniteGroup
-from quograph.homs import HomMap, _require_hom, validate_hom
+from quograph.homs import HomMap
 from quograph.partitions import Partition, quotient
 from quograph.perms import PermGroup, Permutation, orbit_partition
+from quograph.verify import OrbitInstance, _draw_orbit_group, _orbit_subgroups
 
 
 def indent_dumps(payload) -> str:
@@ -45,7 +46,6 @@ def edge_set_verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
 def fibre_scan_is_locally_strong(m: HomMap) -> bool:
     """Locally strong by the definition: for each x1 and each neighbor y2 of
     m(x1) in the image, scan the fibre of y2 for a neighbor of x1."""
-    _require_hom(m)
     for x1 in m.source.vertices:
         nbhd1 = m.source.neighborhood(x1)
         y1 = m.mapping[x1]
@@ -59,7 +59,6 @@ def fibre_scan_is_locally_strong(m: HomMap) -> bool:
 
 def loop_is_locally_surjective(m: HomMap) -> bool:
     """Locally surjective by its own loop: each N(m(x)) lies in m(N(x))."""
-    _require_hom(m)
     for x in m.source.vertices:
         image_nbhd = {m.mapping[u] for u in m.source.neighborhood(x)}
         if not m.target.neighborhood(m.mapping[x]) <= image_nbhd:
@@ -69,7 +68,6 @@ def loop_is_locally_surjective(m: HomMap) -> bool:
 
 def loop_is_locally_injective(m: HomMap) -> bool:
     """Locally injective by its own loop: m(N(x)) is as large as N(x)."""
-    _require_hom(m)
     for x in m.source.vertices:
         nbhd = m.source.neighborhood(x)
         if len({m.mapping[u] for u in nbhd}) != len(nbhd):
@@ -218,16 +216,16 @@ def factorize(m: HomMap):
     cell to its common image.  Their composition reproduces the original map;
     the injection is an isomorphism exactly when the map is complete.
     """
-    _require_hom(m)
     result = quotient(m.source, partition_of_map(m))
     projection = result.projection
-    injection = HomMap(
-        result.quotient,
-        m.target,
-        {projection.mapping[x]: m.mapping[x] for x in m.source.vertices},
-    )
-    if not validate_hom(injection):
-        raise InternalCheckError("factorization produced a non-homomorphism injection")
+    try:
+        injection = HomMap(
+            result.quotient,
+            m.target,
+            {projection.mapping[x]: m.mapping[x] for x in m.source.vertices},
+        )
+    except HypothesisError:
+        raise InternalCheckError("factorization produced a non-homomorphism injection") from None
     if len(injection.image) != len(result.quotient.vertices):
         raise InternalCheckError("factorization injection is not injective")
     for x in m.source.vertices:
@@ -262,7 +260,6 @@ def cell_scan_is_tame(g: Graph, p: Partition) -> bool:
 def fibre_count_is_component_equitable(m: HomMap) -> bool:
     """Component equitability by counting, per fibre, its members in each
     source component."""
-    _require_hom(m)
     comp = m.source.components()
     for fibre in m.fibres.values():
         counts: dict[int, int] = {}
@@ -371,3 +368,35 @@ def _stabilized_automorphism(g, order, deg, fixed, image_of_fixed):
     if extend(fixed + 1):
         return dict(assigned)
     return None
+
+
+def is_hom(source: Graph, target: Graph, mapping: dict[str, str]) -> bool:
+    """True iff ``HomMap`` accepts the total map, i.e. it preserves edges."""
+    try:
+        HomMap(source, target, mapping)
+    except HypothesisError:
+        return False
+    return True
+
+
+def orbit_instances_for(g: Graph):
+    """Orbit quotients of g, one per orbit partition of the subgroups the
+    orbit sweep draws from its automorphism group."""
+    for p, grp in _orbit_subgroups(g):
+        yield OrbitInstance(quotient(g, p).projection, grp)
+
+
+def random_orbit_instance(rng, max_vertices: int = 40) -> OrbitInstance:
+    """A randomized orbit quotient from the randomized layer's stream,
+    built so the hypotheses hold by construction."""
+    g, grp = _draw_orbit_group(rng, max_vertices)
+    return OrbitInstance(quotient(g, orbit_partition(grp)).projection, grp)
+
+
+def cayley_to_dict(group: FiniteGroup) -> dict:
+    """A group's Cayley table in the ``cayley:PATH`` file format."""
+    return {
+        "elements": list(group.elements),
+        "identity": group.identity,
+        "table": {a: {b: group.op(a, b) for b in group.elements} for a in group.elements},
+    }

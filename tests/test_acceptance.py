@@ -31,14 +31,12 @@ from quograph.verify import (
     SweepConfig,
     enumerate_graphs,
     oracle_component_count,
-    orbit_instances_for,
-    random_orbit_instance,
     sweep_hom_claims,
     sweep_partition_claims,
 )
 
 from golden import GOLDEN_CASES, medium_test_graphs
-from reference import every_choice_terms
+from reference import every_choice_terms, orbit_instances_for, random_orbit_instance
 
 
 def report(num, label, ok, elapsed=None, budget=None):

@@ -43,7 +43,7 @@ from golden import (
     balanced_two_component_map,
     two_arcs_graph,
 )
-from reference import indent_dumps
+from reference import cayley_to_dict, indent_dumps
 
 
 @pytest.fixture
@@ -445,7 +445,6 @@ class TestPowergraph:
 
     def test_cayley_spec(self, tmp_path, capsys):
         from quograph import make_klein_four
-        from quograph.io import cayley_to_dict
 
         io.save_json(tmp_path / "k4.json", cayley_to_dict(make_klein_four()))
         code, out, _ = run_cli(
@@ -525,7 +524,7 @@ class TestPowergraph:
     def test_pinned_output_bytes(self, tmp_path, capsys, spec):
         group_spec = spec
         if spec == "cayley:klein":
-            io.save_json(tmp_path / "klein.json", io.cayley_to_dict(make_klein_four()))
+            io.save_json(tmp_path / "klein.json", cayley_to_dict(make_klein_four()))
             group_spec = f"cayley:{tmp_path / 'klein.json'}"
         prefix = tmp_path / "pg"
         graph, group, orbits = (str(tmp_path / f"pg.{s}.json") for s in ("graph", "group", "orbits"))
@@ -666,7 +665,7 @@ def cayley_like_docs(draw):
     """Tables of small groups with a few cells, or the identity, replaced, so
     that the group validation is reached as well as the loader's."""
     group = draw(st.sampled_from([make_cyclic(1), make_cyclic(3), make_klein_four(), make_symmetric(3)]))
-    doc = io.cayley_to_dict(group)
+    doc = cayley_to_dict(group)
     elements = st.sampled_from(group.elements)
     for _ in range(draw(st.integers(0, 3))):
         doc["table"][draw(elements)][draw(elements)] = draw(elements | json_values)
@@ -785,6 +784,28 @@ class TestErrors:
             io.save_json(tmp_path / name, doc)
         code, out, err = run_cli(capsys, *(a.replace("@", f"{tmp_path}/") for a in argv))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    NOT_A_HOM = (2, "", "error: map is not a homomorphism (an edge is not preserved)\n")
+
+    @pytest.mark.parametrize(
+        "group",
+        [None, {"generators": "oops"}],
+        ids=["no-group", "bad-group"],
+    )
+    def test_classify_refuses_non_homomorphism(self, tmp_path, capsys, group):
+        # the map is refused when it is loaded, before the group file is read
+        docs = {
+            "s": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+            "t": {"vertices": ["x", "y"], "edges": []},
+            "m": {"map": {"a": "x", "b": "y"}},
+        }
+        argv = ["classify", "@s", "@t", "@m"]
+        if group is not None:
+            docs["grp"] = group
+            argv += ["--group", "@grp"]
+        for name, doc in docs.items():
+            io.save_json(tmp_path / name, doc)
+        assert run_cli(capsys, *(a.replace("@", f"{tmp_path}/") for a in argv)) == self.NOT_A_HOM
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"

@@ -19,9 +19,9 @@ from quograph import (
     power_graph,
     proper_power_graph,
 )
-from quograph.io import cayley_to_dict
 from golden import CAYLEY_TABLE_REFUSALS
 from reference import (
+    cayley_to_dict,
     dict_table_refusal,
     exhaustive_is_associative,
     pairwise_power_edges,

@@ -22,13 +22,13 @@ from quograph import (
     is_locally_surjective,
     is_pseudo_covering,
     is_surjective,
-    validate_hom,
 )
 from quograph import (
     PermGroup,
     Permutation,
     admissible_components,
     automorphism_group,
+    io,
     is_component_equitable,
     is_consistent,
     is_orbit_map,
@@ -40,8 +40,6 @@ from quograph.verify import (
     SweepConfig,
     enumerate_graphs,
     enumerate_homs,
-    orbit_instances_for,
-    random_orbit_instance,
     set_partitions,
 )
 
@@ -53,9 +51,12 @@ from reference import (
     fibre_count_is_component_equitable,
     fibre_scan_admissible_components,
     fibre_scan_is_locally_strong,
+    is_hom,
     loop_is_locally_injective,
     loop_is_locally_surjective,
+    orbit_instances_for,
     partition_of_map,
+    random_orbit_instance,
     two_loop_is_consistent,
 )
 
@@ -107,39 +108,44 @@ class TestHomMap:
 
 
 class TestValidateHom:
+    """``HomMap`` checks edge preservation once, when it is built."""
+
+    NOT_A_HOM = "map is not a homomorphism (an edge is not preserved)"
+
     def test_edge_to_edge_is_valid(self):
         src = Graph(["a", "b"], [("a", "b")])
         tgt = Graph(["x", "y"], [("x", "y")])
-        assert validate_hom(HomMap(src, tgt, {"a": "x", "b": "y"}))
+        assert is_complete(HomMap(src, tgt, {"a": "x", "b": "y"}))
 
     def test_edge_collapsed_to_loop_is_valid(self):
         src = Graph(["a", "b"], [("a", "b")])
         tgt = Graph(["x", "y"], [])
-        assert validate_hom(HomMap(src, tgt, {"a": "x", "b": "x"}))
+        assert not is_surjective(HomMap(src, tgt, {"a": "x", "b": "x"}))
 
     def test_edge_to_non_edge_is_invalid(self):
         src = Graph(["a", "b"], [("a", "b")])
         tgt = Graph(["x", "y"], [])
-        assert not validate_hom(HomMap(src, tgt, {"a": "x", "b": "y"}))
+        with pytest.raises(HypothesisError) as exc:
+            HomMap(src, tgt, {"a": "x", "b": "y"})
+        assert str(exc.value) == self.NOT_A_HOM
 
-    def test_predicates_refuse_invalid_maps(self):
+    def test_loader_refuses_invalid_maps(self):
+        # the map loader builds a HomMap, so no predicate ever sees a map
+        # that does not preserve edges
         src = Graph(["a", "b"], [("a", "b")])
         tgt = Graph(["x", "y"], [])
-        bad = HomMap(src, tgt, {"a": "x", "b": "y"})
-        for fn in (is_surjective, is_complete, is_locally_strong, classify):
-            with pytest.raises(HypothesisError):
-                fn(bad)
+        with pytest.raises(HypothesisError, match=r"^map is not a homomorphism"):
+            io.hom_from_dict({"map": {"a": "x", "b": "y"}}, src, tgt)
 
     @given(vertex_maps())
     def test_matches_neighborhood_formulation(self, data):
         # edge preservation is equivalent to m(N(x)) being inside N(m(x))
         src, tgt, mapping = data
-        m = HomMap(src, tgt, mapping)
         nested = all(
             {mapping[u] for u in src.neighborhood(x)} <= tgt.neighborhood(mapping[x])
             for x in src.vertices
         )
-        assert validate_hom(m) == nested
+        assert is_hom(src, tgt, mapping) == nested
 
 
 class TestGoldenClassifications:
@@ -319,7 +325,6 @@ class TestFactorize:
     def test_composition_recovers_map(self):
         m = two_arcs_projection()
         proj, inj = factorize(m)
-        assert validate_hom(inj)
         for v in m.source.vertices:
             assert inj.mapping[proj.mapping[v]] == m.mapping[v]
 

