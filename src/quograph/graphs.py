@@ -4,8 +4,6 @@ group's orbits and a loaded partition file."""
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class Graph:
     """A finite reflexive undirected simple graph.
@@ -15,10 +13,17 @@ class Graph:
     derived sequences (vertex tuple, component blocks, canonical edge list)
     come out in lexicographic label order, which keeps every downstream
     computation deterministic.
+
+    The graph is stored by vertex position: ``index`` maps each label to its
+    position in the sorted ``vertices``, ``_nbhd[i]`` is the closed
+    neighbourhood of position i as a set of positions (i included), and
+    ``_edges`` holds each proper edge once as a pair (i, j) with i < j.  The
+    label views (``proper_edges``, ``neighborhood``, ``has_edge``,
+    ``sorted_edges``) are derived from them.
     """
 
     __slots__ = (
-        "vertices", "vertex_set", "proper_edges", "_neighborhoods", "_components", "_induced",
+        "vertices", "vertex_set", "index", "_nbhd", "_edges", "_components", "_component_of", "_induced",
     )
 
     def __init__(self, vertices, proper_edges=()):
@@ -27,73 +32,108 @@ class Graph:
             raise ValueError("a graph needs at least one vertex")
         if set(map(type, labels)) != {str}:
             _refuse_labels(labels)
-        self.vertex_set = vertex_set = frozenset(labels)
-        if len(vertex_set) != len(labels):
+        verts = tuple(sorted(labels))
+        index = {v: i for i, v in enumerate(verts)}
+        if len(index) != len(labels):
             _refuse_labels(labels)
-        self.vertices = tuple(sorted(labels))
 
-        # One pass builds the edge set and the neighbourhoods; a repeated
+        # One pass builds the edge pairs and the neighbourhoods; a repeated
         # edge shows as an endpoint already in the other's neighbourhood.
+        nbhd = [{i} for i in range(len(verts))]
         edges = []
-        nbhd = {v: {v} for v in self.vertices}
         for raw in proper_edges:
-            u, v = raw
-            if u not in vertex_set or v not in vertex_set:
-                end = u if u not in vertex_set else v
-                raise ValueError(f"edge endpoint {end!r} is not a declared vertex")
-            if u == v:
+            if isinstance(raw, str):  # "ab" would unpack into the edge a-b
+                _refuse_edge(raw, index)
+            try:
+                u, v = raw
+                a, b = index[u], index[v]
+            except (TypeError, ValueError, KeyError):
+                _refuse_edge(raw, index)
+            if a == b:
                 raise ValueError(f"loop at {u!r} supplied as a proper edge; loops are implicit")
-            nu = nbhd[u]
-            if v in nu:
+            na = nbhd[a]
+            if b in na:
                 raise ValueError(f"duplicate edge ({min(u, v)!r}, {max(u, v)!r})")
-            nu.add(v)
-            nbhd[v].add(u)
-            edges.append(frozenset((u, v)))
-        self.proper_edges = frozenset(edges)
-        self._neighborhoods = {v: frozenset(s) for v, s in nbhd.items()}
+            na.add(b)
+            nbhd[b].add(a)
+            edges.append((a, b) if a < b else (b, a))
+        self._store(verts, index, nbhd, edges)
+
+    @classmethod
+    def _from_edges(cls, vertices: tuple, edges) -> "Graph":
+        """A graph from sorted distinct labels and its proper edges as
+        position pairs (i, j), i < j, each given once.  Nothing is checked."""
+        nbhd = [{i} for i in range(len(vertices))]
+        for a, b in edges:
+            nbhd[a].add(b)
+            nbhd[b].add(a)
+        g = cls.__new__(cls)
+        g._store(vertices, {v: i for i, v in enumerate(vertices)}, nbhd, list(edges))
+        return g
+
+    def _store(self, verts, index, nbhd, edges) -> None:
+        self.vertices = verts
+        self.vertex_set = frozenset(verts)
+        self.index = index
+        self._nbhd = nbhd
+        self._edges = edges
         self._components = None
+        self._component_of = None
         self._induced = None
 
     # ------------------------------------------------------------- queries
 
+    @property
+    def proper_edges(self) -> frozenset[frozenset[str]]:
+        """The proper edges as two-label sets."""
+        verts = self.vertices
+        return frozenset(frozenset((verts[a], verts[b])) for a, b in self._edges)
+
     def neighborhood(self, x: str) -> frozenset[str]:
         """Closed neighborhood of x: the vertex itself plus everything adjacent."""
-        try:
-            return self._neighborhoods[x]
-        except KeyError:
-            raise ValueError(f"unknown vertex {x!r}") from None
+        i = self.index.get(x)
+        if i is None:
+            raise ValueError(f"unknown vertex {x!r}")
+        return frozenset(map(self.vertices.__getitem__, self._nbhd[i]))
 
     def has_edge(self, u: str, v: str) -> bool:
         """Edge test including the implicit loops."""
-        if u not in self.vertex_set or v not in self.vertex_set:
+        index = self.index
+        if u not in index or v not in index:
             raise ValueError(f"unknown vertex in edge test: ({u!r}, {v!r})")
-        return u == v or frozenset((u, v)) in self.proper_edges
+        return index[v] in self._nbhd[index[u]]
 
     def components(self) -> "Partition":
         """The partition into connected components, by breadth-first traversal.
 
         Each seed is the smallest vertex not yet reached, so the blocks come
         out ordered by smallest member and the partition needs no check.
-        The result is computed once and cached (the graph is immutable).
+        The traversal also leaves ``_component_of``, the block ordinal of
+        each vertex position.  Both are computed once and cached (the graph
+        is immutable).
         """
         if self._components is None:
-            unseen = set(self.vertices)
-            blocks = []
-            for seed in self.vertices:
-                if seed not in unseen:
+            verts, nbhd = self.vertices, self._nbhd
+            comp = [-1] * len(verts)
+            count = 0
+            for seed in range(len(verts)):
+                if comp[seed] >= 0:
                     continue
-                unseen.discard(seed)
-                block = [seed]
-                queue = deque([seed])
-                while queue:
-                    x = queue.popleft()
-                    for u in self._neighborhoods[x]:
-                        if u in unseen:
-                            unseen.discard(u)
-                            block.append(u)
-                            queue.append(u)
-                blocks.append(tuple(sorted(block)))
-            self._components = Partition._from_sorted(tuple(blocks), self.vertex_set)
+                comp[seed] = count
+                reached = [seed]
+                for x in reached:  # the list grows as the search reaches vertices
+                    for u in nbhd[x]:
+                        if comp[u] < 0:
+                            comp[u] = count
+                            reached.append(u)
+                count += 1
+            blocks = [[] for _ in range(count)]
+            for v, b in zip(verts, comp):  # in label order, so each block comes out sorted
+                blocks[b].append(v)
+            self._component_of = comp
+            self._components = Partition._from_sorted(
+                tuple(map(tuple, blocks)), self.vertex_set, dict(zip(verts, comp))
+            )
         return self._components
 
     def induced(self, subset) -> "Graph":
@@ -108,30 +148,55 @@ class Graph:
             return cache[sub]
         if not sub:
             raise ValueError("cannot induce a subgraph on an empty vertex set")
+        index = self.index
         for v in sub:
-            if v not in self.vertex_set:
+            if v not in index:
                 raise ValueError(f"unknown vertex {v!r}")
         if cache is None:
             cache = self._induced = {}
-        sub_graph = cache[sub] = Graph(sorted(sub), [e for e in self.proper_edges if e <= sub])
+        keep = sorted(map(index.__getitem__, sub))
+        position = {a: i for i, a in enumerate(keep)}
+        nbhd = self._nbhd
+        edges = [(position[a], position[b]) for a in keep for b in nbhd[a] if b > a and b in position]
+        sub_graph = cache[sub] = Graph._from_edges(tuple(map(self.vertices.__getitem__, keep)), edges)
         return sub_graph
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        """Proper edges as sorted pairs, in sorted order (the canonical form)."""
-        return sorted(tuple(sorted(e)) for e in self.proper_edges)
+        """Proper edges as sorted pairs, in sorted order (the canonical form).
+
+        Positions follow label order, so sorting the position pairs sorts
+        the label pairs."""
+        verts = self.vertices
+        return [(verts[a], verts[b]) for a, b in sorted(self._edges)]
 
     # ------------------------------------------------------------- plumbing
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.proper_edges == other.proper_edges
+        return self.vertices == other.vertices and set(self._edges) == set(other._edges)
 
     def __hash__(self):
-        return hash((self.vertices, self.proper_edges))
+        return hash((self.vertices, frozenset(self._edges)))
 
     def __repr__(self):
-        return f"Graph({len(self.vertices)} vertices, {len(self.proper_edges)} proper edges)"
+        return f"Graph({len(self.vertices)} vertices, {len(self._edges)} proper edges)"
+
+
+def _refuse_edge(raw, index) -> None:
+    """Raise for a proper edge that is not a pair of declared vertex labels,
+    in the loader's words: the shape first, then each endpoint in turn."""
+    try:
+        ends = () if isinstance(raw, str) else tuple(raw)
+    except TypeError:
+        ends = ()
+    if len(ends) != 2:
+        raise ValueError(f"edge {raw!r} is not a two-element list")
+    for end in ends:
+        if not isinstance(end, str):
+            raise ValueError(f"edge endpoint {end!r} is not a string")
+        if end not in index:
+            raise ValueError(f"edge endpoint {end!r} is not a declared vertex")
 
 
 def _refuse_labels(labels) -> None:
@@ -167,12 +232,12 @@ class Partition:
         self.block_of = {v: i for i, block in enumerate(self.blocks) for v in block}
 
     @classmethod
-    def _from_sorted(cls, blocks, universe: frozenset) -> "Partition":
+    def _from_sorted(cls, blocks, universe: frozenset, block_of: dict) -> "Partition":
         """A partition from blocks that already are one: sorted tuples, ordered
-        by smallest member, covering ``universe``.  Nothing is checked."""
+        by smallest member, covering ``universe``, with ``block_of`` naming
+        each vertex's block.  Nothing is checked."""
         p = cls.__new__(cls)
-        p.universe, p.blocks = universe, blocks
-        p.block_of = {v: i for i, block in enumerate(blocks) for v in block}
+        p.universe, p.blocks, p.block_of = universe, blocks, block_of
         return p
 
     @classmethod
@@ -224,36 +289,40 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[str, str] | None:
     degree prechecks this is one run of ``_extend_map``.  Intended for the
     small graphs this package works with.
     """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.proper_edges) != len(g2.proper_edges):
+    if len(g1.vertices) != len(g2.vertices) or len(g1._edges) != len(g2._edges):
         return None
     order, pool1 = _degree_layout(g1)
     _, pool = _degree_layout(g2)
     if {d: len(ws) for d, ws in pool1.items()} != {d: len(ws) for d, ws in pool.items()}:
         return None
-    assigned: dict[str, str] = {}
-    start = pool[len(g1._neighborhoods[order[0]])]
-    if _extend_map(g1._neighborhoods, g2._neighborhoods, pool, order, 0, start, assigned, set()):
-        return assigned
-    return None
+    assigned: dict[int, int] = {}
+    start = pool[len(g1._nbhd[order[0]])]
+    if not _extend_map(g1._nbhd, g2._nbhd, pool, order, 0, start, assigned, set()):
+        return None
+    v1, v2 = g1.vertices, g2.vertices
+    return {v1[a]: v2[b] for a, b in assigned.items()}
 
 
-def _degree_layout(g: Graph) -> tuple[list[str], dict[int, list[str]]]:
-    """The search order (by decreasing degree, then label) and each degree's vertices."""
-    nbhd = g._neighborhoods
-    pool: dict[int, list[str]] = {}
-    for w in g.vertices:
-        pool.setdefault(len(nbhd[w]), []).append(w)
-    return sorted(g.vertices, key=lambda v: (-len(nbhd[v]), v)), pool
+def _degree_layout(g: Graph) -> tuple[list[int], dict[int, list[int]]]:
+    """The search order of the vertex positions (by decreasing degree, then
+    label) and each degree's positions, in label order."""
+    nbhd = g._nbhd
+    pool: dict[int, list[int]] = {}
+    for w, nw in enumerate(nbhd):
+        pool.setdefault(len(nw), []).append(w)
+    return sorted(range(len(nbhd)), key=lambda v: (-len(nbhd[v]), v)), pool
 
 
 def _extend_map(nbhd1, nbhd2, pool, order, pos, candidates, assigned, used) -> bool:
     """Backtrack to extend the injective partial map ``assigned`` over ``order[pos:]``.
 
-    ``order[pos]`` tries the unused ``candidates``, each later vertex the
-    ``pool`` vertices of its degree, in label order.  A candidate must agree
-    with every placed vertex on adjacency; as the map is injective, closed
-    neighbourhood membership tests a proper edge.  ``used`` holds the placed
-    images.  On failure ``assigned`` is left as it was given.
+    Works on vertex positions: ``nbhd1`` and ``nbhd2`` are the two graphs'
+    ``_nbhd``.  ``order[pos]`` tries the unused ``candidates``, each later
+    vertex the ``pool`` vertices of its degree, in label order.  A candidate
+    must agree with every placed vertex on adjacency; as the map is
+    injective, closed neighbourhood membership tests a proper edge.
+    ``used`` holds the placed images.  On failure ``assigned`` is left as it
+    was given.
     """
     v = order[pos]
     nv = nbhd1[v]

@@ -32,27 +32,55 @@ class HomMap:
     not preserve edges.  A proper source edge may land on a proper target
     edge or collapse onto a single vertex (its implicit loop); implicit
     source loops are preserved automatically.
+
+    Besides the label views (``mapping``, ``image``, ``fibres``) the map
+    keeps ``_index_map``, the target position of each source vertex by
+    source position (see ``Graph.index``), and ``_image``, the set of target
+    positions it hits.  The predicates read those; ``image`` is derived.
     """
 
     __slots__ = (
-        "source", "target", "mapping", "image", "fibres", "_edge_classes", "_local_classes", "_fibre_blocks"
+        "source", "target", "mapping", "fibres", "_index_map", "_image",
+        "_edge_classes", "_local_classes", "_fibre_blocks",
     )
 
     def __init__(self, source: Graph, target: Graph, mapping: dict[str, str]):
         if mapping.keys() != source.vertex_set or not target.vertex_set.issuperset(mapping.values()):
             _refuse_map(source, target, mapping)
+        self.mapping = {v: mapping[v] for v in source.vertices}
+        self._index_map = tuple(map(target.index.__getitem__, self.mapping.values()))
+        self._finish(source, target)
+
+    @classmethod
+    def _from_index_map(cls, source: Graph, target: Graph, index_map: tuple[int, ...]) -> "HomMap":
+        """The map sending source position i to target position
+        ``index_map[i]``; totality holds by construction, edge preservation
+        is checked as in the constructor."""
+        m = cls.__new__(cls)
+        labels = target.vertices
+        m.mapping = {v: labels[y] for v, y in zip(source.vertices, index_map)}
+        m._index_map = index_map
+        m._finish(source, target)
+        return m
+
+    def _finish(self, source: Graph, target: Graph) -> None:
         self.source = source
         self.target = target
-        self.mapping = {v: mapping[v] for v in source.vertices}
-        self.image = frozenset(self.mapping.values())
+        self._image = frozenset(self._index_map)
         fibres: dict[str, list[str]] = {}
-        for v in source.vertices:  # sorted, so each fibre tuple is sorted
-            fibres.setdefault(self.mapping[v], []).append(v)
+        for v, y in self.mapping.items():  # sorted, so each fibre tuple is sorted
+            fibres.setdefault(y, []).append(v)
         self.fibres = {y: tuple(vs) for y, vs in fibres.items()}
         self._local_classes = None
         self._fibre_blocks = None
         if not _edge_classes(self)[0]:
             raise HypothesisError("map is not a homomorphism (an edge is not preserved)")
+
+    @property
+    def image(self) -> frozenset[str]:
+        """The target vertices the map hits."""
+        labels = self.target.vertices
+        return frozenset([labels[y] for y in self._image])
 
     def fibre(self, y: str) -> tuple[str, ...]:
         """Preimage of a target vertex (possibly empty)."""
@@ -80,21 +108,22 @@ def _refuse_map(source: Graph, target: Graph, mapping) -> None:
 def _edge_classes(m: HomMap) -> tuple[bool, bool]:
     """(edge preserving, complete) of the map, from one pass over the source edges.
 
-    The pass collects the target pairs the proper source edges land on when
-    they do not collapse.  The map preserves edges when every such pair is a
-    proper target edge, and is complete when it also covers them all and
-    the map is surjective.  ``HomMap`` runs the pass once, when it is built,
-    and the pair stays cached on the map, where ``is_complete`` reads it.
+    The pass collects the target position pairs the proper source edges
+    land on when they do not collapse.  The map preserves edges when every
+    such pair is a proper target edge, and is complete when it also covers
+    them all and the map is surjective.  ``HomMap`` runs the pass once, when
+    it is built, and the pair stays cached on the map, where ``is_complete``
+    reads it.
     """
-    mapping = m.mapping
+    index_map = m._index_map
     covered = set()
-    for u, v in m.source.proper_edges:
-        yu, yv = mapping[u], mapping[v]
-        if yu != yv:
-            covered.add(frozenset((yu, yv)))
+    for a, b in m.source._edges:
+        ya, yb = index_map[a], index_map[b]
+        if ya != yb:
+            covered.add((ya, yb) if ya < yb else (yb, ya))
     target = m.target
-    preserving = covered <= target.proper_edges
-    complete = preserving and len(covered) == len(target.proper_edges) and m.image == target.vertex_set
+    preserving = covered.issubset(target._edges)
+    complete = preserving and len(covered) == len(target._edges) and len(m._image) == len(target.vertices)
     m._edge_classes = (preserving, complete)
     return m._edge_classes
 
@@ -103,7 +132,7 @@ def _edge_classes(m: HomMap) -> tuple[bool, bool]:
 
 def is_surjective(m: HomMap) -> bool:
     """True iff every target vertex has a preimage."""
-    return m.image == m.target.vertex_set
+    return len(m._image) == len(m.target.vertices)
 
 
 def is_complete(m: HomMap) -> bool:
@@ -119,17 +148,22 @@ def is_complete(m: HomMap) -> bool:
 def _fibre_blocks(m: HomMap) -> dict[str, dict[int, int]]:
     """For each image vertex y, the source components its fibre meets.
 
-    Maps y to {component ordinal: |C ∩ fibre(y)|}, built in one pass over the
-    map and cached on it.  Tameness, component equitability, the admissible
-    components and the counting ratios are all read off this table.
+    Maps y to {component ordinal: |C ∩ fibre(y)|}, built in one pass over
+    the images, in source position order, beside the source's component
+    array, and cached on the map.  Tameness, component equitability, the
+    admissible components and the counting ratios are all read off this
+    table.
     """
     if m._fibre_blocks is None:
-        block_of = m.source.components().block_of
+        source = m.source
+        source.components()  # fills source._component_of
         table: dict[str, dict[int, int]] = {}
-        for x, y in m.mapping.items():
-            counts = table.setdefault(y, {})
-            b = block_of[x]
-            counts[b] = counts.get(b, 0) + 1
+        for y, b in zip(m.mapping.values(), source._component_of):
+            counts = table.get(y)
+            if counts is None:
+                table[y] = {b: 1}
+            else:
+                counts[b] = counts.get(b, 0) + 1
         m._fibre_blocks = table
     return m._fibre_blocks
 
@@ -139,19 +173,20 @@ def is_tame(m: HomMap) -> bool:
     return all(len(counts) == 1 for counts in _fibre_blocks(m).values())
 
 
-def _local_pass(m: HomMap, vertices) -> tuple[bool, bool, bool]:
-    """(locally surjective, locally injective, locally strong) over ``vertices``.
+def _local_pass(m: HomMap, positions) -> tuple[bool, bool, bool]:
+    """(locally surjective, locally injective, locally strong) over the
+    source vertices at ``positions``.
 
-    Builds each local image m(N(x)) once and compares it with N(m(x)), at
-    O(deg x + deg m(x)) per vertex.
+    Builds each local image m(N(x)) once, as target positions, and compares
+    it with N(m(x)), at O(deg x + deg m(x)) per vertex.
     """
-    mapping, image = m.mapping, m.image
-    source_nbhds, target_nbhds = m.source._neighborhoods, m.target._neighborhoods
+    index_map, image = m._index_map, m._image
+    source_nbhds, target_nbhds = m.source._nbhd, m.target._nbhd
     surjective = injective = strong = True
-    for x in vertices:
+    for x in positions:
         nbhd = source_nbhds[x]
-        local_image = set(map(mapping.__getitem__, nbhd))
-        target_nbhd = target_nbhds[mapping[x]]
+        local_image = {index_map[u] for u in nbhd}
+        target_nbhd = target_nbhds[index_map[x]]
         injective = injective and len(local_image) == len(nbhd)
         if not target_nbhd <= local_image:
             surjective = False
@@ -166,7 +201,7 @@ def _local_classes(m: HomMap) -> tuple[bool, bool, bool]:
     the map, like edge preservation.
     """
     if m._local_classes is None:
-        m._local_classes = _local_pass(m, m.source.vertices)
+        m._local_classes = _local_pass(m, range(len(m.source.vertices)))
     return m._local_classes
 
 
@@ -201,25 +236,26 @@ def is_pseudo_covering(m: HomMap) -> bool:
     return is_locally_strong(m) and is_surjective(m)
 
 
-def _is_equitable(g: Graph, blocks, block_of) -> bool:
+def _is_equitable(g: Graph, block_of) -> bool:
     """True iff all members of each block see every block through equally many edges.
 
-    ``block_of`` names the block of each vertex.  Each vertex counts its
-    closed neighbourhood into a dict keyed by block, so the test takes
+    ``block_of`` names the block of each vertex position (a map's
+    ``_index_map`` names its fibres).  Each vertex counts its closed
+    neighbourhood into a dict keyed by block, so the test takes
     O(|V| + |E|) whatever the number of blocks.
     """
-    neighborhoods = g._neighborhoods
-    for block in blocks:
-        reference = None
-        for x in block:
-            row: dict = {}
-            for u in neighborhoods[x]:
-                b = block_of[u]
-                row[b] = row.get(b, 0) + 1
-            if reference is None:
-                reference = row
-            elif row != reference:
-                return False
+    nbhd = g._nbhd
+    reference: dict = {}
+    for x, b in enumerate(block_of):
+        row: dict = {}
+        for u in nbhd[x]:
+            c = block_of[u]
+            row[c] = row.get(c, 0) + 1
+        first = reference.get(b)
+        if first is None:
+            reference[b] = row
+        elif first != row:
+            return False
     return True
 
 
@@ -312,15 +348,15 @@ def classify(m: HomMap, grp=None) -> ClassificationReport:
     """
     orbit = None if grp is None else is_orbit_map(m, grp)
     if orbit:
-        local = _local_pass(m, [fibre[0] for fibre in m.fibres.values()])
+        local = _local_pass(m, [m.source.index[fibre[0]] for fibre in m.fibres.values()])
         equitable = True
     else:
         local = _local_classes(m)
-        equitable = _is_equitable(m.source, m.fibres.values(), m.mapping)
+        equitable = _is_equitable(m.source, m._index_map)
     locally_surjective, locally_injective, locally_strong = local
     surjective = is_surjective(m)
     complete = is_complete(m)
-    bijective = len(m.image) == len(m.source.vertices) and surjective
+    bijective = len(m._image) == len(m.source.vertices) and surjective
     report = ClassificationReport(
         surjective=surjective,
         complete=complete,

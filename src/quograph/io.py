@@ -51,8 +51,8 @@ def graph_from_dict(data) -> Graph:
     edges = data["edges"]
     _expect(isinstance(vertices, list), '"vertices" must be a list')
     _expect(isinstance(edges, list), '"edges" must be a list')
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
+    if not (_all_of(list, edges) and set(map(len, edges)) <= {2} and _all_of(str, chain.from_iterable(edges))):
+        for e in edges:
             _expect(isinstance(e, list) and len(e) == 2, f"edge {e!r} is not a two-element list")
             _expect_labels(e, "edge endpoint")
     return Graph(vertices, edges)

@@ -32,14 +32,21 @@ def quotient(g: Graph, p: Partition) -> QuotientResult:
     if p.universe != g.vertex_set:
         raise ValueError("partition universe does not match the graph's vertices")
     names = ["[" + block[0] + "]" for block in p.blocks]
+    # The names need not sort in block order ("[1+]" < "[1]"), so each
+    # block's quotient vertex is its name's position in sorted order.
+    order = sorted(range(len(names)), key=names.__getitem__)
+    position = [0] * len(order)
+    for i, b in enumerate(order):
+        position[b] = i
     block_of = p.block_of
+    index_map = tuple([position[block_of[v]] for v in g.vertices])
     qedges = set()
-    for u, v in g.proper_edges:
-        bu, bv = block_of[u], block_of[v]
-        if bu != bv:
-            qedges.add(frozenset((names[bu], names[bv])))
-    q = Graph(names, qedges)
-    projection = HomMap(g, q, {v: names[block_of[v]] for v in g.vertices})
+    for a, b in g._edges:
+        ya, yb = index_map[a], index_map[b]
+        if ya != yb:
+            qedges.add((ya, yb) if ya < yb else (yb, ya))
+    q = Graph._from_edges(tuple(map(names.__getitem__, order)), qedges)
+    projection = HomMap._from_index_map(g, q, index_map)
     if not is_complete(projection):
         raise InternalCheckError("quotient projection failed the completeness check")
     return QuotientResult(q, projection)
@@ -53,5 +60,5 @@ def is_equitable(g: Graph, p: Partition) -> bool:
     """
     if p.universe != g.vertex_set:
         raise ValueError("partition universe does not match the graph's vertices")
-    return _is_equitable(g, p.blocks, p.block_of)
+    return _is_equitable(g, tuple(map(p.block_of.__getitem__, g.vertices)))
 

@@ -49,9 +49,11 @@ class PermGroup:
     Only generators are stored; orbits are computed by closure, and the full
     element list is materialized only on request (``generated_elements``,
     which ``verify`` uses to draw subgroups of small automorphism groups).
+    ``_on_positions`` caches the generators on vertex positions (see
+    ``_positions``).
     """
 
-    __slots__ = ("universe", "generators")
+    __slots__ = ("universe", "generators", "_on_positions")
 
     def __init__(self, universe, generators):
         self.universe = frozenset(universe)
@@ -63,6 +65,7 @@ class PermGroup:
                 raise ValueError("generator domain does not match the universe")
             gens.append(f)
         self.generators = tuple(gens)
+        self._on_positions = None
 
     @classmethod
     def trivial(cls, universe) -> "PermGroup":
@@ -70,6 +73,17 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup({len(self.generators)} generators on {len(self.universe)} points)"
+
+
+def _positions(grp: PermGroup, g: Graph) -> list[tuple[int, ...]]:
+    """Each generator as the tuple of image positions of g's vertex positions
+    (see ``Graph.index``), made once per group.  The group acts on g's
+    vertex set, and positions follow label order, so they are the same for
+    every graph on that set."""
+    if grp._on_positions is None:
+        index, verts = g.index, g.vertices
+        grp._on_positions = [tuple([index[f.mapping[v]] for v in verts]) for f in grp.generators]
+    return grp._on_positions
 
 
 def verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
@@ -83,17 +97,18 @@ def verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
     # A closed neighbourhood also holds its own vertex, but a generator is a
     # bijection, so the images of the two ends of a proper edge differ and
     # membership means a proper edge.
-    nbhd = g._neighborhoods
-    for f in grp.generators:
-        image = f.mapping
-        for u, v in g.proper_edges:
-            if image[v] not in nbhd[image[u]]:
+    nbhd = g._nbhd
+    for f in _positions(grp, g):
+        for a, b in g._edges:
+            if f[b] not in nbhd[f[a]]:
                 return False
     return True
 
 
-def _orbit(seed: str, gens) -> set[str]:
-    """The orbit of seed under the generator mappings, by forward closure.
+def _orbit(seed, gens) -> set:
+    """The orbit of seed under the generators, by forward closure; a
+    generator is anything indexed by a point (a label mapping or a tuple of
+    positions).
 
     Repeated application of a permutation cycles back, so forward closure
     already accounts for inverses and the full group is never materialized.
@@ -135,7 +150,7 @@ def automorphism_group(g: Graph) -> PermGroup:
     n = len(g.vertices)
     if n > MAX_AUTOMORPHISM_VERTICES:
         raise ValueError(f"graph has {n} vertices, above the search bound {MAX_AUTOMORPHISM_VERTICES}")
-    nbhd = g._neighborhoods
+    nbhd, verts = g._nbhd, g.vertices
     order, pool = _degree_layout(g)
     gens = []
     for i, v in enumerate(order):
@@ -145,23 +160,24 @@ def automorphism_group(g: Graph) -> PermGroup:
                 continue
             assigned = dict(fixed)
             if _extend_map(nbhd, nbhd, pool, order, i, (w,), assigned, set(fixed)):
-                gens.append(Permutation(assigned))
+                gens.append(Permutation({verts[a]: verts[b] for a, b in assigned.items()}))
     return PermGroup(g.vertex_set, gens)
 
 
 def is_consistent(m, grp: PermGroup) -> bool:
     """True iff the fibres of the map are exactly the orbits of the group."""
-    if grp.universe != m.source.vertex_set:
+    source = m.source
+    if grp.universe != source.vertex_set:
         raise ValueError("group universe does not match the map's source vertices")
-    for f in grp.generators:
-        for x in m.source.vertices:
-            if m.mapping[f.mapping[x]] != m.mapping[x]:
-                return False
+    index_map = m._index_map
+    gens = _positions(grp, source)
+    if any(tuple([index_map[x] for x in f]) != index_map for f in gens):
+        return False
     # Every generator leaves the map unchanged, so each orbit lies inside one
     # fibre, and a fibre is a single orbit exactly when the orbit of its
     # first member fills it.
-    gens = [f.mapping for f in grp.generators]
-    return all(len(_orbit(fibre[0], gens)) == len(fibre) for fibre in m.fibres.values())
+    index = source.index
+    return all(len(_orbit(index[fibre[0]], gens)) == len(fibre) for fibre in m.fibres.values())
 
 
 def generated_elements(grp: PermGroup) -> list[Permutation]:

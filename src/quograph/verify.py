@@ -49,7 +49,7 @@ _PAIR_CAP = 150
 
 def oracle_component_count(g: Graph) -> int:
     """Union-find component counter, independent of the BFS in Graph."""
-    parent = {v: v for v in g.vertices}
+    parent = list(range(len(g.vertices)))
 
     def find(x):
         root = x
@@ -59,11 +59,11 @@ def oracle_component_count(g: Graph) -> int:
             parent[x], x = root, parent[x]
         return root
 
-    for u, v in g.proper_edges:
+    for u, v in g._edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    return len({find(v) for v in g.vertices})
+    return len({find(v) for v in range(len(parent))})
 
 
 # -------------------------------------------------------------- enumeration
@@ -102,33 +102,34 @@ def set_partitions(items):
 
 
 def enumerate_homs(source: Graph, target: Graph):
-    """All edge-preserving vertex maps from source to target, by backtracking.
+    """All edge-preserving vertex maps from source to target, as label dicts."""
+    sverts, tverts = source.vertices, target.vertices
+    for index_map in _index_maps(source, target):
+        yield {v: tverts[y] for v, y in zip(sverts, index_map)}
 
-    Assigns images in source vertex order and prunes as soon as an edge to an
-    already-assigned vertex cannot be preserved.
+
+def _index_maps(source: Graph, target: Graph):
+    """All edge-preserving maps from source to target, by backtracking, as
+    tuples of target positions by source position (see ``Graph.index``).
+
+    Assigns images in source vertex order, each in target vertex order, and
+    prunes as soon as an edge to an already-assigned vertex cannot be
+    preserved.
     """
-    sverts = source.vertices
-    n = len(sverts)
-    index = {v: i for i, v in enumerate(sverts)}
-    earlier_neighbors = [
-        [index[u] for u in source.neighborhood(v) if u != v and index[u] < i]
-        for i, v in enumerate(sverts)
-    ]
-    tverts = target.vertices
-    tn = {w: target.neighborhood(w) for w in tverts}
-    image: list[str | None] = [None] * n
+    n = len(source.vertices)
+    earlier_neighbors = [[j for j in nbhd if j < i] for i, nbhd in enumerate(source._nbhd)]
+    target_nbhds = target._nbhd
+    image = [0] * n
 
     def rec(i):
         if i == n:
-            yield {sverts[j]: image[j] for j in range(n)}
+            yield tuple(image)
             return
-        for w in tverts:
-            ok = True
+        for w, nbhd in enumerate(target_nbhds):
             for j in earlier_neighbors[i]:
-                if w not in tn[image[j]]:
-                    ok = False
+                if image[j] not in nbhd:
                     break
-            if ok:
+            else:
                 image[i] = w
                 yield from rec(i + 1)
 
@@ -157,16 +158,23 @@ def _project(results, cid: str, g: Graph, p: Partition, payload_fn) -> HomMap | 
 
 # ------------------------------------------------------------ claim helpers
 
-def _image_proper_edges(m: HomMap, vertices) -> set[frozenset]:
-    keep = set(vertices)
+def _image_edges(m: HomMap, i: int) -> set[tuple[int, int]]:
+    """The target position pairs that proper edges of source component i
+    land on; the source's ``components()`` must have run."""
+    comp, index_map = m.source._component_of, m._index_map
     out = set()
-    for e in m.source.proper_edges:
-        if e <= keep:
-            u, v = e
-            yu, yv = m.mapping[u], m.mapping[v]
-            if yu != yv:
-                out.add(frozenset((yu, yv)))
+    for a, b in m.source._edges:
+        if comp[a] == i:
+            ya, yb = index_map[a], index_map[b]
+            if ya != yb:
+                out.add((ya, yb) if ya < yb else (yb, ya))
     return out
+
+
+def _component_edges(g: Graph, i: int) -> set[tuple[int, int]]:
+    """The proper edges of component i of g, as position pairs; ``g.components()`` must have run."""
+    comp = g._component_of
+    return {(a, b) for a, b in g._edges if comp[a] == i}
 
 
 # ------------------------------------------------------------- graph claims
@@ -263,8 +271,8 @@ def _claim_class_inclusion_chain(m: HomMap):
     ls = homs.is_locally_strong(m)
     lsur = homs.is_locally_surjective(m)
     pc = homs.is_pseudo_covering(m)
-    eq = homs._is_equitable(m.source, m.fibres.values(), m.mapping)
-    iso = com and len(m.image) == len(m.source.vertices)
+    eq = homs._is_equitable(m.source, m._index_map)
+    iso = com and len(m._image) == len(m.source.vertices)
     fails = []
     if com and not sur:
         fails.append("complete map is not surjective")
@@ -301,13 +309,13 @@ def _claim_component_migration(m: HomMap):
     scomp = m.source.components()
     tcomp = m.target.components()
     fails = []
-    for block in scomp.blocks:
+    for i, block in enumerate(scomp.blocks):
         direct = {m.mapping[v] for v in block}
-        t_block = tcomp.block_containing(m.mapping[block[0]])
-        if direct != set(t_block):
+        t = tcomp.block_of[m.mapping[block[0]]]
+        if direct != set(tcomp.blocks[t]):
             fails.append(f"image of component of {block[0]!r} is not a full target component")
             continue
-        if _image_proper_edges(m, block) != m.target.induced(t_block).proper_edges:
+        if _image_edges(m, i) != _component_edges(m.target, t):
             fails.append(f"image of component of {block[0]!r} misses edges of its target component")
             continue
         # C/∼, the quotient of C by its fibres, needs no isomorphism search
@@ -325,9 +333,10 @@ def _claim_isolated_vertex_image(m: HomMap):
     if not homs.is_locally_surjective(m):
         return None
     fails = []
-    for v in m.source.vertices:
-        if len(m.source.neighborhood(v)) == 1 and len(m.target.neighborhood(m.mapping[v])) != 1:
-            fails.append(f"isolated vertex {v!r} maps to a non-isolated vertex")
+    source_nbhds, target_nbhds = m.source._nbhd, m.target._nbhd
+    for x, y in enumerate(m._index_map):
+        if len(source_nbhds[x]) == 1 and len(target_nbhds[y]) != 1:
+            fails.append(f"isolated vertex {m.source.vertices[x]!r} maps to a non-isolated vertex")
     return fails
 
 
@@ -407,10 +416,10 @@ def _claim_single_main_component_image(m: HomMap):
     block = nontrivial[0] if nontrivial else scomp.blocks[0]
     direct = {m.mapping[v] for v in block}
     tcomp = m.target.components()
-    t_block = tcomp.block_containing(m.mapping[block[0]])
-    if direct != set(t_block):
+    t = tcomp.block_of[m.mapping[block[0]]]
+    if direct != set(tcomp.blocks[t]):
         return None  # the image is not a full component's vertex set: hypothesis absent
-    if _image_proper_edges(m, block) != m.target.induced(t_block).proper_edges:
+    if _image_edges(m, scomp.block_of[block[0]]) != _component_edges(m.target, t):
         return ["main component image has the component's vertices but not its edges"]
     return []
 
@@ -438,7 +447,7 @@ def _claim_orbit_partition_equitable(inst: OrbitInstance):
     fails = []
     if not perms.verify_automorphisms(m.source, inst.grp):
         fails.append("group does not act by automorphisms")
-    if not homs._is_equitable(m.source, m.fibres.values(), m.mapping):
+    if not homs._is_equitable(m.source, m._index_map):
         fails.append("orbit partition is not equitable")
     return fails
 
@@ -736,8 +745,8 @@ def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None):
     targets = list(enumerate_graphs(cfg.max_target_vertices))
     for src in enumerate_graphs(cfg.max_source_vertices):
         for tgt in targets:
-            for mapping in enumerate_homs(src, tgt):
-                _apply(results, "hom", HomMap(src, tgt, mapping), selected)
+            for index_map in _index_maps(src, tgt):
+                _apply(results, "hom", HomMap._from_index_map(src, tgt, index_map), selected)
     return results
 
 

@@ -251,6 +251,19 @@ LOADER_REFUSALS = [
     (["a", "b"], [["a", 1]], "edge endpoint 1 is not a string"),
     (["a", "b"], [["a", "b"], [["a"], "b"]], "edge endpoint ['a'] is not a string"),
 ]
+# Graph's refusals of a malformed edge, worded as the loader words them, and
+# of edge lists with more than one fault, where the first fault in input
+# order is the one named.  Graph, the loader and the CLI all give these.
+EDGE_REFUSALS = [
+    (["a", "b"], [["a", "b"], "ba"], "edge 'ba' is not a two-element list"),
+    (["a"], [["a"]], "edge ['a'] is not a two-element list"),
+    (["a", "b", "c"], [["a", "b", "c"]], "edge ['a', 'b', 'c'] is not a two-element list"),
+    (["a", "b"], [["a", ["b"]]], "edge endpoint ['b'] is not a string"),
+    (["a", "b"], [["b", 1]], "edge endpoint 1 is not a string"),
+    (["a", "b"], [["a", "b"], ["b", "a"], ["a", "z"]], "duplicate edge ('a', 'b')"),
+    (["a", "b"], [["a", "z"], ["b", "b"]], "edge endpoint 'z' is not a declared vertex"),
+    (["a", "b", "c"], [["c", "c"], ["a", "b"], ["b", "a"]], "loop at 'c' supplied as a proper edge; loops are implicit"),
+]
 PARTITION_REFUSALS = [
     (["a"], [["a"], []], "empty cell in partition"),
     (["a"], [["z"], []], "cell member 'z' is outside the universe"),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 from fractions import Fraction
 
 from quograph.counting import (
@@ -25,6 +26,98 @@ from quograph.homs import HomMap
 from quograph.partitions import Partition, quotient
 from quograph.perms import PermGroup, Permutation, orbit_partition
 from quograph.verify import OrbitInstance, _draw_orbit_group, _orbit_subgroups
+
+
+def label_graph(vertices, edges) -> tuple[dict[str, frozenset[str]], frozenset[frozenset[str]]]:
+    """A graph stored by label, as ``Graph`` once stored it: each vertex's
+    closed neighbourhood as a frozenset of labels, and the proper edges as a
+    frozenset of two-label frozensets, built in one pass over well-formed
+    edges."""
+    nbhd = {v: {v} for v in vertices}
+    edge_set = set()
+    for u, v in edges:
+        nbhd[u].add(v)
+        nbhd[v].add(u)
+        edge_set.add(frozenset((u, v)))
+    return {v: frozenset(s) for v, s in nbhd.items()}, frozenset(edge_set)
+
+
+def label_components(nbhd: dict[str, frozenset[str]]) -> tuple[tuple[str, ...], ...]:
+    """Component blocks by breadth-first search over label neighbourhoods,
+    each seeded at the smallest label not yet reached."""
+    unseen = set(nbhd)
+    blocks = []
+    for seed in sorted(nbhd):
+        if seed not in unseen:
+            continue
+        unseen.discard(seed)
+        block = [seed]
+        queue = deque([seed])
+        while queue:
+            for u in nbhd[queue.popleft()]:
+                if u in unseen:
+                    unseen.discard(u)
+                    block.append(u)
+                    queue.append(u)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+def label_quotient(edges, p: Partition) -> tuple[list[str], frozenset[frozenset[str]]]:
+    """Vertex names and proper edges of the quotient by p, by label: block
+    names "[<smallest member>]", joined where a proper edge crosses."""
+    names = ["[" + block[0] + "]" for block in p.blocks]
+    qedges = set()
+    for u, v in edges:
+        bu, bv = p.block_of[u], p.block_of[v]
+        if bu != bv:
+            qedges.add(frozenset((names[bu], names[bv])))
+    return names, frozenset(qedges)
+
+
+def label_edge_classes(mapping, source_edges, target_vertices, target_edges) -> tuple[bool, bool]:
+    """(edge preserving, complete) from the label pairs the proper source
+    edges land on when they do not collapse."""
+    covered = set()
+    for u, v in source_edges:
+        yu, yv = mapping[u], mapping[v]
+        if yu != yv:
+            covered.add(frozenset((yu, yv)))
+    preserving = covered <= target_edges
+    surjective = set(mapping.values()) == set(target_vertices)
+    return preserving, preserving and len(covered) == len(target_edges) and surjective
+
+
+def label_local_pass(mapping, source_nbhd, target_nbhd, vertices) -> tuple[bool, bool, bool]:
+    """(locally surjective, locally injective, locally strong) over
+    ``vertices``, comparing each local image m(N(x)) with N(m(x)) by label."""
+    image = set(mapping.values())
+    surjective = injective = strong = True
+    for x in vertices:
+        nbhd = source_nbhd[x]
+        local_image = {mapping[u] for u in nbhd}
+        target = target_nbhd[mapping[x]]
+        injective = injective and len(local_image) == len(nbhd)
+        if not target <= local_image:
+            surjective = False
+            strong = strong and (target & image) <= local_image
+    return surjective, injective, strong
+
+
+def label_is_equitable(nbhd, blocks, block_of) -> bool:
+    """Equitability by label: each member of a block counts its closed
+    neighbourhood into a dict keyed by block, compared within the block."""
+    for block in blocks:
+        reference = None
+        for x in block:
+            row: dict = {}
+            for u in nbhd[x]:
+                row[block_of[u]] = row.get(block_of[u], 0) + 1
+            if reference is None:
+                reference = row
+            elif row != reference:
+                return False
+    return True
 
 
 def indent_dumps(payload) -> str:

@@ -34,6 +34,7 @@ from conftest import subprocess_env
 from golden import (
     CAYLEY_LOADER_REFUSALS,
     CAYLEY_TABLE_REFUSALS,
+    EDGE_REFUSALS,
     GRAPH_REFUSALS,
     GROUP_LOADER_REFUSALS,
     LOADER_REFUSALS,
@@ -777,7 +778,8 @@ class TestErrors:
         + [
             (["powergraph", "--group", "cayley:@c"], {"c": doc}, msg)
             for doc, msg in CAYLEY_LOADER_REFUSALS + CAYLEY_TABLE_REFUSALS
-        ],
+        ]
+        + [(["components", "@g"], {"g": {"vertices": vs, "edges": es}}, msg) for vs, es, msg in EDGE_REFUSALS],
     )
     def test_refusal_stderr(self, tmp_path, capsys, argv, docs, message):
         for name, doc in docs.items():
@@ -904,3 +906,43 @@ def test_installed_console_script():
     console = _run([shutil.which("quograph"), *POWERGRAPH_ARGV])
     assert console.returncode == 0, console.stderr
     assert console.stdout == proc.stdout
+
+
+def _chorded_cycle_copies(tmp_path):
+    """Three copies of a chorded 6-cycle, its copy-shift group and the
+    shift's orbits, written as g.json, grp.json and p.json.  The labels do
+    not sort in the order they are made."""
+    base = ["q", "b", "x", "d", "m", "a"]
+    label = {(v, i): f"{v}.{'zky'[i]}" for v in base for i in range(3)}
+    edges = [(label[base[j], i], label[base[(j + 1) % 6], i]) for i in range(3) for j in range(6)]
+    edges += [(label["q", i], label["d", i]) for i in range(3)]
+    g = Graph(list(label.values()), edges)
+    shift = Permutation({label[v, i]: label[v, (i + 1) % 3] for v in base for i in range(3)})
+    grp = PermGroup(g.vertex_set, [shift])
+    io.save_json(tmp_path / "g.json", io.graph_to_dict(g))
+    io.save_json(tmp_path / "grp.json", io.group_to_dict(grp))
+    io.save_json(tmp_path / "p.json", io.partition_to_dict(quograph.orbit_partition(grp)))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "@g.json", "@p.json", "--group", "@grp.json", "--method", "B"],
+        ["count", "@g.json", "@p.json", "--method", "ce"],
+        ["quotient", "@g.json", "@p.json"],
+        ["powergraph", "--group", "symmetric:4", "--proper"],
+        ["verify", "--max-vertices", "3", "--random", "20"],
+    ],
+    ids=["count-orbit", "count-ce", "quotient", "powergraph", "verify"],
+)
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path, argv):
+    files = _chorded_cycle_copies(tmp_path)
+    args = [a.replace("@", f"{files}/") for a in argv]
+    outs = []
+    for seed in ("0", "1"):
+        env = subprocess_env() | {"PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-m", "quograph.cli", *args], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

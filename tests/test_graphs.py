@@ -10,7 +10,7 @@ from quograph import Graph, Partition, find_isomorphism
 from quograph.verify import oracle_component_count
 
 from conftest import graphs
-from golden import GRAPH_REFUSALS
+from golden import EDGE_REFUSALS, GRAPH_REFUSALS
 
 
 def path(labels):
@@ -52,10 +52,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(["a", "b"], [("a", "b"), ("b", "a")])
 
-    @pytest.mark.parametrize("vertices,edges,message", GRAPH_REFUSALS)
+    @pytest.mark.parametrize("vertices,edges,message", GRAPH_REFUSALS + EDGE_REFUSALS)
     def test_refusal_message(self, vertices, edges, message):
         with pytest.raises(ValueError) as exc:
-            Graph(vertices, [tuple(e) for e in edges])
+            Graph(vertices, edges)
         assert str(exc.value) == message
 
     def test_equality_ignores_edge_order(self):

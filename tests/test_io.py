@@ -19,6 +19,7 @@ from quograph import io
 from conftest import graphs, graphs_with_partitions
 from golden import (
     CAYLEY_LOADER_REFUSALS,
+    EDGE_REFUSALS,
     GRAPH_REFUSALS,
     GROUP_LOADER_REFUSALS,
     LOADER_REFUSALS,
@@ -53,7 +54,7 @@ class TestGraphFormat:
         with pytest.raises(ValueError):
             io.graph_from_dict(doc)
 
-    @pytest.mark.parametrize("vertices,edges,message", GRAPH_REFUSALS + LOADER_REFUSALS)
+    @pytest.mark.parametrize("vertices,edges,message", GRAPH_REFUSALS + LOADER_REFUSALS + EDGE_REFUSALS)
     def test_refusal_message(self, vertices, edges, message):
         with pytest.raises(ValueError) as exc:
             io.graph_from_dict({"vertices": vertices, "edges": edges})

@@ -129,14 +129,15 @@ class TestOneBuildPerObject:
 
     @staticmethod
     def count_builds(monkeypatch, sweep, cfg):
-        original = HomMap.__init__
+        # every build, from a label mapping or from target positions, ends in _finish
+        original = HomMap._finish
         builds = []
 
         def counted(self, *args, **kwargs):
             builds.append(None)
             original(self, *args, **kwargs)
 
-        monkeypatch.setattr(HomMap, "__init__", counted)
+        monkeypatch.setattr(HomMap, "_finish", counted)
         sweep(cfg)
         return len(builds)
 
