@@ -61,22 +61,24 @@ class CountBreakdown:
 
 def multiplicity(m: HomMap, u, y: str) -> int:
     """Number of vertices of u inside the fibre of y."""
+    index, p = m.source.index, m.target.index.get(y)
     members = set(u)
     for v in members:
-        if v not in m.source.vertex_set:
+        if v not in index:
             raise ValueError(f"unknown source vertex {v!r}")
-    if y not in m.target.vertex_set:
+    if p is None:
         raise ValueError(f"unknown target vertex {y!r}")
-    return len(members.intersection(m.fibre(y)))
+    return sum(m._index_map[index[v]] == p for v in members)
 
 
 def admissible_components(m: HomMap, y: str) -> list[tuple[str, ...]]:
     """Source components meeting the fibre of y, in component order."""
     counts = homs._fibre_blocks(m)
-    if y not in m.target.vertex_set:
+    p = m.target.index.get(y)
+    if p is None:
         raise ValueError(f"unknown target vertex {y!r}")
     blocks = m.source.components().blocks
-    return [blocks[i] for i in sorted(counts.get(y, ()))]
+    return [blocks[i] for i in sorted(counts.get(p, ()))]
 
 
 def _require_locally_surjective(m: HomMap) -> None:
@@ -100,11 +102,18 @@ def image_of_component(m: HomMap, c) -> tuple[str, ...]:
     """
     _require_locally_surjective(m)
     block = _component_block(m, c)
-    target_block = m.target.components().block_containing(m.mapping[block[0]])
-    direct = {m.mapping[v] for v in block}
-    if direct != set(target_block):
+    index_map, index, target = m._index_map, m.source.index, m.target
+    target_block = target.components().blocks[_target_component(m, block[0])]
+    direct = {index_map[index[v]] for v in block}
+    if direct != set(map(target.index.__getitem__, target_block)):
         raise InternalCheckError("component image is not a full target component")
     return target_block
+
+
+def _target_component(m: HomMap, v: str) -> int:
+    """The ordinal of the target component source vertex v lands in."""
+    m.target.components()  # fills target._component_of
+    return m.target._component_of[m._index_map[m.source.index[v]]]
 
 
 def preimage_of_component_vertices(m: HomMap, c) -> frozenset[str]:
@@ -113,16 +122,17 @@ def preimage_of_component_vertices(m: HomMap, c) -> frozenset[str]:
     Computed as a union of component blocks and cross-checked against the
     plain preimage of the image component's vertex set.
     """
-    return _preimage_union(m, set(image_of_component(m, c)))
+    return _preimage_union(m, m.target.components().block_of[image_of_component(m, c)[0]])
 
 
-def _preimage_union(m: HomMap, target_block: set[str]) -> frozenset[str]:
-    """The source components mapping into a target component, checked as above."""
+def _preimage_union(m: HomMap, t: int) -> frozenset[str]:
+    """The source components mapping into target component t, checked as above."""
     union: set[str] = set()
     for other in m.source.components().blocks:
-        if m.mapping[other[0]] in target_block:
+        if _target_component(m, other[0]) == t:
             union.update(other)
-    direct = {v for v in m.source.vertices if m.mapping[v] in target_block}
+    comp_of = m.target._component_of
+    direct = {v for v, y in zip(m.source.vertices, m._index_map) if comp_of[y] == t}
     if union != direct:
         raise InternalCheckError("component preimage union differs from the direct preimage")
     return frozenset(union)
@@ -185,17 +195,20 @@ def _ratio_count(m: HomMap) -> CountBreakdown:
 
     Each term takes the component's smallest label y and the first source
     component admissible for it, and contributes fibre size over
-    multiplicity.
+    multiplicity, both read off y's ``homs._fibre_blocks`` entry (the fibre
+    size is the sum of its counts).
     """
     table = homs._fibre_blocks(m)
     blocks = m.source.components().blocks
+    index = m.target.index
     terms = []
     for block in m.target.components().blocks:
         y = block[0]
-        if y not in table:
+        counts = table.get(index[y])
+        if counts is None:
             raise InternalCheckError("no admissible component for a target vertex")
-        first = min(table[y])
-        k_x, k_c = len(m.fibres[y]), table[y][first]
+        first = min(counts)
+        k_x, k_c = sum(counts.values()), counts[first]
         terms.append(CountTerm(y, blocks[first][0], k_x, k_c, _exact_div(k_x, k_c)))
     total = sum(t.value for t in terms)
     if total != m.source.components().count:
@@ -213,7 +226,8 @@ def component_iso_check(m: HomMap, c) -> bool:
         raise HypothesisError("hypotheses not satisfied: pseudo_covering")
     block = _component_block(m, c)
     i, table = m.source.components().block_of[block[0]], homs._fibre_blocks(m)
-    return all(table[y].get(i) == 1 for y in image_of_component(m, block))
+    index = m.target.index
+    return all(table[index[y]].get(i) == 1 for y in image_of_component(m, block))
 
 
 def connectedness_criterion(m: HomMap) -> bool:

@@ -42,7 +42,7 @@ class Graph:
         nbhd = [{i} for i in range(len(verts))]
         edges = []
         for raw in proper_edges:
-            if isinstance(raw, str):  # "ab" would unpack into the edge a-b
+            if isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} would unpack into the edge a-b
                 _refuse_edge(raw, index)
             try:
                 u, v = raw
@@ -187,7 +187,7 @@ def _refuse_edge(raw, index) -> None:
     """Raise for a proper edge that is not a pair of declared vertex labels,
     in the loader's words: the shape first, then each endpoint in turn."""
     try:
-        ends = () if isinstance(raw, str) else tuple(raw)
+        ends = () if isinstance(raw, (str, dict)) else tuple(raw)
     except TypeError:
         ends = ()
     if len(ends) != 2:
@@ -223,7 +223,11 @@ class Partition:
 
     def __init__(self, blocks, universe):
         self.universe = frozenset(universe)
-        normalized = [tuple(sorted(set(raw))) for raw in blocks]
+        normalized = []
+        for raw in blocks:
+            if isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} would be the block {a, b}
+                raise ValueError(f"block {raw!r} is not a list")
+            normalized.append(tuple(sorted(set(raw))))
         members = set().union(*normalized)
         if not all(normalized) or members != self.universe or sum(map(len, normalized)) != len(members):
             _refuse_cells(normalized, self.universe)

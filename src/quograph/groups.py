@@ -193,6 +193,33 @@ def _power_edges(group: FiniteGroup, elements) -> frozenset[frozenset[str]]:
     )
 
 
+def _has_power_edges(group: FiniteGroup, g: Graph) -> bool:
+    """True iff the proper edges of g, a graph on group elements, are
+    exactly the power relation on its vertices.
+
+    Each x must be adjacent to the rest of its cyclic subgroup in g, and g
+    must have no more edges than that.  A pair is counted once: from the
+    element of larger order, or from the larger index when both generate the
+    same cyclic subgroup (a power of x has order at most that of x).
+    """
+    cyclic = [_cyclic_subgroup(group._rows, x) for x in range(len(group.elements))]
+    where = [g.index.get(a) for a in group.elements]  # None off the graph
+    nbhd = g._nbhd
+    edges = 0
+    for x, p in enumerate(where):
+        if p is None:
+            continue
+        for y in cyclic[x]:
+            q = where[y]
+            if q is None or y == x:
+                continue
+            if q not in nbhd[p]:
+                return False
+            if len(cyclic[y]) < len(cyclic[x]) or y < x:
+                edges += 1
+    return edges == len(g._edges)
+
+
 def power_graph(group: FiniteGroup) -> Graph:
     """Undirected power graph: distinct x, y joined when one is a positive
     power of the other.  The identity is adjacent to everything."""
@@ -246,11 +273,9 @@ def conjugation_group(group: FiniteGroup, on_graph: Graph) -> PermGroup:
     checked to be an automorphism of ``on_graph`` before returning.
     """
     universe = frozenset(group.elements)
-    verts = tuple(x for x in group.elements if x in on_graph.vertex_set)
-    if on_graph.vertex_set not in (universe, universe - {group.identity}) or (
-        on_graph.proper_edges != _power_edges(group, verts)
-    ):
+    if on_graph.vertex_set not in (universe, universe - {group.identity}) or not _has_power_edges(group, on_graph):
         raise ValueError("graph is not a power graph of this group")
+    verts = tuple(x for x in group.elements if x in on_graph.vertex_set)
     labels, index, rows = group.elements, group._index, group._rows
     e = index[group.identity]
     gens = []

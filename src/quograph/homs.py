@@ -33,22 +33,19 @@ class HomMap:
     edge or collapse onto a single vertex (its implicit loop); implicit
     source loops are preserved automatically.
 
-    Besides the label views (``mapping``, ``image``, ``fibres``) the map
-    keeps ``_index_map``, the target position of each source vertex by
-    source position (see ``Graph.index``), and ``_image``, the set of target
-    positions it hits.  The predicates read those; ``image`` is derived.
+    The map is stored as ``_index_map``, the target position of each source
+    vertex by source position (see ``Graph.index``), and ``_image``, the set
+    of target positions it hits.  The predicates read those.  The label
+    views ``mapping``, ``image``, ``fibres`` and ``fibre(y)`` are derived
+    from them on each call, for callers that hand labels out.
     """
 
-    __slots__ = (
-        "source", "target", "mapping", "fibres", "_index_map", "_image",
-        "_edge_classes", "_local_classes", "_fibre_blocks",
-    )
+    __slots__ = ("source", "target", "_index_map", "_image", "_edge_classes", "_local_classes", "_fibre_blocks")
 
     def __init__(self, source: Graph, target: Graph, mapping: dict[str, str]):
         if mapping.keys() != source.vertex_set or not target.vertex_set.issuperset(mapping.values()):
             _refuse_map(source, target, mapping)
-        self.mapping = {v: mapping[v] for v in source.vertices}
-        self._index_map = tuple(map(target.index.__getitem__, self.mapping.values()))
+        self._index_map = tuple([target.index[mapping[v]] for v in source.vertices])
         self._finish(source, target)
 
     @classmethod
@@ -57,8 +54,6 @@ class HomMap:
         ``index_map[i]``; totality holds by construction, edge preservation
         is checked as in the constructor."""
         m = cls.__new__(cls)
-        labels = target.vertices
-        m.mapping = {v: labels[y] for v, y in zip(source.vertices, index_map)}
         m._index_map = index_map
         m._finish(source, target)
         return m
@@ -67,14 +62,16 @@ class HomMap:
         self.source = source
         self.target = target
         self._image = frozenset(self._index_map)
-        fibres: dict[str, list[str]] = {}
-        for v, y in self.mapping.items():  # sorted, so each fibre tuple is sorted
-            fibres.setdefault(y, []).append(v)
-        self.fibres = {y: tuple(vs) for y, vs in fibres.items()}
         self._local_classes = None
         self._fibre_blocks = None
         if not _edge_classes(self)[0]:
             raise HypothesisError("map is not a homomorphism (an edge is not preserved)")
+
+    @property
+    def mapping(self) -> dict[str, str]:
+        """The image of each source vertex, in source label order."""
+        labels = self.target.vertices
+        return {v: labels[y] for v, y in zip(self.source.vertices, self._index_map)}
 
     @property
     def image(self) -> frozenset[str]:
@@ -82,11 +79,22 @@ class HomMap:
         labels = self.target.vertices
         return frozenset([labels[y] for y in self._image])
 
+    @property
+    def fibres(self) -> dict[str, tuple[str, ...]]:
+        """The nonempty fibres: each image vertex's sorted preimage, keyed in
+        the order of their first members."""
+        labels = self.target.vertices
+        fibres: dict[str, list[str]] = {}
+        for v, y in zip(self.source.vertices, self._index_map):
+            fibres.setdefault(labels[y], []).append(v)
+        return {y: tuple(vs) for y, vs in fibres.items()}
+
     def fibre(self, y: str) -> tuple[str, ...]:
         """Preimage of a target vertex (possibly empty)."""
-        if y not in self.target.vertex_set:
+        p = self.target.index.get(y)
+        if p is None:
             raise ValueError(f"unknown target vertex {y!r}")
-        return self.fibres.get(y, ())
+        return tuple([v for v, t in zip(self.source.vertices, self._index_map) if t == p])
 
     def __repr__(self):
         return f"HomMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"
@@ -145,20 +153,21 @@ def is_complete(m: HomMap) -> bool:
     return m._edge_classes[1]
 
 
-def _fibre_blocks(m: HomMap) -> dict[str, dict[int, int]]:
-    """For each image vertex y, the source components its fibre meets.
+def _fibre_blocks(m: HomMap) -> dict[int, dict[int, int]]:
+    """For each image vertex, by target position y, the source components
+    its fibre meets.
 
     Maps y to {component ordinal: |C ∩ fibre(y)|}, built in one pass over
-    the images, in source position order, beside the source's component
-    array, and cached on the map.  Tameness, component equitability, the
-    admissible components and the counting ratios are all read off this
-    table.
+    ``_index_map`` beside the source's component array, and cached on the
+    map.  The counts of an entry sum to the fibre size k_X.  Tameness,
+    component equitability, the admissible components and the counting
+    ratios are all read off this table.
     """
     if m._fibre_blocks is None:
         source = m.source
         source.components()  # fills source._component_of
-        table: dict[str, dict[int, int]] = {}
-        for y, b in zip(m.mapping.values(), source._component_of):
+        table: dict[int, dict[int, int]] = {}
+        for y, b in zip(m._index_map, source._component_of):
             counts = table.get(y)
             if counts is None:
                 table[y] = {b: 1}
@@ -348,7 +357,8 @@ def classify(m: HomMap, grp=None) -> ClassificationReport:
     """
     orbit = None if grp is None else is_orbit_map(m, grp)
     if orbit:
-        local = _local_pass(m, [m.source.index[fibre[0]] for fibre in m.fibres.values()])
+        # one member per fibre (any will do on an orbit map)
+        local = _local_pass(m, {y: x for x, y in enumerate(m._index_map)}.values())
         equitable = True
     else:
         local = _local_classes(m)

@@ -165,7 +165,12 @@ def automorphism_group(g: Graph) -> PermGroup:
 
 
 def is_consistent(m, grp: PermGroup) -> bool:
-    """True iff the fibres of the map are exactly the orbits of the group."""
+    """True iff the fibres of the map are exactly the orbits of the group.
+
+    First every generator must leave the map unchanged, so that each orbit
+    lies inside one fibre.  Then the fibres are single orbits exactly when
+    the orbits of one member per fibre, which are disjoint, cover the source.
+    """
     source = m.source
     if grp.universe != source.vertex_set:
         raise ValueError("group universe does not match the map's source vertices")
@@ -173,11 +178,8 @@ def is_consistent(m, grp: PermGroup) -> bool:
     gens = _positions(grp, source)
     if any(tuple([index_map[x] for x in f]) != index_map for f in gens):
         return False
-    # Every generator leaves the map unchanged, so each orbit lies inside one
-    # fibre, and a fibre is a single orbit exactly when the orbit of its
-    # first member fills it.
-    index = source.index
-    return all(len(_orbit(index[fibre[0]], gens)) == len(fibre) for fibre in m.fibres.values())
+    members = {y: x for x, y in enumerate(index_map)}.values()
+    return sum(len(_orbit(x, gens)) for x in members) == len(index_map)
 
 
 def generated_elements(grp: PermGroup) -> list[Permutation]:

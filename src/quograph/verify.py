@@ -177,6 +177,25 @@ def _component_edges(g: Graph, i: int) -> set[tuple[int, int]]:
     return {(a, b) for a, b in g._edges if comp[a] == i}
 
 
+def _image_gap(m: HomMap, i: int) -> tuple[int, str | None]:
+    """The target component t that source component i lands in, and what
+    the image of i lacks of it: "vertices" (tested first), "edges", or None
+    when the image is all of t."""
+    block = m.source.components().blocks[i]
+    t = counting._target_component(m, block[0])
+    index_map, index, target = m._index_map, m.source.index, m.target
+    if {index_map[index[v]] for v in block} != set(map(target.index.__getitem__, target.components().blocks[t])):
+        return t, "vertices"
+    if _image_edges(m, i) != _component_edges(target, t):
+        return t, "edges"
+    return t, None
+
+
+def _fibre_size(m: HomMap, y: str) -> int:
+    """The number of source vertices mapped to target vertex y."""
+    return m._index_map.count(m.target.index[y])
+
+
 # ------------------------------------------------------------- graph claims
 
 def _claim_oracle_component_agreement(g: Graph):
@@ -294,7 +313,7 @@ def _claim_component_sum_over_target(m: HomMap):
     tcomp = m.target.components()
     per_target = [0] * tcomp.count
     for block in scomp.blocks:
-        images = {tcomp.block_of[m.mapping[v]] for v in block}
+        images = {counting._target_component(m, v) for v in block}
         if len(images) != 1:
             return [f"component of {block[0]!r} maps into {len(images)} target components"]
         per_target[images.pop()] += 1
@@ -306,16 +325,13 @@ def _claim_component_sum_over_target(m: HomMap):
 def _claim_component_migration(m: HomMap):
     if not homs.is_locally_surjective(m):
         return None
-    scomp = m.source.components()
-    tcomp = m.target.components()
     fails = []
-    for i, block in enumerate(scomp.blocks):
-        direct = {m.mapping[v] for v in block}
-        t = tcomp.block_of[m.mapping[block[0]]]
-        if direct != set(tcomp.blocks[t]):
+    for i, block in enumerate(m.source.components().blocks):
+        t, gap = _image_gap(m, i)
+        if gap == "vertices":
             fails.append(f"image of component of {block[0]!r} is not a full target component")
             continue
-        if _image_edges(m, i) != _component_edges(m.target, t):
+        if gap == "edges":
             fails.append(f"image of component of {block[0]!r} misses edges of its target component")
             continue
         # C/∼, the quotient of C by its fibres, needs no isomorphism search
@@ -325,7 +341,7 @@ def _claim_component_migration(m: HomMap):
         # So y ↦ fibre(y) ∩ C is already an isomorphism from m(C) onto C/∼.
         # The preimage of m(C) must be a union of components: the counting
         # layer's check raises InternalCheckError when it is not.
-        counting._preimage_union(m, direct)
+        counting._preimage_union(m, t)
     return fails
 
 
@@ -345,13 +361,12 @@ def _claim_admissible_constant_on_target_components(m: HomMap):
         return None
     scomp = m.source.components()
     tcomp = m.target.components()
+    table, index = homs._fibre_blocks(m), m.target.index
     fails = []
-    for t_block in tcomp.blocks:
-        members = set(t_block)
-        into = {i for i, block in enumerate(scomp.blocks) if m.mapping[block[0]] in members}
+    for t, t_block in enumerate(tcomp.blocks):
+        into = {i for i, block in enumerate(scomp.blocks) if counting._target_component(m, block[0]) == t}
         for y in t_block:
-            admissible = {scomp.block_of[v] for v in m.fibre(y)}
-            if admissible != into:
+            if set(table.get(index[y], ())) != into:
                 fails.append(
                     f"admissible components at {y!r} differ from the components mapping into"
                     f" its target component"
@@ -372,10 +387,10 @@ def _claim_multiplicity_ratio_formula(m: HomMap):
     if not (homs.is_locally_surjective(m) and homs.is_component_equitable(m)):
         return None
     fails = []
-    for y in sorted(m.fibres):
+    for y in sorted(m.image):
         admissible = counting.admissible_components(m, y)
         c_y = len(admissible)
-        k_x = len(m.fibre(y))
+        k_x = _fibre_size(m, y)
         for block in admissible:
             k_c = counting.multiplicity(m, block, y)
             if k_c == 0 or k_x % k_c != 0:
@@ -393,14 +408,14 @@ def _claim_tame_pseudocover_component_bijection(m: HomMap):
     scomp = m.source.components()
     tcomp = m.target.components()
     fails = []
-    assignment = {i: tcomp.block_of[m.mapping[block[0]]] for i, block in enumerate(scomp.blocks)}
+    assignment = {i: counting._target_component(m, block[0]) for i, block in enumerate(scomp.blocks)}
     if len(set(assignment.values())) != scomp.count:
         fails.append("two source components share an image component")
     if set(assignment.values()) != set(range(tcomp.count)):
         fails.append("some target component is not an image")
+    comp_of = m.target._component_of
     for i, block in enumerate(scomp.blocks):
-        t_members = set(tcomp.blocks[assignment[i]])
-        pre = {v for v in m.source.vertices if m.mapping[v] in t_members}
+        pre = {v for v, y in zip(m.source.vertices, m._index_map) if comp_of[y] == assignment[i]}
         if pre != set(block):
             fails.append(f"component of {block[0]!r} is not the full preimage of its image")
     return fails
@@ -414,12 +429,10 @@ def _claim_single_main_component_image(m: HomMap):
     if len(nontrivial) > 1:
         return None
     block = nontrivial[0] if nontrivial else scomp.blocks[0]
-    direct = {m.mapping[v] for v in block}
-    tcomp = m.target.components()
-    t = tcomp.block_of[m.mapping[block[0]]]
-    if direct != set(tcomp.blocks[t]):
+    _, gap = _image_gap(m, scomp.block_of[block[0]])
+    if gap == "vertices":
         return None  # the image is not a full component's vertex set: hypothesis absent
-    if _image_edges(m, scomp.block_of[block[0]]) != _component_edges(m.target, t):
+    if gap == "edges":
         return ["main component image has the component's vertices but not its edges"]
     return []
 
@@ -464,7 +477,7 @@ def _claim_orbit_projection_consistent(inst: OrbitInstance):
 def _claim_orbit_admissible_single_orbit(inst: OrbitInstance):
     m = inst.m
     fails = []
-    for y in sorted(m.fibres):
+    for y in sorted(m.image):
         blocks = counting.admissible_components(m, y)
         admissible = [frozenset(b) for b in blocks]
         first = blocks[0]
@@ -491,7 +504,7 @@ def _claim_orbit_admissible_single_orbit(inst: OrbitInstance):
 def _claim_orbit_count_vertex_ratio(inst: OrbitInstance):
     m = inst.m
     fails = []
-    for y in sorted(m.fibres):
+    for y in sorted(m.image):
         admissible = counting.admissible_components(m, y)
         c_y = len(admissible)
         for block in admissible:
@@ -515,7 +528,7 @@ def _claim_orbit_multiplicity_total(inst: OrbitInstance):
     # target component and every admissible component C give the same ratio.
     for t_block, term in zip(m.target.components().blocks, breakdown.terms):
         for y in t_block:
-            k_x = len(m.fibre(y))
+            k_x = _fibre_size(m, y)
             for block in counting.admissible_components(m, y):
                 k_c = counting.multiplicity(m, block, y)
                 if k_c * term.value != k_x:
@@ -531,7 +544,7 @@ def _claim_multiplicity_ratio_independence(inst: OrbitInstance):
     fails = []
     for block in m.source.components().blocks:
         t_block = counting.image_of_component(m, block)
-        pairs = [(y, len(m.fibre(y)), counting.multiplicity(m, block, y)) for y in t_block]
+        pairs = [(y, _fibre_size(m, y), counting.multiplicity(m, block, y)) for y in t_block]
         _, kx0, kc0 = pairs[0]
         for y, k_x, k_c in pairs[1:]:
             if k_x * kc0 != kx0 * k_c:

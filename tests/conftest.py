@@ -59,16 +59,22 @@ def vertex_maps(draw, max_source: int = 5, max_target: int = 4):
 
 
 @st.composite
-def homomorphisms(draw, max_source: int = 6, max_target: int = 4):
-    """Edge-preserving maps: images first, then source edges only where they
-    land on a target edge or a loop.  Many are not surjective."""
+def homomorphism_inputs(draw, max_source: int = 6, max_target: int = 4):
+    """Source, target and label map of an edge-preserving map: images first,
+    then source edges only where they land on a target edge or a loop.  Many
+    are not surjective."""
     tgt = draw(graphs(max_target))
     n = draw(st.integers(1, max_source))
     labels = [f"s{i}" for i in range(n)]
     mapping = {v: draw(st.sampled_from(tgt.vertices)) for v in labels}
     allowed = [(u, v) for u, v in itertools.combinations(labels, 2) if tgt.has_edge(mapping[u], mapping[v])]
     edges = draw(st.lists(st.sampled_from(allowed), unique=True)) if allowed else []
-    return HomMap(Graph(labels, edges), tgt, mapping)
+    return Graph(labels, edges), tgt, mapping
+
+
+def homomorphisms(max_source: int = 6, max_target: int = 4):
+    """The maps ``homomorphism_inputs`` draws, built."""
+    return homomorphism_inputs(max_source, max_target).map(lambda case: HomMap(*case))
 
 
 @st.composite

@@ -263,6 +263,8 @@ EDGE_REFUSALS = [
     (["a", "b"], [["a", "b"], ["b", "a"], ["a", "z"]], "duplicate edge ('a', 'b')"),
     (["a", "b"], [["a", "z"], ["b", "b"]], "edge endpoint 'z' is not a declared vertex"),
     (["a", "b", "c"], [["c", "c"], ["a", "b"], ["b", "a"]], "loop at 'c' supplied as a proper edge; loops are implicit"),
+    (["a", "b"], [{"a": 1, "b": 2}], "edge {'a': 1, 'b': 2} is not a two-element list"),
+    (["a", "b"], [{"a": "b", "b": "a"}, ["a", "z"]], "edge {'a': 'b', 'b': 'a'} is not a two-element list"),
 ]
 PARTITION_REFUSALS = [
     (["a"], [["a"], []], "empty cell in partition"),
@@ -272,6 +274,14 @@ PARTITION_REFUSALS = [
     (["b"], [["b"], ["b", "z"]], "vertex 'b' appears in two cells"),
     (["a", "b", "c"], [["c"]], "vertex 'a' is not covered by any cell"),
     (["a", "b", "c", "d"], [["a"], ["c"]], "vertex 'b' is not covered by any cell"),
+]
+# Partition's refusals of a string or dict block, worded as the loader words
+# them: set() would take "ab" or {"a": 1, "b": 2} as the block {a, b}.
+BLOCK_REFUSALS = [  # (vertices, blocks, message)
+    (["a", "b"], ["ab"], "block 'ab' is not a list"),
+    (["a", "b"], [["a"], {"b": 1}], "block {'b': 1} is not a list"),
+    (["a", "b"], [{"a": 1, "b": 2}], "block {'a': 1, 'b': 2} is not a list"),
+    (["a", "b"], [["z"], "ab"], "block 'ab' is not a list"),
 ]
 MAP_REFUSALS = [  # (source vertices, target vertices, map, message)
     (["a", "b"], ["x"], {"a": "x"}, "map is not total: no image for 'b'"),

@@ -120,6 +120,28 @@ def label_is_equitable(nbhd, blocks, block_of) -> bool:
     return True
 
 
+def label_fibres(mapping) -> dict[str, tuple[str, ...]]:
+    """Each image vertex's sorted preimage under a label map, keyed in the
+    order of the fibres' smallest members."""
+    fibres: dict[str, list[str]] = {}
+    for v in sorted(mapping):
+        fibres.setdefault(mapping[v], []).append(v)
+    return {y: tuple(vs) for y, vs in fibres.items()}
+
+
+def label_fibre_blocks(mapping, blocks, target_vertices) -> dict[int, dict[int, int]]:
+    """For each image vertex, keyed by its place among the sorted target
+    vertices, how many of its preimages lie in each block that meets its
+    fibre, blocks numbered in the given order."""
+    place = {y: i for i, y in enumerate(sorted(target_vertices))}
+    table: dict[int, dict[int, int]] = {}
+    for i, block in enumerate(blocks):
+        for v in block:
+            counts = table.setdefault(place[mapping[v]], {})
+            counts[i] = counts.get(i, 0) + 1
+    return table
+
+
 def indent_dumps(payload) -> str:
     """Canonical JSON text by the standard library's indenting encoder."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -32,6 +32,7 @@ from quograph.cli import build_parser, main
 
 from conftest import subprocess_env
 from golden import (
+    BLOCK_REFUSALS,
     CAYLEY_LOADER_REFUSALS,
     CAYLEY_TABLE_REFUSALS,
     EDGE_REFUSALS,
@@ -779,7 +780,11 @@ class TestErrors:
             (["powergraph", "--group", "cayley:@c"], {"c": doc}, msg)
             for doc, msg in CAYLEY_LOADER_REFUSALS + CAYLEY_TABLE_REFUSALS
         ]
-        + [(["components", "@g"], {"g": {"vertices": vs, "edges": es}}, msg) for vs, es, msg in EDGE_REFUSALS],
+        + [(["components", "@g"], {"g": {"vertices": vs, "edges": es}}, msg) for vs, es, msg in EDGE_REFUSALS]
+        + [
+            (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
+            for vs, bs, msg in BLOCK_REFUSALS
+        ],
     )
     def test_refusal_stderr(self, tmp_path, capsys, argv, docs, message):
         for name, doc in docs.items():
@@ -946,3 +951,39 @@ def test_stdout_does_not_depend_on_the_hash_seed(tmp_path, argv):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def count_label_view_reads(monkeypatch) -> list[str]:
+    """Wrap the ``HomMap.mapping`` and ``HomMap.fibres`` views so each read
+    is recorded; return the record."""
+    reads = []
+    for name in ("mapping", "fibres"):
+        view = quograph.HomMap.__dict__[name].fget
+        counted = property(lambda m, name=name, view=view: reads.append(name) or view(m))
+        monkeypatch.setattr(quograph.HomMap, name, counted)
+    return reads
+
+
+@pytest.mark.parametrize("method", ["auto", "A", "B", "ce"])
+def test_count_reads_no_label_view(tmp_path, capsys, monkeypatch, method):
+    files = _chorded_cycle_copies(tmp_path)
+    reads = count_label_view_reads(monkeypatch)
+    argv = ["count", f"{files}/g.json", f"{files}/p.json", "--group", f"{files}/grp.json", "--method", method]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["total"] == 3
+    assert reads == []
+
+
+@pytest.mark.parametrize("with_group", [True, False], ids=["group", "no-group"])
+def test_classify_reads_no_label_view(tmp_path, capsys, monkeypatch, with_group):
+    files = _chorded_cycle_copies(tmp_path)
+    g = io.load_graph(files / "g.json")
+    m = quotient(g, io.load_partition(files / "p.json", g)).projection
+    io.save_json(files / "tgt.json", io.graph_to_dict(m.target))
+    io.save_json(files / "map.json", io.hom_to_dict(m))
+    reads = count_label_view_reads(monkeypatch)
+    argv = ["classify", f"{files}/g.json", f"{files}/tgt.json", f"{files}/map.json"]
+    code, out, _ = run_cli(capsys, *argv, *(["--group", f"{files}/grp.json"] if with_group else []))
+    assert code == 0 and json.loads(out)["locally_bijective"] is True
+    assert json.loads(out)["orbit"] is (True if with_group else None)
+    assert reads == []

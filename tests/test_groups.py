@@ -433,11 +433,12 @@ class TestConjugation:
         grp = make_cyclic(3)
         with pytest.raises(ValueError, match="not a power graph"):
             conjugation_group(grp, Graph(["1", "2"], []))
-        # the proper power graph of Z6 with one edge removed, then one added
+        # the proper power graph of Z6 with one edge removed, one added, and
+        # one swapped for another (same edge count)
         grp = make_cyclic(6)
         pg = proper_power_graph(grp)
         edges = pg.sorted_edges()
         missing = [e for e in itertools.combinations(pg.vertices, 2) if e not in edges]
-        for changed in (edges[1:], edges + missing[:1]):
+        for changed in (edges[1:], edges + missing[:1], edges[1:] + missing[:1]):
             with pytest.raises(ValueError, match="not a power graph"):
                 conjugation_group(grp, Graph(pg.vertices, changed))

@@ -1,6 +1,7 @@
 """The index core of ``Graph`` and ``HomMap`` against the label-level oracles
-in ``reference``: edges, neighbourhoods, component blocks, the quotient, and
-the edge, local and equitable classes of maps."""
+in ``reference``: edges, neighbourhoods, component blocks, the quotient, the
+edge, local and equitable classes of maps, the label views a map derives
+from its positions, and its fibre-component table."""
 
 from __future__ import annotations
 
@@ -12,13 +13,15 @@ from hypothesis import strategies as st
 
 from quograph import Graph, HomMap, Partition, is_equitable, quotient
 from quograph.errors import HypothesisError
-from quograph.homs import _is_equitable, _local_pass
+from quograph.homs import _fibre_blocks, _is_equitable, _local_pass
 from quograph.verify import _index_maps, set_partitions
 
-from conftest import homomorphisms, vertex_maps
+from conftest import homomorphism_inputs, vertex_maps
 from reference import (
     label_components,
     label_edge_classes,
+    label_fibre_blocks,
+    label_fibres,
     label_graph,
     label_is_equitable,
     label_local_pass,
@@ -64,20 +67,28 @@ def check_graph(vertices, edges):
     return g, nbhd, edge_set
 
 
-def check_map(m: HomMap, source_nbhd, source_edges, target_nbhd, target_edges):
-    """The map's edge, local and equitable classes against the label oracles."""
-    assert m._edge_classes == label_edge_classes(m.mapping, source_edges, m.target.vertices, target_edges)
+def check_map(m: HomMap, mapping, source_nbhd, source_edges, target_nbhd, target_edges):
+    """The map's label views, fibre-component table, and edge, local and
+    equitable classes against the label oracles run on ``mapping``, the
+    label map it was built to be."""
+    fibres = label_fibres(mapping)
+    assert list(m.mapping.items()) == sorted(mapping.items())
+    assert list(m.fibres.items()) == list(fibres.items())
+    assert [m.fibre(y) for y in m.target.vertices] == [fibres.get(y, ()) for y in m.target.vertices]
+    assert m.image == set(mapping.values())
+    blocks = label_components(source_nbhd)
+    assert _fibre_blocks(m) == label_fibre_blocks(mapping, blocks, m.target.vertices)
+    assert m._edge_classes == label_edge_classes(mapping, source_edges, m.target.vertices, target_edges)
     everywhere = range(len(m.source.vertices))
-    assert _local_pass(m, everywhere) == label_local_pass(m.mapping, source_nbhd, target_nbhd, m.source.vertices)
-    assert _is_equitable(m.source, m._index_map) == label_is_equitable(source_nbhd, m.fibres.values(), m.mapping)
+    assert _local_pass(m, everywhere) == label_local_pass(mapping, source_nbhd, target_nbhd, m.source.vertices)
+    assert _is_equitable(m.source, m._index_map) == label_is_equitable(source_nbhd, fibres.values(), mapping)
 
 
 def check_quotient(g: Graph, nbhd, edges, p: Partition):
     names, qedges = label_quotient(edges, p)
     m = quotient(g, p).projection
     assert m.target.vertices == tuple(sorted(names)) and m.target.proper_edges == qedges
-    assert m.mapping == {v: names[p.block_of[v]] for v in g.vertices}
-    check_map(m, nbhd, edges, label_graph(names, qedges)[0], qedges)
+    check_map(m, {v: names[p.block_of[v]] for v in g.vertices}, nbhd, edges, label_graph(names, qedges)[0], qedges)
     assert is_equitable(g, p) == label_is_equitable(nbhd, p.blocks, p.block_of)
 
 
@@ -97,7 +108,8 @@ def test_every_map_between_graphs_up_to_three_vertices():
     for s, s_nbhd, s_edges in graphs:
         for t, t_nbhd, t_edges in graphs:
             for index_map in _index_maps(s, t):
-                check_map(HomMap._from_index_map(s, t, index_map), s_nbhd, s_edges, t_nbhd, t_edges)
+                mapping = {v: t.vertices[y] for v, y in zip(s.vertices, index_map)}
+                check_map(HomMap._from_index_map(s, t, index_map), mapping, s_nbhd, s_edges, t_nbhd, t_edges)
                 maps += 1
     assert maps == 1339
 
@@ -113,12 +125,13 @@ def test_random_graphs_and_partitions(raw):
     check_quotient(g, nbhd, edge_set, Partition(blocks.values(), g.vertex_set))
 
 
-@given(homomorphisms(max_source=40, max_target=8))
+@given(homomorphism_inputs(max_source=40, max_target=8))
 @settings(max_examples=60, deadline=None)
-def test_random_homomorphisms(m):
-    s_nbhd, s_edges = label_graph(m.source.vertices, m.source.sorted_edges())
-    t_nbhd, t_edges = label_graph(m.target.vertices, m.target.sorted_edges())
-    check_map(m, s_nbhd, s_edges, t_nbhd, t_edges)
+def test_random_homomorphisms(case):
+    source, target, mapping = case
+    s_nbhd, s_edges = label_graph(source.vertices, source.sorted_edges())
+    t_nbhd, t_edges = label_graph(target.vertices, target.sorted_edges())
+    check_map(HomMap(source, target, mapping), mapping, s_nbhd, s_edges, t_nbhd, t_edges)
 
 
 @given(vertex_maps())

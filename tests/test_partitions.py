@@ -8,7 +8,7 @@ from quograph import quotient
 from quograph.verify import enumerate_graphs, enumerate_homs, set_partitions
 
 from conftest import graphs, graphs_with_partitions
-from golden import PARTITION_REFUSALS
+from golden import BLOCK_REFUSALS, PARTITION_REFUSALS
 from reference import list_row_is_equitable, partition_of_map
 
 
@@ -46,7 +46,7 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([["a"], []], {"a"})
 
-    @pytest.mark.parametrize("universe,cells,message", PARTITION_REFUSALS)
+    @pytest.mark.parametrize("universe,cells,message", PARTITION_REFUSALS + BLOCK_REFUSALS)
     def test_refusal_message(self, universe, cells, message):
         with pytest.raises(ValueError) as exc:
             Partition(cells, universe)

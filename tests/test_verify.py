@@ -396,6 +396,36 @@ class TestOrbitInstances:
         assert report.complete is True
 
 
+class TestComponentImageGaps:
+    """The component migration and main component claims share one test of
+    whether a component's image is its whole target component; each gap is
+    reported in the claim's own words."""
+
+    PATH = Graph(["1", "2", "3"], [("1", "2"), ("2", "3")])
+    TRIANGLE = Graph(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
+
+    @pytest.mark.parametrize(
+        "images,migration,main",
+        [
+            (
+                {"1": "x", "2": "y", "3": "z"},
+                "image of component of '1' misses edges of its target component",
+                ["main component image has the component's vertices but not its edges"],
+            ),
+            ({"1": "x", "2": "y", "3": "x"}, "image of component of '1' is not a full target component", None),
+        ],
+        ids=["edge", "vertex"],
+    )
+    def test_gap_is_reported(self, monkeypatch, images, migration, main):
+        m = HomMap(self.PATH, self.TRIANGLE, images)
+        # no map with such a gap is locally surjective or complete, so the
+        # claims' hypotheses are patched in
+        monkeypatch.setattr(quograph.homs, "is_locally_surjective", lambda m: True)
+        monkeypatch.setattr(quograph.homs, "is_complete", lambda m: True)
+        assert verify._claim_component_migration(m) == [migration]
+        assert verify._claim_single_main_component_image(m) == main
+
+
 class TestMediumGraphs:
     def test_shapes(self):
         gs = medium_test_graphs()
