@@ -51,7 +51,6 @@ from .homs import (
 from .partitions import QuotientResult, is_equitable, quotient
 from .perms import (
     PermGroup,
-    Permutation,
     automorphism_group,
     generated_elements,
     is_consistent,
@@ -80,7 +79,6 @@ __all__ = [
     "InternalCheckError",
     "Partition",
     "PermGroup",
-    "Permutation",
     "QuotientResult",
     "SweepConfig",
     "VerificationReport",

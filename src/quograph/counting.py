@@ -62,7 +62,7 @@ class CountBreakdown:
 def multiplicity(m: HomMap, u, y: str) -> int:
     """Number of vertices of u inside the fibre of y."""
     index, p = m.source.index, m.target.index.get(y)
-    members = set(u)
+    members = dict.fromkeys(u)  # once each, in u's order, so the first unknown is named
     for v in members:
         if v not in index:
             raise ValueError(f"unknown source vertex {v!r}")

@@ -12,7 +12,7 @@ from operator import itemgetter
 
 from .errors import HypothesisError, InternalCheckError
 from .graphs import Graph
-from .perms import PermGroup, Permutation, verify_automorphisms
+from .perms import PermGroup, verify_automorphisms
 
 MAX_ORDER = 120
 
@@ -35,6 +35,9 @@ class FiniteGroup:
 
     def __init__(self, elements, identity, table):
         elements = tuple(elements)
+        for a in elements:  # they become vertex labels of the power graphs
+            if not isinstance(a, str):
+                raise ValueError(f"group element {a!r} is not a string")
         if len(elements) != len(set(elements)):
             raise ValueError("duplicate group element")
         if not elements:
@@ -180,58 +183,44 @@ def make_klein_four() -> FiniteGroup:
 
 # ---------------------------------------------------------------- power graphs
 
-def _power_edges(group: FiniteGroup, elements) -> frozenset[frozenset[str]]:
-    """Distinct x, y among ``elements`` where one is a positive power of the
-    other: each x is joined to the rest of its cyclic subgroup."""
-    labels, index, rows = group.elements, group._index, group._rows
-    keep = set(map(index.__getitem__, elements))
-    return frozenset(
-        frozenset((labels[x], labels[y]))
-        for x in keep
-        for y in _cyclic_subgroup(rows, x)
-        if y != x and y in keep
-    )
+def _power_pairs(group: FiniteGroup, vertices: tuple) -> list[tuple[int, int]]:
+    """The power relation on ``vertices``, sorted distinct group elements,
+    as position pairs (i, j), i < j: distinct elements where one is a
+    positive power of the other, each x joined to the rest of its cyclic
+    subgroup.
 
-
-def _has_power_edges(group: FiniteGroup, g: Graph) -> bool:
-    """True iff the proper edges of g, a graph on group elements, are
-    exactly the power relation on its vertices.
-
-    Each x must be adjacent to the rest of its cyclic subgroup in g, and g
-    must have no more edges than that.  A pair is counted once: from the
-    element of larger order, or from the larger index when both generate the
-    same cyclic subgroup (a power of x has order at most that of x).
+    A pair is listed once: from the element of larger order, or from the
+    larger index when both generate the same cyclic subgroup (a power of x
+    has order at most that of x).
     """
-    cyclic = [_cyclic_subgroup(group._rows, x) for x in range(len(group.elements))]
-    where = [g.index.get(a) for a in group.elements]  # None off the graph
-    nbhd = g._nbhd
-    edges = 0
-    for x, p in enumerate(where):
-        if p is None:
-            continue
+    index, rows = group._index, group._rows
+    cyclic = [_cyclic_subgroup(rows, x) for x in range(len(rows))]
+    where = [None] * len(rows)  # None off the vertices
+    for p, a in enumerate(vertices):
+        where[index[a]] = p
+    pairs = []
+    for p, a in enumerate(vertices):
+        x = index[a]
         for y in cyclic[x]:
             q = where[y]
-            if q is None or y == x:
-                continue
-            if q not in nbhd[p]:
-                return False
-            if len(cyclic[y]) < len(cyclic[x]) or y < x:
-                edges += 1
-    return edges == len(g._edges)
+            if q is not None and y != x and (len(cyclic[y]) < len(cyclic[x]) or y < x):
+                pairs.append((p, q) if p < q else (q, p))
+    return pairs
 
 
 def power_graph(group: FiniteGroup) -> Graph:
     """Undirected power graph: distinct x, y joined when one is a positive
     power of the other.  The identity is adjacent to everything."""
-    return Graph(group.elements, _power_edges(group, group.elements))
+    vertices = tuple(sorted(group.elements))
+    return Graph._from_edges(vertices, _power_pairs(group, vertices))
 
 
 def proper_power_graph(group: FiniteGroup) -> Graph:
     """The power graph with the identity deleted (induced on the rest)."""
     if group.order() < 2:
         raise HypothesisError("the trivial group has no proper power graph")
-    rest = tuple(x for x in group.elements if x != group.identity)
-    return Graph(rest, _power_edges(group, rest))
+    vertices = tuple(sorted(x for x in group.elements if x != group.identity))
+    return Graph._from_edges(vertices, _power_pairs(group, vertices))
 
 
 def generating_set(group: FiniteGroup) -> list[str]:
@@ -273,16 +262,23 @@ def conjugation_group(group: FiniteGroup, on_graph: Graph) -> PermGroup:
     checked to be an automorphism of ``on_graph`` before returning.
     """
     universe = frozenset(group.elements)
-    if on_graph.vertex_set not in (universe, universe - {group.identity}) or not _has_power_edges(group, on_graph):
+    verts, nbhd = on_graph.vertices, on_graph._nbhd
+    if on_graph.vertex_set not in (universe, universe - {group.identity}):
         raise ValueError("graph is not a power graph of this group")
-    verts = tuple(x for x in group.elements if x in on_graph.vertex_set)
-    labels, index, rows = group.elements, group._index, group._rows
+    # the pairs are distinct, so they are the graph's edges when there are
+    # as many of them and each is an edge
+    pairs = _power_pairs(group, verts)
+    if len(pairs) != len(on_graph._edges) or any(q not in nbhd[p] for p, q in pairs):
+        raise ValueError("graph is not a power graph of this group")
+    index, rows = group._index, group._rows
     e = index[group.identity]
+    where = [on_graph.index.get(a) for a in group.elements]  # conjugation fixes e, so stays on the graph
+    elements = [index[a] for a in verts]
     gens = []
     for s in map(index.__getitem__, group.generators):
         by_s_inv = rows[rows[s].index(e)]
-        gens.append(Permutation({x: labels[rows[by_s_inv[index[x]]][s]] for x in verts}))
-    grp = PermGroup(verts, gens)
+        gens.append(tuple([where[rows[by_s_inv[x]][s]] for x in elements]))
+    grp = PermGroup._from_positions(verts, gens)
     if not verify_automorphisms(on_graph, grp):
         raise InternalCheckError("conjugation failed the automorphism check on the power graph")
     return grp

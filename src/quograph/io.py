@@ -94,7 +94,7 @@ def hom_from_dict(data, source: Graph, target: Graph) -> HomMap:
 # ------------------------------------------------------------------- groups
 
 def group_to_dict(grp: PermGroup) -> dict:
-    return {"generators": [dict(sorted(f.mapping.items())) for f in grp.generators]}
+    return {"generators": list(grp.generators)}
 
 
 def group_from_dict(data, g: Graph) -> PermGroup:
@@ -108,7 +108,7 @@ def group_from_dict(data, g: Graph) -> PermGroup:
             _expect(isinstance(f, dict), f"generator {f!r} is not an object")
             _expect_labels(f.values(), "generator image")
     try:
-        return PermGroup(g.vertex_set, gens)
+        return PermGroup(g.vertices, gens)
     except ValueError as exc:
         raise ValueError(f"bad generator: {exc}") from None
 

@@ -1,4 +1,4 @@
-"""Vertex permutations, generated groups, orbits, and automorphism search."""
+"""Permutation groups on vertex positions: generated groups, orbits, and automorphism search."""
 
 from __future__ import annotations
 
@@ -10,80 +10,54 @@ MAX_AUTOMORPHISM_VERTICES = 10
 MAX_GENERATED_ELEMENTS = 100_000
 
 
-class Permutation:
-    """A bijection on a fixed universe of vertex labels."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping):
-        self.mapping = dict(mapping)
-        if self.mapping.keys() != set(self.mapping.values()):
-            raise ValueError("mapping is not a bijection of its domain")
-
-    @classmethod
-    def identity(cls, universe) -> "Permutation":
-        return cls({v: v for v in universe})
-
-    def is_identity(self) -> bool:
-        return all(k == v for k, v in self.mapping.items())
-
-    def sort_key(self) -> tuple:
-        return tuple(sorted(self.mapping.items()))
-
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.mapping == other.mapping
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.mapping.items())))
-
-    def __repr__(self):
-        moved = {k: v for k, v in self.mapping.items() if k != v}
-        return f"Permutation({moved!r})" if moved else "Permutation(identity)"
-
-
 class PermGroup:
     """A permutation group on a vertex set, given by generators.
 
-    Only generators are stored; orbits are computed by closure, and the full
-    element list is materialized only on request (``generated_elements``,
-    which ``verify`` uses to draw subgroups of small automorphism groups).
-    ``_on_positions`` caches the generators on vertex positions (see
-    ``_positions``).
+    The group is stored by position, like ``HomMap``: ``vertices`` holds the
+    labels in sorted order, and ``_gens`` each generator as the tuple of the
+    image positions of positions 0, 1, ...  Positions follow label order, so
+    for a group acting on a graph's vertex set they are the graph's
+    positions (see ``Graph.index``).  The label view ``generators`` is
+    derived on each call.  Only generators are stored; orbits are computed
+    by closure, and the full element list is materialized only on request
+    (``generated_elements``, which ``verify`` uses to draw subgroups of small
+    automorphism groups).
     """
 
-    __slots__ = ("universe", "generators", "_on_positions")
+    __slots__ = ("vertices", "_gens")
 
     def __init__(self, universe, generators):
-        self.universe = frozenset(universe)
+        """Each generator is a label mapping, a bijection of the universe."""
+        # sorted() takes linear time on a universe already in order, such
+        # as a graph's vertices; dict.fromkeys drops repeats
+        verts = tuple(dict.fromkeys(sorted(universe)))
+        index = dict(zip(verts, range(len(verts))))
         gens = []
         for f in generators:
-            if not isinstance(f, Permutation):
-                f = Permutation(f)
-            if set(f.mapping) != self.universe:
+            f = dict(f)
+            if f.keys() != set(f.values()):
+                raise ValueError("mapping is not a bijection of its domain")
+            if f.keys() != index.keys():
                 raise ValueError("generator domain does not match the universe")
-            gens.append(f)
-        self.generators = tuple(gens)
-        self._on_positions = None
+            gens.append(tuple(map(index.__getitem__, map(f.__getitem__, verts))))
+        self.vertices, self._gens = verts, tuple(gens)
 
     @classmethod
-    def trivial(cls, universe) -> "PermGroup":
-        return cls(universe, [])
+    def _from_positions(cls, vertices: tuple, gens) -> "PermGroup":
+        """A group on sorted distinct labels from generators given as tuples
+        of image positions.  Nothing is checked."""
+        grp = cls.__new__(cls)
+        grp.vertices, grp._gens = vertices, tuple(gens)
+        return grp
+
+    @property
+    def generators(self) -> tuple[dict[str, str], ...]:
+        """Each generator as a label mapping, keyed in label order."""
+        verts = self.vertices
+        return tuple(dict(zip(verts, map(verts.__getitem__, f))) for f in self._gens)
 
     def __repr__(self):
-        return f"PermGroup({len(self.generators)} generators on {len(self.universe)} points)"
-
-
-def _positions(grp: PermGroup, g: Graph) -> list[tuple[int, ...]]:
-    """Each generator as the tuple of image positions of g's vertex positions
-    (see ``Graph.index``), made once per group.  The group acts on g's
-    vertex set, and positions follow label order, so they are the same for
-    every graph on that set."""
-    if grp._on_positions is None:
-        index, verts = g.index, g.vertices
-        grp._on_positions = [tuple([index[f.mapping[v]] for v in verts]) for f in grp.generators]
-    return grp._on_positions
+        return f"PermGroup({len(self._gens)} generators on {len(self.vertices)} points)"
 
 
 def verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
@@ -92,23 +66,21 @@ def verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
     A bijection sending proper edges into proper edges hits all of them, so
     checking one direction suffices on a finite graph.
     """
-    if grp.universe != g.vertex_set:
+    if grp.vertices != g.vertices:
         raise ValueError("group universe does not match the graph's vertices")
     # A closed neighbourhood also holds its own vertex, but a generator is a
     # bijection, so the images of the two ends of a proper edge differ and
     # membership means a proper edge.
     nbhd = g._nbhd
-    for f in _positions(grp, g):
+    for f in grp._gens:
         for a, b in g._edges:
             if f[b] not in nbhd[f[a]]:
                 return False
     return True
 
 
-def _orbit(seed, gens) -> set:
-    """The orbit of seed under the generators, by forward closure; a
-    generator is anything indexed by a point (a label mapping or a tuple of
-    positions).
+def _orbit(seed: int, gens) -> set[int]:
+    """The orbit of position seed under the generators, by forward closure.
 
     Repeated application of a permutation cycles back, so forward closure
     already accounts for inverses and the full group is never materialized.
@@ -126,16 +98,20 @@ def _orbit(seed, gens) -> set:
 
 
 def orbit_partition(grp: PermGroup) -> Partition:
-    """Orbits of the generated group, one ``_orbit`` closure per orbit."""
-    gens = [f.mapping for f in grp.generators]
-    unseen = set(grp.universe)
-    cells = []
-    for seed in sorted(grp.universe):
-        if seed in unseen:
-            orbit = _orbit(seed, gens)
-            unseen -= orbit
-            cells.append(orbit)
-    return Partition(cells, grp.universe)
+    """Orbits of the generated group, one ``_orbit`` closure per orbit.
+
+    Each seed is the smallest position not yet reached, so the blocks come
+    out ordered by smallest member and the partition needs no check.
+    """
+    verts, gens = grp.vertices, grp._gens
+    block_of: dict[str, int] = {}
+    blocks = []
+    for seed, v in enumerate(verts):
+        if v not in block_of:
+            block = tuple([verts[x] for x in sorted(_orbit(seed, gens))])
+            block_of.update(dict.fromkeys(block, len(blocks)))
+            blocks.append(block)
+    return Partition._from_sorted(tuple(blocks), frozenset(verts), block_of)
 
 
 def automorphism_group(g: Graph) -> PermGroup:
@@ -150,7 +126,7 @@ def automorphism_group(g: Graph) -> PermGroup:
     n = len(g.vertices)
     if n > MAX_AUTOMORPHISM_VERTICES:
         raise ValueError(f"graph has {n} vertices, above the search bound {MAX_AUTOMORPHISM_VERTICES}")
-    nbhd, verts = g._nbhd, g.vertices
+    nbhd = g._nbhd
     order, pool = _degree_layout(g)
     gens = []
     for i, v in enumerate(order):
@@ -160,8 +136,8 @@ def automorphism_group(g: Graph) -> PermGroup:
                 continue
             assigned = dict(fixed)
             if _extend_map(nbhd, nbhd, pool, order, i, (w,), assigned, set(fixed)):
-                gens.append(Permutation({verts[a]: verts[b] for a, b in assigned.items()}))
-    return PermGroup(g.vertex_set, gens)
+                gens.append(tuple(map(assigned.__getitem__, range(n))))
+    return PermGroup._from_positions(g.vertices, gens)
 
 
 def is_consistent(m, grp: PermGroup) -> bool:
@@ -171,32 +147,30 @@ def is_consistent(m, grp: PermGroup) -> bool:
     lies inside one fibre.  Then the fibres are single orbits exactly when
     the orbits of one member per fibre, which are disjoint, cover the source.
     """
-    source = m.source
-    if grp.universe != source.vertex_set:
+    if grp.vertices != m.source.vertices:
         raise ValueError("group universe does not match the map's source vertices")
-    index_map = m._index_map
-    gens = _positions(grp, source)
+    index_map, gens = m._index_map, grp._gens
     if any(tuple([index_map[x] for x in f]) != index_map for f in gens):
         return False
     members = {y: x for x, y in enumerate(index_map)}.values()
     return sum(len(_orbit(x, gens)) for x in members) == len(index_map)
 
 
-def generated_elements(grp: PermGroup) -> list[Permutation]:
-    """Materialize every element of the generated group (test-scale only)."""
-    universe = sorted(grp.universe)
-    identity = Permutation.identity(universe)
+def generated_elements(grp: PermGroup) -> list[tuple[int, ...]]:
+    """Every element of the generated group as a tuple of image positions
+    over ``grp.vertices``, in sorted order (test-scale only)."""
+    identity = tuple(range(len(grp.vertices)))
     seen = {identity}
     frontier = [identity]
     while frontier:
         new = []
         for p in frontier:
-            for f in grp.generators:
-                q = Permutation({v: f.mapping[p.mapping[v]] for v in universe})
+            for f in grp._gens:
+                q = tuple(map(f.__getitem__, p))  # f after p
                 if q not in seen:
                     if len(seen) >= MAX_GENERATED_ELEMENTS:
                         raise ValueError(f"group exceeds the materialization limit {MAX_GENERATED_ELEMENTS}")
                     seen.add(q)
                     new.append(q)
         frontier = new
-    return sorted(seen, key=Permutation.sort_key)
+    return sorted(seen)

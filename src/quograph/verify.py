@@ -30,7 +30,7 @@ from . import counting, homs, io, partitions, perms
 from .errors import HypothesisError, InternalCheckError
 from .graphs import Graph, Partition, find_isomorphism
 from .homs import HomMap
-from .perms import PermGroup, Permutation
+from .perms import PermGroup
 
 _FAILURE_CAP = 20  # serialized counterexamples kept per claim
 
@@ -477,24 +477,25 @@ def _claim_orbit_projection_consistent(inst: OrbitInstance):
 def _claim_orbit_admissible_single_orbit(inst: OrbitInstance):
     m = inst.m
     fails = []
+    index = m.source.index
     for y in sorted(m.image):
         blocks = counting.admissible_components(m, y)
-        admissible = [frozenset(b) for b in blocks]
-        first = blocks[0]
-        closure = {frozenset(first)}
-        frontier = [frozenset(first)]
+        admissible = {frozenset(map(index.__getitem__, b)) for b in blocks}
+        first = frozenset(map(index.__getitem__, blocks[0]))
+        closure = {first}
+        frontier = [first]
         while frontier:
             blk = frontier.pop()
-            for f in inst.grp.generators:
-                img = frozenset(f.mapping[v] for v in blk)
+            for f in inst.grp._gens:
+                img = frozenset([f[x] for x in blk])
                 if img not in closure:
                     closure.add(img)
                     frontier.append(img)
-        if closure != set(admissible):
+        if closure != admissible:
             fails.append(f"admissible components at {y!r} are not a single group orbit")
             continue
-        base = m.source.induced(first)
-        for other in admissible:
+        base = m.source.induced(blocks[0])
+        for other in blocks:
             if find_isomorphism(base, m.source.induced(other)) is None:
                 fails.append(f"admissible components at {y!r} are not pairwise isomorphic")
                 break
@@ -772,18 +773,18 @@ def _orbit_subgroups(g: Graph) -> list[tuple[Partition, PermGroup]]:
     """
     aut = perms.automorphism_group(g)
     elements = perms.generated_elements(aut)
-    moving = [f for f in elements if not f.is_identity()]
+    moving = elements[1:]  # the identity sorts first
     candidate_gens = [[]]
     candidate_gens += [[f] for f in moving]
     if len(moving) <= _PAIR_CAP:
         candidate_gens += [
             [f, h] for i, f in enumerate(moving) for h in moving[i + 1 :]
         ]
-    if aut.generators:
-        candidate_gens.append(list(aut.generators))
+    if aut._gens:
+        candidate_gens.append(aut._gens)
     seen = {}
     for gens in candidate_gens:
-        grp = PermGroup(g.vertex_set, gens)
+        grp = PermGroup._from_positions(g.vertices, gens)
         p = perms.orbit_partition(grp)
         if p.blocks not in seen:
             seen[p.blocks] = (p, grp)
@@ -824,21 +825,21 @@ def _draw_orbit_group(rng: random.Random, max_vertices: int = 40) -> tuple[Graph
     edges = [(tag(u, i), tag(v, i)) for i in range(copies) for (u, v) in base_edges]
     g = Graph(verts, edges)
 
-    base = Graph(labels, base_edges)
-    base_aut = perms.automorphism_group(base)
+    # g's labels sort by base vertex, then by copy ("v0@00" < "v0@01" < ...
+    # < "v1@00", as base_n <= 6 and copies <= 8), so tag(labels[j], i) has
+    # position j * copies + i.
+    base_aut = perms.automorphism_group(Graph(labels, base_edges))._gens
     gens = []
     if copies > 1 and rng.random() < 0.8:
-        gens.append(
-            Permutation({tag(v, i): tag(v, (i + 1) % copies) for i in range(copies) for v in labels})
-        )
+        gens.append(tuple(j * copies + (i + 1) % copies for j in range(base_n) for i in range(copies)))
     for _ in range(rng.randint(0, 2)):
-        word = {v: v for v in labels}
+        word = tuple(range(base_n))
         for _ in range(rng.randint(1, 3)):
-            f = rng.choice(base_aut.generators) if base_aut.generators else None
-            if f is not None:
-                word = {v: f.mapping[word[v]] for v in labels}
-        gens.append(Permutation({tag(v, i): tag(word[v], i) for i in range(copies) for v in labels}))
-    return g, PermGroup(g.vertex_set, gens)
+            if base_aut:
+                f = rng.choice(base_aut)
+                word = tuple(map(f.__getitem__, word))  # f after word
+        gens.append(tuple(word[j] * copies + i for j in range(base_n) for i in range(copies)))
+    return g, PermGroup._from_positions(g.vertices, gens)
 
 
 def sweep_random_claims(cfg: SweepConfig, results=None):

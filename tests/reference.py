@@ -24,7 +24,7 @@ from quograph.graphs import Graph
 from quograph.groups import MAX_ORDER, FiniteGroup
 from quograph.homs import HomMap
 from quograph.partitions import Partition, quotient
-from quograph.perms import PermGroup, Permutation, orbit_partition
+from quograph.perms import PermGroup, orbit_partition
 from quograph.verify import OrbitInstance, _draw_orbit_group, _orbit_subgroups
 
 
@@ -149,11 +149,11 @@ def indent_dumps(payload) -> str:
 
 def edge_set_verify_automorphisms(g: Graph, grp: PermGroup) -> bool:
     """Automorphism test by looking each image edge up in the edge set."""
-    if grp.universe != g.vertex_set:
+    if frozenset(grp.vertices) != g.vertex_set:
         raise ValueError("group universe does not match the graph's vertices")
     for f in grp.generators:
         for u, v in g.proper_edges:
-            if frozenset((f.mapping[u], f.mapping[v])) not in g.proper_edges:
+            if frozenset((f[u], f[v])) not in g.proper_edges:
                 return False
     return True
 
@@ -397,10 +397,51 @@ def two_loop_is_consistent(m: HomMap, grp: PermGroup) -> bool:
     meets two orbits."""
     for f in grp.generators:
         for x in m.source.vertices:
-            if m.mapping[f.mapping[x]] != m.mapping[x]:
+            if m.mapping[f[x]] != m.mapping[x]:
                 return False
-    orbits = orbit_partition(grp)
+    orbits = label_orbit_partition(grp)
     return all(len({orbits.block_of[v] for v in fibre}) == 1 for fibre in m.fibres.values())
+
+
+def label_orbit_partition(grp: PermGroup) -> Partition:
+    """Orbits by closing each unseen label, in label order, under the label
+    mappings of the generators; ``Partition`` sorts and checks the cells."""
+    gens = grp.generators
+    unseen = set(grp.vertices)
+    cells = []
+    for seed in grp.vertices:
+        if seed in unseen:
+            orbit = {seed}
+            frontier = [seed]
+            while frontier:
+                x = frontier.pop()
+                for f in gens:
+                    if f[x] not in orbit:
+                        orbit.add(f[x])
+                        frontier.append(f[x])
+            unseen -= orbit
+            cells.append(orbit)
+    return Partition(cells, grp.vertices)
+
+
+def label_generated_elements(grp: PermGroup) -> list[dict[str, str]]:
+    """Every element of the group as a label mapping, composed as dicts
+    (f after p) from the identity, in the order of their sorted items."""
+    verts = grp.vertices
+    identity = {v: v for v in verts}
+    seen = {tuple(sorted(identity.items())): identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for p in frontier:
+            for f in grp.generators:
+                q = {v: f[p[v]] for v in verts}
+                key = tuple(sorted(q.items()))
+                if key not in seen:
+                    seen[key] = q
+                    new.append(q)
+        frontier = new
+    return [seen[key] for key in sorted(seen)]
 
 
 def tuple_symmetric_table(n: int) -> tuple[list[str], str, dict[str, dict[str, str]]]:
@@ -442,7 +483,7 @@ def edge_set_automorphism_group(g: Graph, max_vertices: int = 10) -> PermGroup:
                 continue
             found = _stabilized_automorphism(g, order, deg, i, w)
             if found is not None:
-                gens.append(Permutation(found))
+                gens.append(found)
     return PermGroup(g.vertex_set, gens)
 
 

@@ -21,7 +21,6 @@ from quograph import (
     Graph,
     Partition,
     PermGroup,
-    Permutation,
     make_cyclic,
     make_klein_four,
     make_symmetric,
@@ -63,7 +62,7 @@ def two_triangles_files(tmp_path):
         ["a0", "a1", "a2", "b0", "b1", "b2"],
         [("a0", "a1"), ("a0", "a2"), ("a1", "a2"), ("b0", "b1"), ("b0", "b2"), ("b1", "b2")],
     )
-    swap = Permutation({f"a{i}": f"b{i}" for i in range(3)} | {f"b{i}": f"a{i}" for i in range(3)})
+    swap = {f"a{i}": f"b{i}" for i in range(3)} | {f"b{i}": f"a{i}" for i in range(3)}
     grp = PermGroup(g.vertex_set, [swap])
     io.save_json(tmp_path / "g.json", io.graph_to_dict(g))
     io.save_json(tmp_path / "grp.json", io.group_to_dict(grp))
@@ -494,13 +493,14 @@ class TestPowergraph:
         assert code == 2
 
     def test_one_graph_is_built(self, capsys, monkeypatch):
+        # every route that builds a graph (the constructor, _from_edges,
+        # induced) stores it through _store
         calls = []
-        init, induced = Graph.__init__, Graph.induced
-        monkeypatch.setattr(Graph, "__init__", lambda self, *a: calls.append("__init__") or init(self, *a))
-        monkeypatch.setattr(Graph, "induced", lambda self, *a: calls.append("induced") or induced(self, *a))
+        store = Graph._store
+        monkeypatch.setattr(Graph, "_store", lambda self, *a: calls.append("_store") or store(self, *a))
         code, out, _ = run_cli(capsys, "powergraph", "--group", "symmetric:4", "--proper")
         assert code == 0 and len(json.loads(out)["graph"]["vertices"]) == 23
-        assert calls == ["__init__"]
+        assert calls == ["_store"]
 
     # sha256 of the stdout of `powergraph --group SPEC --proper`, then of
     # `orbits` and `count --group` on the files `powergraph --out` writes.
@@ -922,7 +922,7 @@ def _chorded_cycle_copies(tmp_path):
     edges = [(label[base[j], i], label[base[(j + 1) % 6], i]) for i in range(3) for j in range(6)]
     edges += [(label["q", i], label["d", i]) for i in range(3)]
     g = Graph(list(label.values()), edges)
-    shift = Permutation({label[v, i]: label[v, (i + 1) % 3] for v in base for i in range(3)})
+    shift = {label[v, i]: label[v, (i + 1) % 3] for v in base for i in range(3)}
     grp = PermGroup(g.vertex_set, [shift])
     io.save_json(tmp_path / "g.json", io.graph_to_dict(g))
     io.save_json(tmp_path / "grp.json", io.group_to_dict(grp))

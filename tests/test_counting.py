@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,7 +15,6 @@ from quograph import (
     HypothesisError,
     Partition,
     PermGroup,
-    Permutation,
     admissible_components,
     component_iso_check,
     connectedness_criterion,
@@ -25,9 +30,13 @@ from quograph import (
 )
 from quograph.verify import enumerate_graphs, enumerate_homs, oracle_component_count
 
-from conftest import orbit_instances
+from conftest import orbit_instances, subprocess_env
 from reference import every_choice_terms, rebuilding_ratio_count
 from golden import (
+    BLOCK_REFUSALS,
+    GROUP_LOADER_REFUSALS,
+    PARTITION_LOADER_REFUSALS,
+    PARTITION_REFUSALS,
     balanced_two_component_map,
     lopsided_two_component_map,
     prism_and_cube_map,
@@ -41,7 +50,7 @@ def two_triangles():
         ["a0", "a1", "a2", "b0", "b1", "b2"],
         [("a0", "a1"), ("a0", "a2"), ("a1", "a2"), ("b0", "b1"), ("b0", "b2"), ("b1", "b2")],
     )
-    swap = Permutation({f"a{i}": f"b{i}" for i in range(3)} | {f"b{i}": f"a{i}" for i in range(3)})
+    swap = {f"a{i}": f"b{i}" for i in range(3)} | {f"b{i}": f"a{i}" for i in range(3)}
     grp = PermGroup(g.vertex_set, [swap])
     m = quotient(g, orbit_partition(grp)).projection
     return g, grp, m
@@ -49,7 +58,7 @@ def two_triangles():
 
 def hexagon_antipodal():
     g = Graph([str(i) for i in range(6)], [(str(i), str((i + 1) % 6)) for i in range(6)])
-    anti = Permutation({str(i): str((i + 3) % 6) for i in range(6)})
+    anti = {str(i): str((i + 3) % 6) for i in range(6)}
     grp = PermGroup(g.vertex_set, [anti])
     m = quotient(g, orbit_partition(grp)).projection
     return g, grp, m
@@ -68,6 +77,39 @@ class TestMultiplicity:
             multiplicity(m, ["nope"], "y")
         with pytest.raises(ValueError):
             multiplicity(m, ["1"], "nope")
+
+
+# Each refusal the library words for a list of vertices, blocks or
+# generators, printed as one JSON list: multiplicity's first, then
+# golden.py's partition and group rows.
+REFUSALS_SCRIPT = """
+import json
+from quograph import Graph, Partition, io, multiplicity
+from golden import (
+    BLOCK_REFUSALS, GROUP_LOADER_REFUSALS, PARTITION_LOADER_REFUSALS, PARTITION_REFUSALS, balanced_two_component_map,
+)
+
+def refusal(f, *args):
+    try:
+        f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+out = [refusal(multiplicity, balanced_two_component_map(), ["zz", "qq", "xx"], "y")]
+out += [refusal(Partition, bs, vs) for vs, bs, _ in PARTITION_REFUSALS + BLOCK_REFUSALS]
+out += [refusal(io.partition_from_dict, {"blocks": bs}, Graph(vs, [])) for vs, bs, _ in PARTITION_LOADER_REFUSALS]
+out += [refusal(io.group_from_dict, {"generators": gs}, Graph(vs, [])) for vs, gs, _ in GROUP_LOADER_REFUSALS]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "2"])
+def test_refusals_do_not_depend_on_the_hash_seed(seed):
+    env = subprocess_env() | {"PYTHONHASHSEED": seed}
+    env["PYTHONPATH"] += f"{os.pathsep}{Path(__file__).parent}"
+    proc = subprocess.run([sys.executable, "-c", REFUSALS_SCRIPT], capture_output=True, env=env, check=True)
+    rows = PARTITION_REFUSALS + BLOCK_REFUSALS + PARTITION_LOADER_REFUSALS + GROUP_LOADER_REFUSALS
+    assert json.loads(proc.stdout) == ["unknown source vertex 'zz'", *(row[-1] for row in rows)]
 
 
 class TestAdmissibleComponents:
@@ -196,7 +238,7 @@ def many_components(count=300):
             vertices += [f"{copy}{i:03d}.{j}" for j in range(size)]
             edges += [(f"{copy}{i:03d}.{u}", f"{copy}{i:03d}.{v}") for u, v in piece]
     g = Graph(vertices, edges)
-    swap = Permutation({v: {"a": "b", "b": "a"}[v[0]] + v[1:] for v in g.vertices})
+    swap = {v: {"a": "b", "b": "a"}[v[0]] + v[1:] for v in g.vertices}
     grp = PermGroup(g.vertex_set, [swap])
     return g, grp, quotient(g, orbit_partition(grp)).projection
 

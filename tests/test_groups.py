@@ -133,6 +133,10 @@ def broken_tables(draw):
 
 
 class TestFiniteGroupValidation:
+    def test_non_string_element(self):
+        with pytest.raises(ValueError, match="group element 1 is not a string"):
+            FiniteGroup(["0", 1], "0", {"0": {"0": "0", 1: 1}, 1: {"0": 1, 1: "0"}})
+
     def test_duplicate_element(self):
         els, table = _mod_table(2)
         with pytest.raises(ValueError, match="duplicate"):

@@ -11,7 +11,6 @@ from quograph import (
     HomMap,
     Partition,
     PermGroup,
-    Permutation,
     automorphism_group,
     generated_elements,
     is_consistent,
@@ -20,10 +19,16 @@ from quograph import (
     verify_automorphisms,
 )
 from quograph import perms
-from quograph.verify import enumerate_graphs
+from quograph.verify import _draw_orbit_group, enumerate_graphs
 
 from conftest import graphs
-from reference import edge_set_automorphism_group, edge_set_verify_automorphisms, random_orbit_instance
+from reference import (
+    edge_set_automorphism_group,
+    edge_set_verify_automorphisms,
+    label_generated_elements,
+    label_orbit_partition,
+    random_orbit_instance,
+)
 
 
 def cycle(n):
@@ -32,20 +37,25 @@ def cycle(n):
 
 
 def rotation(n, step=1):
-    return Permutation({str(i): str((i + step) % n) for i in range(n)})
+    return {str(i): str((i + step) % n) for i in range(n)}
 
 
-class TestPermutation:
-    def test_identity(self):
-        p = Permutation.identity({"a", "b"})
-        assert p.is_identity() and p.mapping == {"a": "a", "b": "b"}
+def label_elements(grp):
+    """``generated_elements(grp)`` as label mappings."""
+    verts = grp.vertices
+    return [dict(zip(verts, map(verts.__getitem__, f))) for f in generated_elements(grp)]
 
+
+class TestPermGroup:
     def test_non_bijection_rejected(self):
-        with pytest.raises(ValueError):
-            Permutation({"a": "b", "b": "b"})
+        with pytest.raises(ValueError, match="not a bijection"):
+            PermGroup({"a", "b"}, [{"a": "b", "b": "b"}])
 
-    def test_equality(self):
-        assert Permutation({"a": "b", "b": "a"}) == Permutation({"b": "a", "a": "b"})
+    def test_generators_are_stored_by_position(self):
+        for swap in ({"a": "b", "b": "a", "c": "c"}, {"c": "c", "b": "a", "a": "b"}):
+            grp = PermGroup(["c", "a", "b", "a"], [swap])
+            assert grp.vertices == ("a", "b", "c") and grp._gens == ((1, 0, 2),)
+            assert [list(f.items()) for f in grp.generators] == [[("a", "b"), ("b", "a"), ("c", "c")]]
 
 
 class TestVerifyAutomorphisms:
@@ -60,7 +70,7 @@ class TestVerifyAutomorphisms:
 
     def test_edge_breaking_permutation_detected(self):
         g = Graph(["a", "b", "c"], [("a", "b")])
-        swap_bc = Permutation({"a": "a", "b": "c", "c": "b"})
+        swap_bc = {"a": "a", "b": "c", "c": "b"}
         assert not verify_automorphisms(g, PermGroup(g.vertex_set, [swap_bc]))
 
     @staticmethod
@@ -113,7 +123,7 @@ class TestOrbitPartition:
         p = orbit_partition(grp)
         for f in grp.generators:
             for cell in p.blocks:
-                assert {f.mapping[v] for v in cell} == set(cell)
+                assert {f[v] for v in cell} == set(cell)
 
 
 class TestAutomorphismGroup:
@@ -147,10 +157,7 @@ class TestAutomorphismGroup:
                     for u, v in [tuple(e)]
                 ):
                     expected.add(tuple(sorted(cand.items())))
-            found = {
-                tuple(sorted(f.mapping.items()))
-                for f in generated_elements(automorphism_group(g))
-            }
+            found = {tuple(sorted(f.items())) for f in label_elements(automorphism_group(g))}
             assert found == expected, f"automorphism mismatch on {g!r}"
 
     def test_generators_match_the_oracle_in_order(self, monkeypatch):
@@ -170,12 +177,11 @@ class TestAutomorphismGroup:
     @settings(max_examples=40)
     def test_closure_is_a_group(self, g):
         elements = generated_elements(automorphism_group(g))
-        index = {tuple(sorted(f.mapping.items())) for f in elements}
-        assert tuple(sorted(Permutation.identity(g.vertex_set).mapping.items())) in index
+        index = set(elements)
+        assert tuple(range(len(g.vertices))) in index
         for f in elements[:8]:
             for h in elements[:8]:
-                composed = {v: f.mapping[h.mapping[v]] for v in g.vertices}
-                assert tuple(sorted(composed.items())) in index
+                assert tuple(map(f.__getitem__, h)) in index
 
 
 class TestConsistency:
@@ -194,7 +200,7 @@ class TestConsistency:
 
     def test_fibres_coarser_than_orbits_are_inconsistent(self):
         g = Graph(["a", "b", "c", "d"], [])
-        grp = PermGroup(g.vertex_set, [Permutation({"a": "b", "b": "a", "c": "c", "d": "d"})])
+        grp = PermGroup(g.vertex_set, [{"a": "b", "b": "a", "c": "c", "d": "d"}])
         m = quotient(g, Partition([["a", "b", "c"], ["d"]], g.vertex_set)).projection
         assert not is_consistent(m, grp)
 
@@ -207,6 +213,11 @@ class TestConsistency:
 
 
 class TestGeneratedElements:
+    def test_identity_sorts_first(self):
+        # ``verify._orbit_subgroups`` drops the first element as the identity
+        for g in enumerate_graphs(4):
+            assert generated_elements(automorphism_group(g))[0] == tuple(range(len(g.vertices)))
+
     def test_cyclic_generator_materializes_whole_cycle(self):
         grp = PermGroup(cycle(7).vertex_set, [rotation(7)])
         assert len(generated_elements(grp)) == 7
@@ -217,3 +228,25 @@ class TestGeneratedElements:
         grp = automorphism_group(g)  # symmetric group on 8 points
         with pytest.raises(ValueError, match="materialization limit 100"):
             generated_elements(grp)
+
+
+class TestLabelOracles:
+    """The position routines against the label mappings they replaced:
+    the same orbit blocks and the same elements, in the same order."""
+
+    @staticmethod
+    def check(grp):
+        p, q = orbit_partition(grp), label_orbit_partition(grp)
+        assert (p.blocks, p.block_of, p.universe) == (q.blocks, q.block_of, q.universe)
+        assert label_elements(grp) == label_generated_elements(grp)
+
+    def test_automorphism_groups_on_five_vertices(self):
+        for g in enumerate_graphs(5):
+            self.check(automorphism_group(g))
+
+    def test_randomized_layer_draws(self):
+        rng = random.Random(42)
+        for _ in range(200):
+            g, grp = _draw_orbit_group(rng)
+            assert verify_automorphisms(g, grp)
+            self.check(grp)
