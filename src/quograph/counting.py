@@ -81,9 +81,10 @@ def admissible_components(m: HomMap, y: str) -> list[tuple[str, ...]]:
     return [blocks[i] for i in sorted(counts.get(p, ()))]
 
 
-def _require_locally_surjective(m: HomMap) -> None:
-    if not homs.is_locally_surjective(m):
-        raise HypothesisError("hypotheses not satisfied: locally_surjective")
+def _require(m: HomMap, *names: str) -> None:
+    for name in names:  # ClassificationReport fields, each tested by homs.is_<name>, in order
+        if not getattr(homs, f"is_{name}")(m):
+            raise HypothesisError(f"hypotheses not satisfied: {name}")
 
 
 def _component_block(m: HomMap, c) -> tuple[str, ...]:
@@ -100,7 +101,7 @@ def image_of_component(m: HomMap, c) -> tuple[str, ...]:
     For a locally surjective map the image of a component is a full target
     component; the direct image is compared against it before returning.
     """
-    _require_locally_surjective(m)
+    _require(m, "locally_surjective")
     block = _component_block(m, c)
     index_map, index, target = m._index_map, m.source.index, m.target
     target_block = target.components().blocks[_target_component(m, block[0])]
@@ -145,7 +146,7 @@ def count_admissible(m: HomMap) -> CountBreakdown:
     component is its smallest label; a term may be 0 when a whole target
     component misses the image.
     """
-    _require_locally_surjective(m)
+    _require(m, "locally_surjective")
     terms = []
     for block in m.target.components().blocks:
         y = block[0]
@@ -178,9 +179,7 @@ def count_ce(m: HomMap) -> CountBreakdown:
     Requires local surjectivity and component equitability; no group is
     involved.
     """
-    _require_locally_surjective(m)
-    if not homs.is_component_equitable(m):
-        raise HypothesisError("hypotheses not satisfied: component_equitable")
+    _require(m, "locally_surjective", "component_equitable")
     return _ratio_count(m)
 
 
@@ -222,8 +221,7 @@ def component_iso_check(m: HomMap, c) -> bool:
     True exactly when every vertex of the image component has multiplicity 1
     in the component.
     """
-    if not homs.is_pseudo_covering(m):
-        raise HypothesisError("hypotheses not satisfied: pseudo_covering")
+    _require(m, "pseudo_covering")
     block = _component_block(m, c)
     i, table = m.source.components().block_of[block[0]], homs._fibre_blocks(m)
     index = m.target.index

@@ -9,10 +9,12 @@ failure can be replayed in isolation.
 
 Each claim kind takes one argument (a graph, a quotient projection, a
 ``HomMap`` or an ``OrbitInstance``) and has one payload encoder and decoder.
-The claims call the ``homs`` predicates (looked up at call time), which cache
-their passes on the ``HomMap``.  Every claim call, in the sweeps and in replay
-with its decoding, goes through ``_run``, which records a hypothesis or
-self-check error as an ``exception: ...`` failure, so it replays as True.
+Each claim lists its hypotheses next to it in the claim table, as names of
+``homs`` predicates (looked up at call time; they cache their passes on the
+``HomMap``).  Every claim call, in the sweeps and in replay with its decoding,
+goes through ``_run``.  It skips a claim whose hypotheses fail, so a skipped
+claim counts no instance, and records a hypothesis or self-check error as an
+``exception: ...`` failure, so it replays as True.
 
 Component counts are cross-checked against ``oracle_component_count``, a
 union-find counter kept deliberately separate from the breadth-first search
@@ -256,8 +258,6 @@ def _claim_projection_complete(m: HomMap):
 def _claim_connectedness_criterion_sound(m: HomMap):
     if m.target.components().count != 1:
         return None
-    if not homs.is_pseudo_covering(m):
-        return None
     verdict = counting.connectedness_criterion(m)
     if verdict and oracle_component_count(m.source) != 1:
         return ["criterion returned True on a disconnected graph"]
@@ -267,16 +267,12 @@ def _claim_connectedness_criterion_sound(m: HomMap):
 # --------------------------------------------------------------- hom claims
 
 def _claim_lsur_implies_ls(m: HomMap):
-    if not homs.is_locally_surjective(m):
-        return None
     if not homs.is_locally_strong(m):
         return ["locally surjective map is not locally strong"]
     return []
 
 
 def _claim_ls_matches_lsur_when_surjective(m: HomMap):
-    if not homs.is_surjective(m):
-        return None
     ls = homs.is_locally_strong(m)
     lsur = homs.is_locally_surjective(m)
     if ls != lsur:
@@ -303,28 +299,18 @@ def _claim_class_inclusion_chain(m: HomMap):
         fails.append(f"pseudo_covering={pc} but locally_strong={ls}, complete={com}")
     if pc != (lsur and com):
         fails.append(f"pseudo_covering={pc} but locally_surjective={lsur}, complete={com}")
-    if pc and not com:
-        fails.append("pseudo-covering is not complete")
     return fails
 
 
 def _claim_component_sum_over_target(m: HomMap):
-    scomp = m.source.components()
-    tcomp = m.target.components()
-    per_target = [0] * tcomp.count
-    for block in scomp.blocks:
+    for block in m.source.components().blocks:
         images = {counting._target_component(m, v) for v in block}
         if len(images) != 1:
             return [f"component of {block[0]!r} maps into {len(images)} target components"]
-        per_target[images.pop()] += 1
-    if sum(per_target) != scomp.count:
-        return ["per-target component counts do not sum to the component count"]
     return []
 
 
 def _claim_component_migration(m: HomMap):
-    if not homs.is_locally_surjective(m):
-        return None
     fails = []
     for i, block in enumerate(m.source.components().blocks):
         t, gap = _image_gap(m, i)
@@ -346,8 +332,6 @@ def _claim_component_migration(m: HomMap):
 
 
 def _claim_isolated_vertex_image(m: HomMap):
-    if not homs.is_locally_surjective(m):
-        return None
     fails = []
     source_nbhds, target_nbhds = m.source._nbhd, m.target._nbhd
     for x, y in enumerate(m._index_map):
@@ -357,8 +341,6 @@ def _claim_isolated_vertex_image(m: HomMap):
 
 
 def _claim_admissible_constant_on_target_components(m: HomMap):
-    if not homs.is_locally_surjective(m):
-        return None
     scomp = m.source.components()
     tcomp = m.target.components()
     table, index = homs._fibre_blocks(m), m.target.index
@@ -375,8 +357,6 @@ def _claim_admissible_constant_on_target_components(m: HomMap):
 
 
 def _claim_admissible_count_total(m: HomMap):
-    if not homs.is_locally_surjective(m):
-        return None
     breakdown = counting.count_admissible(m)
     if breakdown.total != oracle_component_count(m.source):
         return [f"admissibility total {breakdown.total} disagrees with the union-find oracle"]
@@ -384,8 +364,6 @@ def _claim_admissible_count_total(m: HomMap):
 
 
 def _claim_multiplicity_ratio_formula(m: HomMap):
-    if not (homs.is_locally_surjective(m) and homs.is_component_equitable(m)):
-        return None
     fails = []
     for y in sorted(m.image):
         admissible = counting.admissible_components(m, y)
@@ -403,8 +381,6 @@ def _claim_multiplicity_ratio_formula(m: HomMap):
 
 
 def _claim_tame_pseudocover_component_bijection(m: HomMap):
-    if not (homs.is_pseudo_covering(m) and homs.is_tame(m)):
-        return None
     scomp = m.source.components()
     tcomp = m.target.components()
     fails = []
@@ -422,8 +398,6 @@ def _claim_tame_pseudocover_component_bijection(m: HomMap):
 
 
 def _claim_single_main_component_image(m: HomMap):
-    if not homs.is_complete(m):
-        return None
     scomp = m.source.components()
     nontrivial = [b for b in scomp.blocks if len(b) > 1]
     if len(nontrivial) > 1:
@@ -438,8 +412,6 @@ def _claim_single_main_component_image(m: HomMap):
 
 
 def _claim_component_image_iso_criterion(m: HomMap):
-    if not homs.is_pseudo_covering(m):
-        return None
     fails = []
     for block in m.source.components().blocks:
         flag = counting.component_iso_check(m, block)
@@ -564,41 +536,51 @@ def _claim_multiplicity_ratio_independence(inst: OrbitInstance):
 
 # ----------------------------------------------------------- claim registry
 
+# Each row maps a claim identifier to the claim and its hypotheses: the names
+# of the ``homs`` predicates its instance must satisfy, tested in order.
 _GRAPH_CLAIMS = {
-    "oracle_component_agreement": _claim_oracle_component_agreement,
-    "singleton_quotient_isomorphic": _claim_singleton_quotient_isomorphic,
+    "oracle_component_agreement": (_claim_oracle_component_agreement, ()),
+    "singleton_quotient_isomorphic": (_claim_singleton_quotient_isomorphic, ()),
 }
 
 _PARTITION_CLAIMS = {
-    "quotient_count_monotone": _claim_quotient_count_monotone,
-    "quotient_count_equality_iff_tame": _claim_quotient_count_equality_iff_tame,
-    "quotient_connectivity_transfer": _claim_quotient_connectivity_transfer,
-    "projection_complete": _claim_projection_complete,
-    "connectedness_criterion_sound": _claim_connectedness_criterion_sound,
+    "quotient_count_monotone": (_claim_quotient_count_monotone, ()),
+    "quotient_count_equality_iff_tame": (_claim_quotient_count_equality_iff_tame, ()),
+    "quotient_connectivity_transfer": (_claim_quotient_connectivity_transfer, ()),
+    "projection_complete": (_claim_projection_complete, ()),
+    "connectedness_criterion_sound": (_claim_connectedness_criterion_sound, ("is_pseudo_covering",)),
 }
 
 _HOM_CLAIMS = {
-    "locally_surjective_implies_locally_strong": _claim_lsur_implies_ls,
-    "locally_strong_matches_locally_surjective_when_surjective": _claim_ls_matches_lsur_when_surjective,
-    "class_inclusion_chain": _claim_class_inclusion_chain,
-    "component_sum_over_target_components": _claim_component_sum_over_target,
-    "component_migration": _claim_component_migration,
-    "isolated_vertex_image": _claim_isolated_vertex_image,
-    "admissible_constant_on_target_components": _claim_admissible_constant_on_target_components,
-    "admissible_count_total": _claim_admissible_count_total,
-    "multiplicity_ratio_formula": _claim_multiplicity_ratio_formula,
-    "tame_pseudocover_component_bijection": _claim_tame_pseudocover_component_bijection,
-    "single_main_component_image": _claim_single_main_component_image,
-    "component_image_iso_criterion": _claim_component_image_iso_criterion,
+    "locally_surjective_implies_locally_strong": (_claim_lsur_implies_ls, ("is_locally_surjective",)),
+    "locally_strong_matches_locally_surjective_when_surjective": (
+        _claim_ls_matches_lsur_when_surjective, ("is_surjective",)
+    ),
+    "class_inclusion_chain": (_claim_class_inclusion_chain, ()),
+    "component_sum_over_target_components": (_claim_component_sum_over_target, ()),
+    "component_migration": (_claim_component_migration, ("is_locally_surjective",)),
+    "isolated_vertex_image": (_claim_isolated_vertex_image, ("is_locally_surjective",)),
+    "admissible_constant_on_target_components": (
+        _claim_admissible_constant_on_target_components, ("is_locally_surjective",)
+    ),
+    "admissible_count_total": (_claim_admissible_count_total, ("is_locally_surjective",)),
+    "multiplicity_ratio_formula": (
+        _claim_multiplicity_ratio_formula, ("is_locally_surjective", "is_component_equitable")
+    ),
+    "tame_pseudocover_component_bijection": (
+        _claim_tame_pseudocover_component_bijection, ("is_pseudo_covering", "is_tame")
+    ),
+    "single_main_component_image": (_claim_single_main_component_image, ("is_complete",)),
+    "component_image_iso_criterion": (_claim_component_image_iso_criterion, ("is_pseudo_covering",)),
 }
 
 _ORBIT_CLAIMS = {
-    "orbit_partition_equitable": _claim_orbit_partition_equitable,
-    "orbit_projection_consistent": _claim_orbit_projection_consistent,
-    "orbit_admissible_single_orbit": _claim_orbit_admissible_single_orbit,
-    "orbit_count_vertex_ratio": _claim_orbit_count_vertex_ratio,
-    "orbit_multiplicity_total": _claim_orbit_multiplicity_total,
-    "multiplicity_ratio_independence": _claim_multiplicity_ratio_independence,
+    "orbit_partition_equitable": (_claim_orbit_partition_equitable, ()),
+    "orbit_projection_consistent": (_claim_orbit_projection_consistent, ()),
+    "orbit_admissible_single_orbit": (_claim_orbit_admissible_single_orbit, ()),
+    "orbit_count_vertex_ratio": (_claim_orbit_count_vertex_ratio, ()),
+    "orbit_multiplicity_total": (_claim_orbit_multiplicity_total, ()),
+    "multiplicity_ratio_independence": (_claim_multiplicity_ratio_independence, ()),
 }
 
 def _pair_payload(g: Graph, p: Partition) -> dict:
@@ -715,9 +697,14 @@ def _select(registry, claims):
     return {cid: registry[cid] for cid in registry if cid in claims}
 
 
-def _run(fn, instance):
-    """One claim's failures on one instance, None where its hypotheses are absent."""
+def _run(fn, hypotheses, instance, decode=None):
+    """One claim's failures on one instance, decoded first if ``decode`` is given; None if a hypothesis fails."""
     try:
+        if decode is not None:
+            instance = decode(instance)
+        for name in hypotheses:
+            if not getattr(homs, name)(instance):
+                return None
         return fn(instance)
     except (HypothesisError, InternalCheckError) as exc:
         return [f"exception: {exc}"]
@@ -727,8 +714,8 @@ def _apply(results, kind, instance, claims=None):
     """Run a kind's claims, or the selected ones, on one instance and record the outcomes."""
     registry, encode, _ = _KINDS[kind]
     payload_fn = lambda: encode(instance)
-    for cid, fn in (registry if claims is None else claims).items():
-        out = _run(fn, instance)
+    for cid, (fn, hypotheses) in (registry if claims is None else claims).items():
+        out = _run(fn, hypotheses, instance)
         if out is not None:
             results[cid].record(out, payload_fn)
 
@@ -881,4 +868,4 @@ def replay_counterexample(failure: dict) -> bool:
     """Re-run one recorded failure, decoding included; True iff the violation reproduces."""
     cid = failure["claim"]
     claims, _, decode = _KINDS[CLAIM_KINDS[cid]]
-    return bool(_run(lambda data: claims[cid](decode(data)), failure["data"]))
+    return bool(_run(*claims[cid], failure["data"], decode))
