@@ -18,20 +18,20 @@ number of source components before it is handed back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import homs
 from .errors import HypothesisError, InternalCheckError
 from .homs import HomMap
 
 
-@dataclass(frozen=True)
-class CountTerm:
+class CountTerm(NamedTuple):
     """One summand of a component count.
 
     ``component_leader``, ``fibre_size`` (k_X) and ``component_multiplicity``
     (k_C) are populated by the ratio-based counts; the admissibility count
     leaves them as None because its term is a number of components, not a
-    ratio.
+    ratio.  A named tuple, as a count builds one per target component.
     """
 
     representative: str

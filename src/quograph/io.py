@@ -108,7 +108,7 @@ def group_from_dict(data, g: Graph) -> PermGroup:
             _expect(isinstance(f, dict), f"generator {f!r} is not an object")
             _expect_labels(f.values(), "generator image")
     try:
-        return PermGroup(g.vertices, gens)
+        return PermGroup._on_graph(g, gens)
     except ValueError as exc:
         raise ValueError(f"bad generator: {exc}") from None
 

@@ -31,7 +31,20 @@ class PermGroup:
         # sorted() takes linear time on a universe already in order, such
         # as a graph's vertices; dict.fromkeys drops repeats
         verts = tuple(dict.fromkeys(sorted(universe)))
-        index = dict(zip(verts, range(len(verts))))
+        self._store(verts, dict(zip(verts, range(len(verts)))), generators)
+
+    @classmethod
+    def _on_graph(cls, g: Graph, generators) -> "PermGroup":
+        """``PermGroup(g.vertices, generators)``, checked the same way, but
+        built on the graph's own label-to-position ``index``."""
+        grp = cls.__new__(cls)
+        grp._store(g.vertices, g.index, generators)
+        return grp
+
+    def _store(self, verts: tuple, index: dict, generators) -> None:
+        """Check each label-mapping generator against ``index``, the label
+        to position map of the sorted distinct labels ``verts``, and store
+        the group."""
         gens = []
         for f in generators:
             f = dict(f)

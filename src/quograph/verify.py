@@ -85,22 +85,24 @@ def enumerate_graphs(max_vertices: int):
 
 def set_partitions(items):
     """All partitions of a finite sequence (Bell-number many)."""
-    items = list(items)
+    yield from _place_items(list(items), 0, [])
 
-    def rec(idx, parts):
-        if idx == len(items):
-            yield [list(p) for p in parts]
-            return
-        x = items[idx]
-        for p in parts:
-            p.append(x)
-            yield from rec(idx + 1, parts)
-            p.pop()
-        parts.append([x])
-        yield from rec(idx + 1, parts)
-        parts.pop()
 
-    yield from rec(0, [])
+def _place_items(items, idx, parts):
+    """Every partition that puts items[idx:] into the blocks ``parts`` or
+    into new blocks after them.  A module-level generator, not a closure: a
+    closure that calls itself is a reference cycle."""
+    if idx == len(items):
+        yield [list(p) for p in parts]
+        return
+    x = items[idx]
+    for p in parts:
+        p.append(x)
+        yield from _place_items(items, idx + 1, parts)
+        p.pop()
+    parts.append([x])
+    yield from _place_items(items, idx + 1, parts)
+    parts.pop()
 
 
 def enumerate_homs(source: Graph, target: Graph):
@@ -118,24 +120,23 @@ def _index_maps(source: Graph, target: Graph):
     prunes as soon as an edge to an already-assigned vertex cannot be
     preserved.
     """
-    n = len(source.vertices)
     earlier_neighbors = [[j for j in nbhd if j < i] for i, nbhd in enumerate(source._nbhd)]
-    target_nbhds = target._nbhd
-    image = [0] * n
+    yield from _assign_images(earlier_neighbors, target._nbhd, [0] * len(source.vertices), 0)
 
-    def rec(i):
-        if i == n:
-            yield tuple(image)
-            return
-        for w, nbhd in enumerate(target_nbhds):
-            for j in earlier_neighbors[i]:
-                if image[j] not in nbhd:
-                    break
-            else:
-                image[i] = w
-                yield from rec(i + 1)
 
-    yield from rec(0)
+def _assign_images(earlier_neighbors, target_nbhds, image, i):
+    """Every completion of ``image`` from source position i on, as in
+    ``_index_maps``; module level for the reason ``_place_items`` is."""
+    if i == len(image):
+        yield tuple(image)
+        return
+    for w, nbhd in enumerate(target_nbhds):
+        for j in earlier_neighbors[i]:
+            if image[j] not in nbhd:
+                break
+        else:
+            image[i] = w
+            yield from _assign_images(earlier_neighbors, target_nbhds, image, i + 1)
 
 
 # ----------------------------------------------------------- instance kinds

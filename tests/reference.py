@@ -556,3 +556,47 @@ def cayley_to_dict(group: FiniteGroup) -> dict:
         "identity": group.identity,
         "table": {a: {b: group.op(a, b) for b in group.elements} for a in group.elements},
     }
+
+
+def closure_set_partitions(items):
+    """``verify.set_partitions`` as a recursive closure, the form it had
+    before it moved to a module-level generator."""
+    items = list(items)
+
+    def rec(idx, parts):
+        if idx == len(items):
+            yield [list(p) for p in parts]
+            return
+        x = items[idx]
+        for p in parts:
+            p.append(x)
+            yield from rec(idx + 1, parts)
+            p.pop()
+        parts.append([x])
+        yield from rec(idx + 1, parts)
+        parts.pop()
+
+    yield from rec(0, [])
+
+
+def closure_index_maps(source: Graph, target: Graph):
+    """``verify._index_maps`` as a recursive closure, the form it had before
+    it moved to a module-level generator."""
+    n = len(source.vertices)
+    earlier_neighbors = [[j for j in nbhd if j < i] for i, nbhd in enumerate(source._nbhd)]
+    target_nbhds = target._nbhd
+    image = [0] * n
+
+    def rec(i):
+        if i == n:
+            yield tuple(image)
+            return
+        for w, nbhd in enumerate(target_nbhds):
+            for j in earlier_neighbors[i]:
+                if image[j] not in nbhd:
+                    break
+            else:
+                image[i] = w
+                yield from rec(i + 1)
+
+    yield from rec(0)

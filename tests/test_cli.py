@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import itertools
 import json
@@ -712,6 +713,42 @@ def _assert_clean_exit(argv):
     assert "Traceback" not in err.getvalue()
 
 
+# (argv, documents, message): every row of the golden refusal tables, each
+# as the command that reads it; "@name" is the path of document "name".
+REFUSALS = (
+    [(["components", "@g"], {"g": {"vertices": vs, "edges": es}}, msg) for vs, es, msg in GRAPH_REFUSALS + LOADER_REFUSALS]
+    + [
+        (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
+        for vs, bs, msg in PARTITION_REFUSALS
+    ]
+    + [
+        (
+            ["classify", "@s", "@t", "@m"],
+            {"s": {"vertices": ss, "edges": []}, "t": {"vertices": ts, "edges": []}, "m": {"map": mp}},
+            msg,
+        )
+        for ss, ts, mp, msg in MAP_REFUSALS
+    ]
+    + [
+        (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
+        for vs, bs, msg in PARTITION_LOADER_REFUSALS
+    ]
+    + [
+        (["orbits", "@g", "@grp"], {"g": {"vertices": vs, "edges": []}, "grp": {"generators": gens}}, msg)
+        for vs, gens, msg in GROUP_LOADER_REFUSALS
+    ]
+    + [
+        (["powergraph", "--group", "cayley:@c"], {"c": doc}, msg)
+        for doc, msg in CAYLEY_LOADER_REFUSALS + CAYLEY_TABLE_REFUSALS
+    ]
+    + [(["components", "@g"], {"g": {"vertices": vs, "edges": es}}, msg) for vs, es, msg in EDGE_REFUSALS]
+    + [
+        (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
+        for vs, bs, msg in BLOCK_REFUSALS
+    ]
+)
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "components", "/nonexistent/g.json")
@@ -753,39 +790,7 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "is not a string" in err
 
-    @pytest.mark.parametrize(
-        "argv,docs,message",
-        [(["components", "@g"], {"g": {"vertices": vs, "edges": es}}, msg) for vs, es, msg in GRAPH_REFUSALS + LOADER_REFUSALS]
-        + [
-            (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
-            for vs, bs, msg in PARTITION_REFUSALS
-        ]
-        + [
-            (
-                ["classify", "@s", "@t", "@m"],
-                {"s": {"vertices": ss, "edges": []}, "t": {"vertices": ts, "edges": []}, "m": {"map": mp}},
-                msg,
-            )
-            for ss, ts, mp, msg in MAP_REFUSALS
-        ]
-        + [
-            (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
-            for vs, bs, msg in PARTITION_LOADER_REFUSALS
-        ]
-        + [
-            (["orbits", "@g", "@grp"], {"g": {"vertices": vs, "edges": []}, "grp": {"generators": gens}}, msg)
-            for vs, gens, msg in GROUP_LOADER_REFUSALS
-        ]
-        + [
-            (["powergraph", "--group", "cayley:@c"], {"c": doc}, msg)
-            for doc, msg in CAYLEY_LOADER_REFUSALS + CAYLEY_TABLE_REFUSALS
-        ]
-        + [(["components", "@g"], {"g": {"vertices": vs, "edges": es}}, msg) for vs, es, msg in EDGE_REFUSALS]
-        + [
-            (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
-            for vs, bs, msg in BLOCK_REFUSALS
-        ],
-    )
+    @pytest.mark.parametrize("argv,docs,message", REFUSALS)
     def test_refusal_stderr(self, tmp_path, capsys, argv, docs, message):
         for name, doc in docs.items():
             io.save_json(tmp_path / name, doc)
@@ -987,3 +992,135 @@ def test_classify_reads_no_label_view(tmp_path, capsys, monkeypatch, with_group)
     assert code == 0 and json.loads(out)["locally_bijective"] is True
     assert json.loads(out)["orbit"] is (True if with_group else None)
     assert reads == []
+
+
+def _main_unreachable(argv) -> tuple[int, int]:
+    """Run ``main(argv)`` with the cyclic collector disabled throughout and
+    return its exit code and the number of unreachable objects it left: the
+    objects that, with ``main`` pausing the collector, reference counting
+    alone would never free."""
+    build_parser()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+            code = main(argv)
+    finally:
+        left = gc.collect()
+        if was_enabled:
+            gc.enable()
+    return code, left
+
+
+def _files_argv(root, argv, docs=None) -> list[str]:
+    """Write each document to ``root/<name>`` and point every "@" in argv at root."""
+    for name, doc in (docs or {}).items():
+        io.save_json(root / name, doc)
+    return [a.replace("@", f"{root}/") for a in argv]
+
+
+# Each command on the chorded-cycle files, with every --method of count; the
+# classify target and map are the quotient's, written by the first command.
+COMMANDS = [
+    ["quotient", "@g.json", "@p.json", "--out", "@q"],
+    ["components", "@g.json"],
+    ["quotient", "@g.json", "@p.json"],
+    ["classify", "@g.json", "@q.quotient.json", "@q.projection.json"],
+    ["classify", "@g.json", "@q.quotient.json", "@q.projection.json", "--group", "@grp.json"],
+    *(["count", "@g.json", "@p.json", "--group", "@grp.json", "--method", m] for m in ("B", "ce", "A", "auto")),
+    ["count", "@g.json", "@p.json"],
+    ["orbits", "@g.json", "@grp.json"],
+    ["powergraph", "--group", "cyclic:12"],
+    ["powergraph", "--group", "symmetric:4", "--proper"],
+    ["powergraph", "--group", "cayley:@klein.json"],
+    ["verify", "--max-vertices", "3", "--random", "5", "--seed", "2"],
+]
+
+# (argv, documents) of hypothesis refusals, exit 2, past the loaders
+HYPOTHESIS_REFUSALS = [
+    (
+        ["classify", "@s", "@t", "@m", *group],
+        {
+            "s": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+            "t": {"vertices": ["x", "y"], "edges": []},
+            "m": {"map": {"a": "x", "b": "y"}},
+            "grp": {"generators": []},
+        },
+    )
+    for group in ([], ["--group", "@grp"])
+] + [
+    (
+        ["count", "@g", "@p", *method],
+        {"g": {"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}, "p": {"blocks": [["a", "c"], ["b"]]}},
+    )
+    for method in (["--method", "B"], ["--method", "ce"], [])
+] + [(["powergraph", "--group", "cyclic:1", "--proper"], {})]
+
+
+def _fail_every_instance(m):
+    return ["always fails"]
+
+
+def _leave_a_cycle(m):
+    def again():
+        return again
+
+    again()
+    return []
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector for each command, which leaves
+    every object to reference counting: safe only while no command, and no
+    refusal, leaves a reference cycle behind."""
+
+    def test_every_command_leaves_no_cycle(self, tmp_path):
+        files = _chorded_cycle_copies(tmp_path)
+        io.save_json(files / "klein.json", cayley_to_dict(make_klein_four()))
+        for argv in COMMANDS:
+            assert _main_unreachable(_files_argv(files, argv)) == (0, 0), argv
+
+    @pytest.mark.parametrize("argv,docs,message", REFUSALS)
+    def test_every_golden_refusal_leaves_no_cycle(self, tmp_path, argv, docs, message):
+        assert _main_unreachable(_files_argv(tmp_path, argv, docs)) == (1, 0)
+
+    @pytest.mark.parametrize("argv,docs", HYPOTHESIS_REFUSALS)
+    def test_hypothesis_refusals_leave_no_cycle(self, tmp_path, argv, docs):
+        assert _main_unreachable(_files_argv(tmp_path, argv, docs)) == (2, 0)
+
+    def test_internal_check_failures_leave_no_cycle(self, tmp_path, monkeypatch):
+        files = _chorded_cycle_copies(tmp_path)
+        monkeypatch.setitem(verify._HOM_CLAIMS, "class_inclusion_chain", (_fail_every_instance, ()))
+        assert _main_unreachable(["verify", "--max-vertices", "2", "--random", "2"]) == (3, 0)
+        monkeypatch.setattr(quograph.counting, "_exact_div", lambda a, b: a + 1)
+        argv = _files_argv(files, ["count", "@g.json", "@p.json", "--method", "ce"])
+        assert _main_unreachable(argv) == (3, 0)
+
+    def test_a_self_referencing_closure_is_caught(self, monkeypatch):
+        monkeypatch.setitem(verify._HOM_CLAIMS, "class_inclusion_chain", (_leave_a_cycle, ()))
+        code, left = _main_unreachable(["verify", "--max-vertices", "2", "--random", "0"])
+        assert code == 0 and left > 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_collector_state_is_restored(self, tmp_path, monkeypatch, enabled):
+        files = _chorded_cycle_copies(tmp_path)
+        argvs = {
+            0: ["orbits", "@g.json", "@grp.json"],
+            1: ["components", "@missing.json"],
+            2: ["count", "@g.json", "@p.json", "--method", "B"],
+            3: ["count", "@g.json", "@p.json", "--method", "ce"],
+        }
+        monkeypatch.setattr(quograph.counting, "_exact_div", lambda a, b: a + 1)
+        dumps, paused = io.dumps, []
+        monkeypatch.setattr(io, "dumps", lambda payload: paused.append(not gc.isenabled()) or dumps(payload))
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            for code, argv in argvs.items():
+                with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+                    assert main(_files_argv(files, argv)) == code
+                assert gc.isenabled() is enabled, argv
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert paused == [True]  # the one command that got as far as its output

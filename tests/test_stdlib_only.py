@@ -1,6 +1,6 @@
 """The library imports nothing outside the standard library, and its modules import
 each other at module level only, without a cycle; it defines nothing that only
-the tests use."""
+the tests use, and no nested function of it refers to itself."""
 
 from __future__ import annotations
 
@@ -80,3 +80,34 @@ def test_every_top_level_definition_is_used():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
     assert sorted(defined - used) == []
+
+
+def self_calling_nested_functions(tree: ast.Module) -> list[str]:
+    """Each function defined inside another whose body names itself.
+
+    Such a function reaches itself through its closure cell, so every call
+    of the enclosing function leaves a reference cycle (function, cell,
+    function) that only the cyclic collector frees; ``cli.main`` pauses
+    that collector.
+    """
+    found = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = {n.id for stmt in inner.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            if inner.name in names:
+                found.append(f"{inner.name} (line {inner.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_nested_function_refers_to_itself(path):
+    assert self_calling_nested_functions(parse(path)) == []
+
+
+def test_self_reference_check_finds_a_recursive_closure():
+    tree = ast.parse("def outer():\n    def rec(i):\n        return rec(i - 1) if i else 0\n    return rec(3)\n")
+    assert self_calling_nested_functions(tree) == ["rec (line 2)"]

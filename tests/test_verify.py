@@ -25,7 +25,13 @@ from quograph.verify import (
 
 from conftest import graphs
 from golden import medium_test_graphs
-from reference import is_hom, orbit_instances_for, random_orbit_instance
+from reference import (
+    closure_index_maps,
+    closure_set_partitions,
+    is_hom,
+    orbit_instances_for,
+    random_orbit_instance,
+)
 
 TINY = SweepConfig(max_source_vertices=3, max_target_vertices=2, random_instances=25, seed=1)
 
@@ -55,6 +61,17 @@ class TestEnumeration:
         items = [str(i) for i in range(n)]
         parts = list(set_partitions(items))
         assert len(parts) == bell
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_partitions_in_the_closure_order(self, n):
+        items = [f"x{i}" for i in range(n)]
+        assert list(set_partitions(items)) == list(closure_set_partitions(items))
+
+    def test_index_maps_in_the_closure_order(self):
+        targets = list(enumerate_graphs(3))
+        for src in enumerate_graphs(4):
+            for tgt in targets:
+                assert list(verify._index_maps(src, tgt)) == list(closure_index_maps(src, tgt))
 
     def test_edge_into_point_has_one_map(self):
         edge = Graph(["a", "b"], [("a", "b")])
