@@ -113,8 +113,7 @@ def image_of_component(m: HomMap, c) -> tuple[str, ...]:
 
 def _target_component(m: HomMap, v: str) -> int:
     """The ordinal of the target component source vertex v lands in."""
-    m.target.components()  # fills target._component_of
-    return m.target._component_of[m._index_map[m.source.index[v]]]
+    return m.target.components()._of[m._index_map[m.source.index[v]]]
 
 
 def preimage_of_component_vertices(m: HomMap, c) -> frozenset[str]:
@@ -132,7 +131,7 @@ def _preimage_union(m: HomMap, t: int) -> frozenset[str]:
     for other in m.source.components().blocks:
         if _target_component(m, other[0]) == t:
             union.update(other)
-    comp_of = m.target._component_of
+    comp_of = m.target.components()._of
     direct = {v for v, y in zip(m.source.vertices, m._index_map) if comp_of[y] == t}
     if union != direct:
         raise InternalCheckError("component preimage union differs from the direct preimage")
@@ -192,23 +191,22 @@ def _exact_div(a: int, b: int) -> int:
 def _ratio_count(m: HomMap) -> CountBreakdown:
     """Walk the target components in order, one term per component.
 
-    Each term takes the component's smallest label y and the first source
+    Each term takes the component's smallest member y and the first source
     component admissible for it, and contributes fibre size over
     multiplicity, both read off y's ``homs._fibre_blocks`` entry (the fibre
     size is the sum of its counts).
     """
     table = homs._fibre_blocks(m)
-    blocks = m.source.components().blocks
-    index = m.target.index
+    source, target = m.source.vertices, m.target.vertices
+    leaders = m.source.components()._leaders
     terms = []
-    for block in m.target.components().blocks:
-        y = block[0]
-        counts = table.get(index[y])
+    for y in m.target.components()._leaders:
+        counts = table.get(y)
         if counts is None:
             raise InternalCheckError("no admissible component for a target vertex")
         first = min(counts)
         k_x, k_c = sum(counts.values()), counts[first]
-        terms.append(CountTerm(y, blocks[first][0], k_x, k_c, _exact_div(k_x, k_c)))
+        terms.append(CountTerm(target[y], source[leaders[first]], k_x, k_c, _exact_div(k_x, k_c)))
     total = sum(t.value for t in terms)
     if total != m.source.components().count:
         raise InternalCheckError("ratio count disagrees with the component index")

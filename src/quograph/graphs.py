@@ -23,7 +23,7 @@ class Graph:
     """
 
     __slots__ = (
-        "vertices", "vertex_set", "index", "_nbhd", "_edges", "_components", "_component_of", "_induced",
+        "vertices", "vertex_set", "index", "_nbhd", "_edges", "_components", "_induced",
     )
 
     def __init__(self, vertices, proper_edges=()):
@@ -78,7 +78,6 @@ class Graph:
         self._nbhd = nbhd
         self._edges = edges
         self._components = None
-        self._component_of = None
         self._induced = None
 
     # ------------------------------------------------------------- queries
@@ -106,34 +105,28 @@ class Graph:
     def components(self) -> "Partition":
         """The partition into connected components, by breadth-first traversal.
 
-        Each seed is the smallest vertex not yet reached, so the blocks come
-        out ordered by smallest member and the partition needs no check.
-        The traversal also leaves ``_component_of``, the block ordinal of
-        each vertex position.  Both are computed once and cached (the graph
+        Each seed is the smallest position not yet reached, so the blocks are
+        numbered by smallest member, the seeds are those members, and the
+        partition needs no check.  It is computed once and cached (the graph
         is immutable).
         """
         if self._components is None:
-            verts, nbhd = self.vertices, self._nbhd
-            comp = [-1] * len(verts)
-            count = 0
-            for seed in range(len(verts)):
+            nbhd = self._nbhd
+            comp = [-1] * len(nbhd)
+            seeds = []
+            for seed in range(len(nbhd)):
                 if comp[seed] >= 0:
                     continue
+                count = len(seeds)
                 comp[seed] = count
+                seeds.append(seed)
                 reached = [seed]
                 for x in reached:  # the list grows as the search reaches vertices
                     for u in nbhd[x]:
                         if comp[u] < 0:
                             comp[u] = count
                             reached.append(u)
-                count += 1
-            blocks = [[] for _ in range(count)]
-            for v, b in zip(verts, comp):  # in label order, so each block comes out sorted
-                blocks[b].append(v)
-            self._component_of = comp
-            self._components = Partition._from_sorted(
-                tuple(map(tuple, blocks)), self.vertex_set, dict(zip(verts, comp))
-            )
+            self._components = Partition._from_positions(self.vertices, tuple(comp), tuple(seeds))
         return self._components
 
     def induced(self, subset) -> "Graph":
@@ -213,44 +206,102 @@ def _refuse_labels(labels) -> None:
 class Partition:
     """A partition of a vertex set into nonempty blocks.
 
-    Blocks are stored sorted and ordered by their smallest member, so each
-    partition has exactly one representation; ``block_of`` maps each vertex
-    to its block ordinal.  This one type holds a graph's components, a
-    group's orbits and a loaded partition file.
+    The partition is stored by position, like ``PermGroup``: ``vertices``
+    holds the labels in sorted order, and ``_of`` the block ordinal of each
+    position.  Blocks are numbered by their smallest member, which is their
+    smallest position, so each partition has exactly one representation;
+    ``_leaders`` holds those smallest positions, in block order, as each
+    builder meets them anyway (a quotient names its blocks by them).
+    The label views ``blocks`` (sorted tuples, in block order) and
+    ``block_of`` (each label's block ordinal) are built on first use and
+    cached, as the partition is immutable.  This one type holds a graph's
+    components, a group's orbits and a loaded partition file.
     """
 
-    __slots__ = ("blocks", "block_of", "universe")
+    __slots__ = ("vertices", "_of", "_leaders", "count", "_blocks", "_block_of")
 
     def __init__(self, blocks, universe):
-        self.universe = frozenset(universe)
-        normalized = []
-        for raw in blocks:
-            if isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} would be the block {a, b}
-                raise ValueError(f"block {raw!r} is not a list")
-            normalized.append(tuple(sorted(set(raw))))
-        members = set().union(*normalized)
-        if not all(normalized) or members != self.universe or sum(map(len, normalized)) != len(members):
-            _refuse_cells(normalized, self.universe)
-        normalized.sort(key=lambda b: b[0])
-        self.blocks = tuple(normalized)
-        self.block_of = {v: i for i, block in enumerate(self.blocks) for v in block}
+        """Each block is a collection of labels; a label listed twice in one
+        block counts once."""
+        verts = tuple(dict.fromkeys(sorted(universe)))
+        self._store(verts, dict(zip(verts, range(len(verts)))), blocks)
 
     @classmethod
-    def _from_sorted(cls, blocks, universe: frozenset, block_of: dict) -> "Partition":
-        """A partition from blocks that already are one: sorted tuples, ordered
-        by smallest member, covering ``universe``, with ``block_of`` naming
-        each vertex's block.  Nothing is checked."""
+    def _on_graph(cls, g: Graph, blocks) -> "Partition":
+        """``Partition(blocks, g.vertices)``, checked the same way, but built
+        on the graph's own label-to-position ``index``."""
         p = cls.__new__(cls)
-        p.universe, p.blocks, p.block_of = universe, blocks, block_of
+        p._store(g.vertices, g.index, blocks)
         return p
+
+    def _store(self, verts: tuple, index: dict, blocks) -> None:
+        """Number the blocks on ``index``, the label to position map of the
+        sorted distinct labels ``verts``, and store the partition; any fault
+        is refused by ``_refuse_cells``."""
+        blocks = list(blocks)
+        n = len(verts)
+        of = [-1] * n
+        least = []  # the smallest position of each input block
+        try:
+            for b, raw in enumerate(blocks):
+                if isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} would be the block {a, b}
+                    raise ValueError
+                low = n
+                for v in raw:
+                    i = index[v]
+                    if of[i] != b:
+                        if of[i] >= 0:
+                            raise ValueError
+                        of[i] = b
+                        if i < low:
+                            low = i
+                least.append(low)
+            leaders = sorted(least)
+            # an empty block keeps the smallest position n, an uncovered position the block -1
+            if (leaders and leaders[-1] == n) or -1 in of:
+                raise ValueError
+        except (TypeError, KeyError, ValueError):
+            _refuse_cells(blocks, verts)
+        rank = [0] * len(blocks)  # input block -> its ordinal by smallest member
+        for k, i in enumerate(leaders):
+            rank[of[i]] = k
+        self._set(verts, tuple(map(rank.__getitem__, of)), tuple(leaders))
+
+    @classmethod
+    def _from_positions(cls, vertices: tuple, of: tuple, leaders: tuple) -> "Partition":
+        """A partition of sorted distinct labels from the block ordinal of
+        each position and the smallest position of each block, in increasing
+        order, which numbers the blocks.  Nothing is checked."""
+        p = cls.__new__(cls)
+        p._set(vertices, of, leaders)
+        return p
+
+    def _set(self, vertices: tuple, of: tuple, leaders: tuple) -> None:
+        self.vertices, self._of, self._leaders, self.count = vertices, of, leaders, len(leaders)
+        self._blocks = self._block_of = None
 
     @classmethod
     def singletons(cls, universe) -> "Partition":
         return cls([[v] for v in universe], universe)
 
     @property
-    def count(self) -> int:
-        return len(self.blocks)
+    def universe(self) -> frozenset[str]:
+        return frozenset(self.vertices)
+
+    @property
+    def blocks(self) -> tuple[tuple[str, ...], ...]:
+        if self._blocks is None:
+            members = [[] for _ in range(self.count)]
+            for v, b in zip(self.vertices, self._of):  # in label order, so each block comes out sorted
+                members[b].append(v)
+            self._blocks = tuple(map(tuple, members))
+        return self._blocks
+
+    @property
+    def block_of(self) -> dict[str, int]:
+        if self._block_of is None:
+            self._block_of = dict(zip(self.vertices, self._of))
+        return self._block_of
 
     def block_containing(self, v: str) -> tuple[str, ...]:
         return self.blocks[self.block_of[v]]
@@ -258,21 +309,28 @@ class Partition:
     def __eq__(self, other):
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.blocks == other.blocks and self.universe == other.universe
+        return self.vertices == other.vertices and self._of == other._of
 
     def __hash__(self):
-        return hash((self.blocks, self.universe))
+        return hash((self.vertices, self._of))
 
     def __repr__(self):
-        return f"Partition({self.count} blocks over {len(self.universe)} vertices)"
+        return f"Partition({self.count} blocks over {len(self.vertices)} vertices)"
 
 
 def _refuse_cells(blocks, universe) -> None:
-    """Raise for the first fault of sorted blocks, in block order: an empty
+    """Raise for the first fault of a list of blocks: a string or dict block,
+    in input order; then, with each block sorted, in block order, an empty
     block, a member outside the universe, a member of two blocks; then for
     the smallest vertex no block covers."""
+    normalized = []
+    for raw in blocks:
+        if isinstance(raw, (str, dict)):
+            raise ValueError(f"block {raw!r} is not a list")
+        normalized.append(tuple(sorted(set(raw))))
+    universe = frozenset(universe)
     seen: set[str] = set()
-    for block in blocks:
+    for block in normalized:
         if not block:
             raise ValueError("empty cell in partition")
         for v in block:

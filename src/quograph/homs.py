@@ -164,10 +164,8 @@ def _fibre_blocks(m: HomMap) -> dict[int, dict[int, int]]:
     ratios are all read off this table.
     """
     if m._fibre_blocks is None:
-        source = m.source
-        source.components()  # fills source._component_of
         table: dict[int, dict[int, int]] = {}
-        for y, b in zip(m._index_map, source._component_of):
+        for y, b in zip(m._index_map, m.source.components()._of):
             counts = table.get(y)
             if counts is None:
                 table[y] = {b: 1}

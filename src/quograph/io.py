@@ -73,7 +73,7 @@ def partition_from_dict(data, g: Graph) -> Partition:
         for b in blocks:
             _expect(isinstance(b, list), f"block {b!r} is not a list")
             _expect_labels(b, "block member")
-    return Partition(blocks, g.vertex_set)
+    return Partition._on_graph(g, blocks)
 
 
 # --------------------------------------------------------------------- maps

@@ -29,17 +29,17 @@ def quotient(g: Graph, p: Partition) -> QuotientResult:
     returned projection maps each vertex to its block and is always a complete
     homomorphism, which is asserted before returning.
     """
-    if p.universe != g.vertex_set:
+    if p.vertices != g.vertices:
         raise ValueError("partition universe does not match the graph's vertices")
-    names = ["[" + block[0] + "]" for block in p.blocks]
+    verts = g.vertices
+    names = ["[" + verts[i] + "]" for i in p._leaders]
     # The names need not sort in block order ("[1+]" < "[1]"), so each
     # block's quotient vertex is its name's position in sorted order.
     order = sorted(range(len(names)), key=names.__getitem__)
     position = [0] * len(order)
     for i, b in enumerate(order):
         position[b] = i
-    block_of = p.block_of
-    index_map = tuple([position[block_of[v]] for v in g.vertices])
+    index_map = tuple(map(position.__getitem__, p._of))
     qedges = set()
     for a, b in g._edges:
         ya, yb = index_map[a], index_map[b]
@@ -58,7 +58,7 @@ def is_equitable(g: Graph, p: Partition) -> bool:
     Counts use closed neighborhoods, so a vertex contributes its implicit
     loop to the count against its own block.
     """
-    if p.universe != g.vertex_set:
+    if p.vertices != g.vertices:
         raise ValueError("partition universe does not match the graph's vertices")
-    return _is_equitable(g, tuple(map(p.block_of.__getitem__, g.vertices)))
+    return _is_equitable(g, p._of)
 

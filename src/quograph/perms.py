@@ -113,18 +113,18 @@ def _orbit(seed: int, gens) -> set[int]:
 def orbit_partition(grp: PermGroup) -> Partition:
     """Orbits of the generated group, one ``_orbit`` closure per orbit.
 
-    Each seed is the smallest position not yet reached, so the blocks come
-    out ordered by smallest member and the partition needs no check.
+    Each seed is the smallest position not yet reached, so the blocks are
+    numbered by smallest member, the seeds are those members, and the
+    partition needs no check.
     """
-    verts, gens = grp.vertices, grp._gens
-    block_of: dict[str, int] = {}
-    blocks = []
-    for seed, v in enumerate(verts):
-        if v not in block_of:
-            block = tuple([verts[x] for x in sorted(_orbit(seed, gens))])
-            block_of.update(dict.fromkeys(block, len(blocks)))
-            blocks.append(block)
-    return Partition._from_sorted(tuple(blocks), frozenset(verts), block_of)
+    of = [-1] * len(grp.vertices)
+    seeds = []
+    for seed in range(len(of)):
+        if of[seed] < 0:
+            for x in _orbit(seed, grp._gens):
+                of[x] = len(seeds)
+            seeds.append(seed)
+    return Partition._from_positions(grp.vertices, tuple(of), tuple(seeds))
 
 
 def automorphism_group(g: Graph) -> PermGroup:

@@ -162,9 +162,8 @@ def _project(results, cid: str, g: Graph, p: Partition, payload_fn) -> HomMap | 
 # ------------------------------------------------------------ claim helpers
 
 def _image_edges(m: HomMap, i: int) -> set[tuple[int, int]]:
-    """The target position pairs that proper edges of source component i
-    land on; the source's ``components()`` must have run."""
-    comp, index_map = m.source._component_of, m._index_map
+    """The target position pairs that proper edges of source component i land on."""
+    comp, index_map = m.source.components()._of, m._index_map
     out = set()
     for a, b in m.source._edges:
         if comp[a] == i:
@@ -175,8 +174,8 @@ def _image_edges(m: HomMap, i: int) -> set[tuple[int, int]]:
 
 
 def _component_edges(g: Graph, i: int) -> set[tuple[int, int]]:
-    """The proper edges of component i of g, as position pairs; ``g.components()`` must have run."""
-    comp = g._component_of
+    """The proper edges of component i of g, as position pairs."""
+    comp = g.components()._of
     return {(a, b) for a, b in g._edges if comp[a] == i}
 
 
@@ -390,7 +389,7 @@ def _claim_tame_pseudocover_component_bijection(m: HomMap):
         fails.append("two source components share an image component")
     if set(assignment.values()) != set(range(tcomp.count)):
         fails.append("some target component is not an image")
-    comp_of = m.target._component_of
+    comp_of = tcomp._of
     for i, block in enumerate(scomp.blocks):
         pre = {v for v, y in zip(m.source.vertices, m._index_map) if comp_of[y] == assignment[i]}
         if pre != set(block):
@@ -729,7 +728,7 @@ def sweep_partition_claims(cfg: SweepConfig, results=None):
     for g in enumerate_graphs(cfg.max_source_vertices):
         _apply(results, "graph", g)
         for blocks in set_partitions(g.vertices):
-            p = Partition(blocks, g.vertex_set)
+            p = Partition._on_graph(g, blocks)
             m = _project(results, "projection_complete", g, p, lambda: _pair_payload(g, p))
             if m is not None:  # the other partition claims need the projection
                 _apply(results, "partition", m)

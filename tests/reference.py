@@ -11,6 +11,7 @@ import itertools
 import json
 from collections import deque
 from fractions import Fraction
+from typing import NamedTuple
 
 from quograph.counting import (
     CountBreakdown,
@@ -63,7 +64,26 @@ def label_components(nbhd: dict[str, frozenset[str]]) -> tuple[tuple[str, ...], 
     return tuple(blocks)
 
 
-def label_quotient(edges, p: Partition) -> tuple[list[str], frozenset[frozenset[str]]]:
+class LabelPartition(NamedTuple):
+    """A partition stored by label, as ``Partition`` once stored it: the
+    blocks as sorted tuples ordered by smallest member, each label's block
+    ordinal, and the vertex set."""
+
+    blocks: tuple[tuple[str, ...], ...]
+    block_of: dict[str, int]
+    universe: frozenset[str]
+
+
+def label_partition(blocks, universe) -> LabelPartition:
+    """The label form of a list of blocks that partitions ``universe``:
+    each block sorted with its repeats dropped, the blocks ordered by first
+    member, and a dict from each label to its block ordinal."""
+    normalized = sorted((tuple(sorted(set(raw))) for raw in blocks), key=lambda b: b[0])
+    block_of = {v: i for i, block in enumerate(normalized) for v in block}
+    return LabelPartition(tuple(normalized), block_of, frozenset(universe))
+
+
+def label_quotient(edges, p: LabelPartition) -> tuple[list[str], frozenset[frozenset[str]]]:
     """Vertex names and proper edges of the quotient by p, by label: block
     names "[<smallest member>]", joined where a proper edge crosses."""
     names = ["[" + block[0] + "]" for block in p.blocks]
@@ -403,9 +423,9 @@ def two_loop_is_consistent(m: HomMap, grp: PermGroup) -> bool:
     return all(len({orbits.block_of[v] for v in fibre}) == 1 for fibre in m.fibres.values())
 
 
-def label_orbit_partition(grp: PermGroup) -> Partition:
+def label_orbit_partition(grp: PermGroup) -> LabelPartition:
     """Orbits by closing each unseen label, in label order, under the label
-    mappings of the generators; ``Partition`` sorts and checks the cells."""
+    mappings of the generators, in their label form."""
     gens = grp.generators
     unseen = set(grp.vertices)
     cells = []
@@ -421,7 +441,7 @@ def label_orbit_partition(grp: PermGroup) -> Partition:
                         frontier.append(f[x])
             unseen -= orbit
             cells.append(orbit)
-    return Partition(cells, grp.vertices)
+    return label_partition(cells, grp.vertices)
 
 
 def label_generated_elements(grp: PermGroup) -> list[dict[str, str]]:

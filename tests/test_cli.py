@@ -343,13 +343,27 @@ class TestAutoRoute:
     @pytest.mark.parametrize("method", ["auto", "A", "ce", "B"])
     def test_one_edge_pass_and_no_fibre_partition(self, two_triangles_files, capsys, monkeypatch, method):
         edge_passes = count_calls(monkeypatch, quograph.homs, "_edge_classes")
-        partitions_built = count_calls(monkeypatch, quograph.partitions.Partition, "__init__")
+        # every checked Partition build, by the constructor or on a graph's index, runs _store
+        partitions_built = count_calls(monkeypatch, quograph.partitions.Partition, "_store")
         d = two_triangles_files
         argv = ["count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"), "--method", method]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and json.loads(out)["total"] == 2
         assert len(edge_passes) == 1 and edge_passes[0][0].target.vertices == ("[a0]", "[a1]", "[a2]")
         assert len(partitions_built) == 1  # the loaded one, and no partition of the fibres
+
+    @pytest.mark.parametrize("method", ["auto", "ce", "B"])
+    def test_no_partition_label_view_is_built(self, two_triangles_files, capsys, monkeypatch, method):
+        # the loaded partition and both graphs' components are read by position
+        read = []
+        for name in ("blocks", "block_of"):
+            view = getattr(Partition, name).fget
+            monkeypatch.setattr(Partition, name, property(lambda p, view=view, name=name: read.append(name) or view(p)))
+        d = two_triangles_files
+        argv = ["count", str(d / "g.json"), str(d / "p.json"), "--group", str(d / "grp.json"), "--method", method]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["total"] == 2
+        assert read == []
 
     def test_ce_route_checks_equitability_once(self, two_triangles_files, capsys, monkeypatch):
         calls = count_calls(monkeypatch, quograph.homs, "is_component_equitable")
@@ -745,6 +759,10 @@ REFUSALS = (
     + [
         (["quotient", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
         for vs, bs, msg in BLOCK_REFUSALS
+    ]
+    + [
+        (["count", "@g", "@p"], {"g": {"vertices": vs, "edges": []}, "p": {"blocks": bs}}, msg)
+        for vs, bs, msg in PARTITION_REFUSALS
     ]
 )
 

@@ -81,7 +81,8 @@ class TestMultiplicity:
 
 # Each refusal the library words for a list of vertices, blocks or
 # generators, printed as one JSON list: multiplicity's first, then
-# golden.py's partition and group rows.
+# golden.py's partition rows through the constructor, then the partition
+# and group rows through the loaders.
 REFUSALS_SCRIPT = """
 import json
 from quograph import Graph, Partition, io, multiplicity
@@ -97,7 +98,8 @@ def refusal(f, *args):
 
 out = [refusal(multiplicity, balanced_two_component_map(), ["zz", "qq", "xx"], "y")]
 out += [refusal(Partition, bs, vs) for vs, bs, _ in PARTITION_REFUSALS + BLOCK_REFUSALS]
-out += [refusal(io.partition_from_dict, {"blocks": bs}, Graph(vs, [])) for vs, bs, _ in PARTITION_LOADER_REFUSALS]
+loaded = PARTITION_LOADER_REFUSALS + PARTITION_REFUSALS
+out += [refusal(io.partition_from_dict, {"blocks": bs}, Graph(vs, [])) for vs, bs, _ in loaded]
 out += [refusal(io.group_from_dict, {"generators": gs}, Graph(vs, [])) for vs, gs, _ in GROUP_LOADER_REFUSALS]
 print(json.dumps(out))
 """
@@ -108,7 +110,7 @@ def test_refusals_do_not_depend_on_the_hash_seed(seed):
     env = subprocess_env() | {"PYTHONHASHSEED": seed}
     env["PYTHONPATH"] += f"{os.pathsep}{Path(__file__).parent}"
     proc = subprocess.run([sys.executable, "-c", REFUSALS_SCRIPT], capture_output=True, env=env, check=True)
-    rows = PARTITION_REFUSALS + BLOCK_REFUSALS + PARTITION_LOADER_REFUSALS + GROUP_LOADER_REFUSALS
+    rows = PARTITION_REFUSALS + BLOCK_REFUSALS + PARTITION_LOADER_REFUSALS + PARTITION_REFUSALS + GROUP_LOADER_REFUSALS
     assert json.loads(proc.stdout) == ["unknown source vertex 'zz'", *(row[-1] for row in rows)]
 
 

@@ -1,7 +1,8 @@
-"""The index core of ``Graph`` and ``HomMap`` against the label-level oracles
-in ``reference``: edges, neighbourhoods, component blocks, the quotient, the
-edge, local and equitable classes of maps, the label views a map derives
-from its positions, and its fibre-component table."""
+"""The index core of ``Graph``, ``Partition`` and ``HomMap`` against the
+label-level oracles in ``reference``: edges, neighbourhoods, the label views,
+equality and hashing of loaded, component and orbit partitions, the
+quotient, the edge, local and equitable classes of maps, the label views a
+map derives from its positions, and its fibre-component table."""
 
 from __future__ import annotations
 
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quograph import Graph, HomMap, Partition, is_equitable, quotient
+from quograph import Graph, HomMap, Partition, io, is_equitable, quotient
 from quograph.errors import HypothesisError
 from quograph.homs import _fibre_blocks, _is_equitable, _local_pass
-from quograph.verify import _index_maps, set_partitions
+from quograph.verify import _index_maps, _orbit_subgroups, enumerate_graphs, set_partitions
 
 from conftest import homomorphism_inputs, vertex_maps
 from reference import (
+    LabelPartition,
     label_components,
     label_edge_classes,
     label_fibre_blocks,
@@ -25,6 +27,8 @@ from reference import (
     label_graph,
     label_is_equitable,
     label_local_pass,
+    label_orbit_partition,
+    label_partition,
     label_quotient,
 )
 
@@ -51,7 +55,11 @@ def raw_graphs_with_cells(draw, max_vertices: int = 40):
     flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
     edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
     cells = draw(st.lists(st.integers(0, 5), min_size=len(labels), max_size=len(labels)))
-    return labels, edges, cells
+    repeats = draw(st.lists(st.integers(1, 2), min_size=len(labels), max_size=len(labels)))
+    blocks: dict[int, list[str]] = {}
+    for v, c, r in zip(labels, cells, repeats):
+        blocks.setdefault(c, []).extend([v] * r)  # a member listed twice counts once
+    return labels, edges, list(blocks.values())
 
 
 def check_graph(vertices, edges):
@@ -62,7 +70,10 @@ def check_graph(vertices, edges):
     assert g.sorted_edges() == sorted(tuple(sorted(e)) for e in edge_set)
     assert {v: g.neighborhood(v) for v in vertices} == nbhd
     assert all(g.has_edge(u, v) == (v in nbhd[u]) for u in vertices for v in vertices)
-    assert g.components().blocks == label_components(nbhd)
+    components = label_components(nbhd)
+    oracle = label_partition(components, vertices)
+    check_partition(g.components(), oracle)
+    check_equality([g.components(), Partition(components, vertices)], [oracle] * 2)
     assert g == Graph(vertices[::-1], [(v, u) for u, v in edges[::-1]])
     return g, nbhd, edge_set
 
@@ -84,12 +95,44 @@ def check_map(m: HomMap, mapping, source_nbhd, source_edges, target_nbhd, target
     assert _is_equitable(m.source, m._index_map) == label_is_equitable(source_nbhd, fibres.values(), mapping)
 
 
-def check_quotient(g: Graph, nbhd, edges, p: Partition):
-    names, qedges = label_quotient(edges, p)
+def check_partition(p: Partition, oracle: LabelPartition):
+    """A partition's label views and the positions of its smallest members
+    against its label form."""
+    assert p._leaders == tuple(p.vertices.index(block[0]) for block in oracle.blocks)
+    assert p.blocks == oracle.blocks
+    assert p.block_of == oracle.block_of
+    assert p.count == len(oracle.blocks)
+    assert p.universe == oracle.universe
+    assert [p.block_containing(v) for v in p.vertices] == [oracle.blocks[oracle.block_of[v]] for v in p.vertices]
+
+
+def check_equality(partitions: list[Partition], oracles: list[LabelPartition]):
+    """Two partitions are equal exactly when their label forms are, and
+    equal partitions hash alike."""
+    for p, a in zip(partitions, oracles):
+        for q, b in zip(partitions, oracles):
+            same = (a.blocks, a.universe) == (b.blocks, b.universe)
+            assert (p == q) == same
+            assert not same or hash(p) == hash(q)
+
+
+def check_quotient(g: Graph, nbhd, edges, blocks) -> Partition:
+    """Build the partition of g by constructor and by loader, compare both
+    with the label form, and the quotient by it with the label quotient."""
+    oracle = label_partition(blocks, g.vertices)
+    p = Partition(blocks, g.vertex_set)
+    loaded = io.partition_from_dict({"blocks": [list(b) for b in blocks]}, g)
+    shuffled = Partition([list(b)[::-1] for b in reversed(blocks)], g.vertices)
+    for built in (p, loaded, shuffled):
+        check_partition(built, oracle)
+    check_equality([p, loaded, shuffled], [oracle] * 3)
+    names, qedges = label_quotient(edges, oracle)
     m = quotient(g, p).projection
     assert m.target.vertices == tuple(sorted(names)) and m.target.proper_edges == qedges
-    check_map(m, {v: names[p.block_of[v]] for v in g.vertices}, nbhd, edges, label_graph(names, qedges)[0], qedges)
-    assert is_equitable(g, p) == label_is_equitable(nbhd, p.blocks, p.block_of)
+    mapping = {v: names[oracle.block_of[v]] for v in g.vertices}
+    check_map(m, mapping, nbhd, edges, label_graph(names, qedges)[0], qedges)
+    assert is_equitable(g, p) == label_is_equitable(nbhd, oracle.blocks, oracle.block_of)
+    return p
 
 
 def test_every_graph_and_partition_up_to_four_vertices():
@@ -97,9 +140,37 @@ def test_every_graph_and_partition_up_to_four_vertices():
     for vertices, edges in raw_graphs(4):
         g, nbhd, edge_set = check_graph(vertices, edges)
         for blocks in set_partitions(vertices):
-            check_quotient(g, nbhd, edge_set, Partition(blocks, g.vertex_set))
+            check_quotient(g, nbhd, edge_set, blocks)
             pairs += 1
     assert pairs == 1 + 2 * 2 + 8 * 5 + 64 * 15
+
+
+def test_equality_and_hash_across_vertex_sets():
+    partitions, oracles = [], []
+    for n in range(1, 5):
+        vertices = [str(i) for i in range(1, n + 1)]
+        for blocks in set_partitions(vertices):
+            partitions.append(Partition(blocks, vertices))
+            oracles.append(label_partition(blocks, vertices))
+    partitions.append(Partition.singletons(["2", "1"]))
+    oracles.append(label_partition([["1"], ["2"]], ["1", "2"]))
+    check_equality(partitions, oracles)
+
+
+def test_orbit_partitions_of_the_orbit_sweep():
+    for g in enumerate_graphs(4):
+        nbhd, edge_set = label_graph(g.vertices, g.sorted_edges())
+        for p, grp in _orbit_subgroups(g):
+            oracle = label_orbit_partition(grp)
+            check_partition(p, oracle)
+            assert check_quotient(g, nbhd, edge_set, oracle.blocks) == p
+
+
+def test_a_member_listed_twice_in_one_block_counts_once():
+    vertices, edges = ["a", "b", "c", "d"], [("a", "c")]
+    g, nbhd, edge_set = check_graph(vertices, edges)
+    p = check_quotient(g, nbhd, edge_set, [["c", "a", "c"], ["d", "b", "d", "d"]])
+    assert p.blocks == (("a", "c"), ("b", "d"))
 
 
 def test_every_map_between_graphs_up_to_three_vertices():
@@ -117,12 +188,9 @@ def test_every_map_between_graphs_up_to_three_vertices():
 @given(raw_graphs_with_cells())
 @settings(max_examples=60, deadline=None)
 def test_random_graphs_and_partitions(raw):
-    vertices, edges, cells = raw
+    vertices, edges, blocks = raw
     g, nbhd, edge_set = check_graph(vertices, edges)
-    blocks: dict[int, list[str]] = {}
-    for v, c in zip(vertices, cells):
-        blocks.setdefault(c, []).append(v)
-    check_quotient(g, nbhd, edge_set, Partition(blocks.values(), g.vertex_set))
+    check_quotient(g, nbhd, edge_set, blocks)
 
 
 @given(homomorphism_inputs(max_source=40, max_target=8))

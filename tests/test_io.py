@@ -17,12 +17,14 @@ from quograph import io
 
 from conftest import graphs, graphs_with_partitions
 from golden import (
+    BLOCK_REFUSALS,
     CAYLEY_LOADER_REFUSALS,
     EDGE_REFUSALS,
     GRAPH_REFUSALS,
     GROUP_LOADER_REFUSALS,
     LOADER_REFUSALS,
     PARTITION_LOADER_REFUSALS,
+    PARTITION_REFUSALS,
 )
 from reference import cayley_to_dict, indent_dumps
 
@@ -80,7 +82,9 @@ class TestPartitionFormat:
         with pytest.raises(ValueError):
             io.partition_from_dict({"blocks": [["a"]]}, g)
 
-    @pytest.mark.parametrize("vertices,blocks,message", PARTITION_LOADER_REFUSALS)
+    # the loader's shape checks, then the partition's own refusals, which
+    # the loader words as the Partition constructor does
+    @pytest.mark.parametrize("vertices,blocks,message", PARTITION_LOADER_REFUSALS + PARTITION_REFUSALS + BLOCK_REFUSALS)
     def test_refusal_message(self, vertices, blocks, message):
         with pytest.raises(ValueError) as exc:
             io.partition_from_dict({"blocks": blocks}, Graph(vertices, []))

@@ -1,0 +1,49 @@
+"""Components and quotients against networkx's, on Hypothesis graphs and
+partitions: the component count and blocks, and the quotient graph with
+each block named "[<smallest member>]".
+
+networkx is a test-only dependency (the ``test`` extra); the library itself
+stays on the standard library.
+"""
+
+from __future__ import annotations
+
+import networkx as nx
+from hypothesis import given, settings
+
+from quograph import Graph, Partition, quotient
+
+from conftest import graphs, graphs_with_partitions
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    """The proper edges of g as a networkx graph; the loops stay implicit."""
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.sorted_edges())
+    return h
+
+
+def sorted_pairs(edges) -> list[tuple[str, str]]:
+    return sorted(tuple(sorted(e)) for e in edges)
+
+
+@given(graphs(max_vertices=12))
+@settings(max_examples=100)
+def test_components_agree_with_networkx(g):
+    h = to_networkx(g)
+    comp = g.components()
+    assert comp.count == nx.number_connected_components(h)
+    assert comp.blocks == tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(h)))
+    assert comp == Partition(nx.connected_components(h), g.vertices)
+
+
+@given(graphs_with_partitions(max_vertices=12))
+@settings(max_examples=100)
+def test_quotient_agrees_with_networkx(gp):
+    g, p = gp
+    q = nx.quotient_graph(to_networkx(g), [set(block) for block in p.blocks], relabel=False)
+    q = nx.relabel_nodes(q, {block: "[" + min(block) + "]" for block in q.nodes})
+    result = quotient(g, p).quotient
+    assert result.vertices == tuple(sorted(q.nodes))
+    assert result.sorted_edges() == sorted_pairs(q.edges)
