@@ -87,33 +87,36 @@ def _require(m: HomMap, *names: str) -> None:
             raise HypothesisError(f"hypotheses not satisfied: {name}")
 
 
-def _component_block(m: HomMap, c) -> tuple[str, ...]:
-    block = tuple(sorted(set(c)))
-    comp = m.source.components()
-    if not block or block[0] not in comp.block_of or comp.block_containing(block[0]) != block:
-        raise ValueError("argument is not a component of the source graph")
-    return block
-
-
 def image_of_component(m: HomMap, c) -> tuple[str, ...]:
     """The target component a source component lands on.
 
     For a locally surjective map the image of a component is a full target
     component; the direct image is compared against it before returning.
     """
+    return m.target.components().blocks[_image_component(m, c)[1]]
+
+
+def _image_component(m: HomMap, c) -> tuple[int, int]:
+    """The ordinals (i, t) of source component c and of the target component
+    it lands on, checked as above."""
     _require(m, "locally_surjective")
-    block = _component_block(m, c)
-    index_map, index, target = m._index_map, m.source.index, m.target
-    target_block = target.components().blocks[_target_component(m, block[0])]
-    direct = {index_map[index[v]] for v in block}
-    if direct != set(map(target.index.__getitem__, target_block)):
+    block, scomp = tuple(sorted(set(c))), m.source.components()
+    i = scomp.block_of.get(block[0]) if block else None
+    if i is None or scomp.blocks[i] != block:
+        raise ValueError("argument is not a component of the source graph")
+    t, full = _landing(m, i)
+    if not full:
         raise InternalCheckError("component image is not a full target component")
-    return target_block
+    return i, t
 
 
-def _target_component(m: HomMap, v: str) -> int:
-    """The ordinal of the target component source vertex v lands in."""
-    return m.target.components()._of[m._index_map[m.source.index[v]]]
+def _landing(m: HomMap, i: int) -> tuple[int, bool]:
+    """The target component t that source component i lands in, read at its
+    leader, and whether i's image (from ``homs._fibre_blocks``) is all of t."""
+    tcomp = m.target.components()._of
+    t = tcomp[m._index_map[m.source.components()._leaders[i]]]
+    image = {y for y, counts in homs._fibre_blocks(m).items() if i in counts}
+    return t, image == {y for y, s in enumerate(tcomp) if s == t}
 
 
 def preimage_of_component_vertices(m: HomMap, c) -> frozenset[str]:
@@ -122,18 +125,14 @@ def preimage_of_component_vertices(m: HomMap, c) -> frozenset[str]:
     Computed as a union of component blocks and cross-checked against the
     plain preimage of the image component's vertex set.
     """
-    return _preimage_union(m, m.target.components().block_of[image_of_component(m, c)[0]])
+    return _preimage_union(m, _image_component(m, c)[1])
 
 
 def _preimage_union(m: HomMap, t: int) -> frozenset[str]:
     """The source components mapping into target component t, checked as above."""
-    union: set[str] = set()
-    for other in m.source.components().blocks:
-        if _target_component(m, other[0]) == t:
-            union.update(other)
-    comp_of = m.target.components()._of
-    direct = {v for v, y in zip(m.source.vertices, m._index_map) if comp_of[y] == t}
-    if union != direct:
+    scomp, tcomp, index_map = m.source.components(), m.target.components()._of, m._index_map
+    union = {v for block, x in zip(scomp.blocks, scomp._leaders) if tcomp[index_map[x]] == t for v in block}
+    if union != {v for v, y in zip(m.source.vertices, index_map) if tcomp[y] == t}:
         raise InternalCheckError("component preimage union differs from the direct preimage")
     return frozenset(union)
 
@@ -146,10 +145,8 @@ def count_admissible(m: HomMap) -> CountBreakdown:
     component misses the image.
     """
     _require(m, "locally_surjective")
-    terms = []
-    for block in m.target.components().blocks:
-        y = block[0]
-        terms.append(CountTerm(y, None, None, None, len(admissible_components(m, y))))
+    table, names, leaders = homs._fibre_blocks(m), m.target.vertices, m.target.components()._leaders
+    terms = [CountTerm(names[y], None, None, None, len(table.get(y, ()))) for y in leaders]
     total = sum(t.value for t in terms)
     if total != m.source.components().count:
         raise InternalCheckError("admissibility count disagrees with the component index")
@@ -220,10 +217,9 @@ def component_iso_check(m: HomMap, c) -> bool:
     in the component.
     """
     _require(m, "pseudo_covering")
-    block = _component_block(m, c)
-    i, table = m.source.components().block_of[block[0]], homs._fibre_blocks(m)
-    index = m.target.index
-    return all(table[index[y]].get(i) == 1 for y in image_of_component(m, block))
+    i, t = _image_component(m, c)
+    table = homs._fibre_blocks(m)
+    return all(table[y].get(i) == 1 for y, s in enumerate(m.target.components()._of) if s == t)
 
 
 def connectedness_criterion(m: HomMap) -> bool:

@@ -11,10 +11,11 @@ Each claim kind takes one argument (a graph, a quotient projection, a
 ``HomMap`` or an ``OrbitInstance``) and has one payload encoder and decoder.
 Each claim lists its hypotheses next to it in the claim table, as names of
 ``homs`` predicates (looked up at call time; they cache their passes on the
-``HomMap``).  Every claim call, in the sweeps and in replay with its decoding,
-goes through ``_run``.  It skips a claim whose hypotheses fail, so a skipped
-claim counts no instance, and records a hypothesis or self-check error as an
-``exception: ...`` failure, so it replays as True.
+``HomMap``).  Each sweep groups its claims by hypotheses, and every claim
+call, in the sweeps and in replay with its decoding, goes through ``_run``,
+which tests a group's hypotheses once per instance and skips the group when
+one fails (a skipped claim counts no instance).  A hypothesis or self-check
+error is recorded as an ``exception: ...`` failure, so it replays as True.
 
 Component counts are cross-checked against ``oracle_component_count``, a
 union-find counter kept deliberately separate from the breadth-first search
@@ -161,36 +162,28 @@ def _project(results, cid: str, g: Graph, p: Partition, payload_fn) -> HomMap | 
 
 # ------------------------------------------------------------ claim helpers
 
-def _image_edges(m: HomMap, i: int) -> set[tuple[int, int]]:
-    """The target position pairs that proper edges of source component i land on."""
-    comp, index_map = m.source.components()._of, m._index_map
-    out = set()
-    for a, b in m.source._edges:
-        if comp[a] == i:
-            ya, yb = index_map[a], index_map[b]
-            if ya != yb:
-                out.add((ya, yb) if ya < yb else (yb, ya))
-    return out
-
-
-def _component_edges(g: Graph, i: int) -> set[tuple[int, int]]:
-    """The proper edges of component i of g, as position pairs."""
-    comp = g.components()._of
-    return {(a, b) for a, b in g._edges if comp[a] == i}
-
-
 def _image_gap(m: HomMap, i: int) -> tuple[int, str | None]:
     """The target component t that source component i lands in, and what
     the image of i lacks of it: "vertices" (tested first), "edges", or None
     when the image is all of t."""
-    block = m.source.components().blocks[i]
-    t = counting._target_component(m, block[0])
-    index_map, index, target = m._index_map, m.source.index, m.target
-    if {index_map[index[v]] for v in block} != set(map(target.index.__getitem__, target.components().blocks[t])):
+    t, full = counting._landing(m, i)
+    if not full:
         return t, "vertices"
-    if _image_edges(m, i) != _component_edges(target, t):
+    scomp, tcomp, index_map = m.source.components()._of, m.target.components()._of, m._index_map
+    image = set()  # the target position pairs the proper edges of component i land on
+    for a, b in m.source._edges:
+        ya, yb = index_map[a], index_map[b]
+        if scomp[a] == i and ya != yb:
+            image.add((ya, yb) if ya < yb else (yb, ya))
+    if image != {(a, b) for a, b in m.target._edges if tcomp[a] == t}:
         return t, "edges"
     return t, None
+
+
+def _component_targets(m: HomMap) -> list[int]:
+    """The target component of each source component, read at its leader."""
+    tcomp, index_map = m.target.components()._of, m._index_map
+    return [tcomp[index_map[x]] for x in m.source.components()._leaders]
 
 
 def _fibre_size(m: HomMap, y: str) -> int:
@@ -286,7 +279,7 @@ def _claim_class_inclusion_chain(m: HomMap):
     ls = homs.is_locally_strong(m)
     lsur = homs.is_locally_surjective(m)
     pc = homs.is_pseudo_covering(m)
-    eq = homs._is_equitable(m.source, m._index_map)
+    eq = com and homs._is_equitable(m.source, m._index_map)  # each rule reads it under com only
     iso = com and len(m._image) == len(m.source.vertices)
     fails = []
     if com and not sur:
@@ -303,11 +296,14 @@ def _claim_class_inclusion_chain(m: HomMap):
 
 
 def _claim_component_sum_over_target(m: HomMap):
-    for block in m.source.components().blocks:
-        images = {counting._target_component(m, v) for v in block}
-        if len(images) != 1:
-            return [f"component of {block[0]!r} maps into {len(images)} target components"]
-    return []
+    scomp, tcomp, index_map = m.source.components(), m.target.components()._of, m._index_map
+    leaders = scomp._leaders  # each vertex against its component's smallest member
+    spans = {b for y, b in zip(index_map, scomp._of) if tcomp[y] != tcomp[index_map[leaders[b]]]}
+    if not spans:
+        return []
+    i = min(spans)  # the first component whose image meets two target components
+    images = {tcomp[y] for y, b in zip(index_map, scomp._of) if b == i}
+    return [f"component of {scomp.blocks[i][0]!r} maps into {len(images)} target components"]
 
 
 def _claim_component_migration(m: HomMap):
@@ -341,19 +337,15 @@ def _claim_isolated_vertex_image(m: HomMap):
 
 
 def _claim_admissible_constant_on_target_components(m: HomMap):
-    scomp = m.source.components()
-    tcomp = m.target.components()
-    table, index = homs._fibre_blocks(m), m.target.index
-    fails = []
-    for t, t_block in enumerate(tcomp.blocks):
-        into = {i for i, block in enumerate(scomp.blocks) if counting._target_component(m, block[0]) == t}
-        for y in t_block:
-            if set(table.get(index[y], ())) != into:
-                fails.append(
-                    f"admissible components at {y!r} differ from the components mapping into"
-                    f" its target component"
-                )
-    return fails
+    tcomp, table, names = m.target.components(), homs._fibre_blocks(m), m.target.vertices
+    into = [set() for _ in tcomp._leaders]
+    for i, t in enumerate(_component_targets(m)):
+        into[t].add(i)
+    return [
+        f"admissible components at {names[y]!r} differ from the components mapping into its target component"
+        for t, y in sorted(zip(tcomp._of, range(len(names))))  # by target component, then by member
+        if set(table.get(y, ())) != into[t]
+    ]
 
 
 def _claim_admissible_count_total(m: HomMap):
@@ -381,29 +373,24 @@ def _claim_multiplicity_ratio_formula(m: HomMap):
 
 
 def _claim_tame_pseudocover_component_bijection(m: HomMap):
-    scomp = m.source.components()
-    tcomp = m.target.components()
+    scomp, tcomp, into = m.source.components(), m.target.components(), _component_targets(m)
     fails = []
-    assignment = {i: counting._target_component(m, block[0]) for i, block in enumerate(scomp.blocks)}
-    if len(set(assignment.values())) != scomp.count:
+    if len(set(into)) != scomp.count:
         fails.append("two source components share an image component")
-    if set(assignment.values()) != set(range(tcomp.count)):
+    if set(into) != set(range(tcomp.count)):
         fails.append("some target component is not an image")
-    comp_of = tcomp._of
-    for i, block in enumerate(scomp.blocks):
-        pre = {v for v, y in zip(m.source.vertices, m._index_map) if comp_of[y] == assignment[i]}
-        if pre != set(block):
-            fails.append(f"component of {block[0]!r} is not the full preimage of its image")
+    for i, (t, leader) in enumerate(zip(into, scomp._leaders)):
+        pre = {x for x, y in enumerate(m._index_map) if tcomp._of[y] == t}
+        if pre != {x for x, b in enumerate(scomp._of) if b == i}:
+            fails.append(f"component of {m.source.vertices[leader]!r} is not the full preimage of its image")
     return fails
 
 
 def _claim_single_main_component_image(m: HomMap):
-    scomp = m.source.components()
-    nontrivial = [b for b in scomp.blocks if len(b) > 1]
+    nontrivial = [i for i, block in enumerate(m.source.components().blocks) if len(block) > 1]
     if len(nontrivial) > 1:
         return None
-    block = nontrivial[0] if nontrivial else scomp.blocks[0]
-    _, gap = _image_gap(m, scomp.block_of[block[0]])
+    _, gap = _image_gap(m, nontrivial[0] if nontrivial else 0)
     if gap == "vertices":
         return None  # the image is not a full component's vertex set: hypothesis absent
     if gap == "edges":
@@ -688,36 +675,49 @@ def new_results() -> dict[str, ClaimResult]:
     return {cid: ClaimResult(cid) for cid in CLAIM_KINDS}
 
 
-def _select(registry, claims):
-    if claims is None:
-        return registry
-    unknown = set(claims) - set(registry)
-    if unknown:
-        raise ValueError(f"unknown claim identifiers: {sorted(unknown)}")
-    return {cid: registry[cid] for cid in registry if cid in claims}
+def _groups(registry, claims=None):
+    """A table's claims, or the selected ones, as ``(hypotheses, ((cid, fn),
+    ...))`` groups in order of first appearance.  Each sweep call builds its
+    own, so it sees the table as it is then."""
+    if claims is not None and not set(claims) <= set(registry):
+        raise ValueError(f"unknown claim identifiers: {sorted(set(claims) - set(registry))}")
+    groups: dict[tuple, list] = {}
+    for cid, (fn, hypotheses) in registry.items():
+        if claims is None or cid in claims:
+            groups.setdefault(hypotheses, []).append((cid, fn))
+    return [(hypotheses, tuple(members)) for hypotheses, members in groups.items()]
 
 
-def _run(fn, hypotheses, instance, decode=None):
-    """One claim's failures on one instance, decoded first if ``decode`` is given; None if a hypothesis fails."""
+def _run(group, instance, decode=None):
+    """Each member's (cid, failures) on one instance, decoded first if
+    ``decode`` is given; none when a hypothesis fails.  A hypothesis that
+    raises fails every member, a claim that raises only itself."""
+    hypotheses, members = group
     try:
         if decode is not None:
             instance = decode(instance)
         for name in hypotheses:
             if not getattr(homs, name)(instance):
-                return None
-        return fn(instance)
+                return ()
     except (HypothesisError, InternalCheckError) as exc:
-        return [f"exception: {exc}"]
+        return [(cid, [f"exception: {exc}"]) for cid, _ in members]
+    outcomes = []
+    for cid, fn in members:
+        try:
+            outcomes.append((cid, fn(instance)))
+        except (HypothesisError, InternalCheckError) as exc:
+            outcomes.append((cid, [f"exception: {exc}"]))
+    return outcomes
 
 
-def _apply(results, kind, instance, claims=None):
-    """Run a kind's claims, or the selected ones, on one instance and record the outcomes."""
-    registry, encode, _ = _KINDS[kind]
+def _apply(results, kind, groups, instance):
+    """Run a kind's claim groups on one instance and record the outcomes."""
+    encode = _KINDS[kind][1]
     payload_fn = lambda: encode(instance)
-    for cid, (fn, hypotheses) in (registry if claims is None else claims).items():
-        out = _run(fn, hypotheses, instance)
-        if out is not None:
-            results[cid].record(out, payload_fn)
+    for group in groups:
+        for cid, out in _run(group, instance):
+            if out is not None:
+                results[cid].record(out, payload_fn)
 
 
 # ------------------------------------------------------------------- sweeps
@@ -725,13 +725,14 @@ def _apply(results, kind, instance, claims=None):
 def sweep_partition_claims(cfg: SweepConfig, results=None):
     """Graph-level and (graph, partition)-level claims, exhaustively."""
     results = results if results is not None else new_results()
+    graph_claims, partition_claims = _groups(_GRAPH_CLAIMS), _groups(_PARTITION_CLAIMS)
     for g in enumerate_graphs(cfg.max_source_vertices):
-        _apply(results, "graph", g)
+        _apply(results, "graph", graph_claims, g)
         for blocks in set_partitions(g.vertices):
             p = Partition._on_graph(g, blocks)
             m = _project(results, "projection_complete", g, p, lambda: _pair_payload(g, p))
             if m is not None:  # the other partition claims need the projection
-                _apply(results, "partition", m)
+                _apply(results, "partition", partition_claims, m)
     return results
 
 
@@ -742,12 +743,12 @@ def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None):
     default is all map-level claims.
     """
     results = results if results is not None else new_results()
-    selected = _select(_HOM_CLAIMS, claims)
+    groups = _groups(_HOM_CLAIMS, claims)
     targets = list(enumerate_graphs(cfg.max_target_vertices))
     for src in enumerate_graphs(cfg.max_source_vertices):
         for tgt in targets:
             for index_map in _index_maps(src, tgt):
-                _apply(results, "hom", HomMap._from_index_map(src, tgt, index_map), selected)
+                _apply(results, "hom", groups, HomMap._from_index_map(src, tgt, index_map))
     return results
 
 
@@ -781,12 +782,12 @@ def _orbit_subgroups(g: Graph) -> list[tuple[Partition, PermGroup]]:
 def sweep_orbit_claims(cfg: SweepConfig, results=None, claims=None):
     """Orbit-quotient claims over subgroup instances of every graph in the bounds."""
     results = results if results is not None else new_results()
-    selected = _select(_ORBIT_CLAIMS, claims)
+    groups = _groups(_ORBIT_CLAIMS, claims)
     for g in enumerate_graphs(cfg.max_source_vertices):
         for p, grp in _orbit_subgroups(g):
             m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp))
             if m is not None:
-                _apply(results, "orbit", OrbitInstance(m, grp), selected)
+                _apply(results, "orbit", groups, OrbitInstance(m, grp))
     return results
 
 
@@ -833,17 +834,18 @@ def sweep_random_claims(cfg: SweepConfig, results=None):
     """Orbit-quotient and counting claims over the seeded randomized layer."""
     results = results if results is not None else new_results()
     rng = random.Random(cfg.seed)
-    hom_claims = _select(_HOM_CLAIMS, {"admissible_count_total"})
-    graph_claims = _select(_GRAPH_CLAIMS, {"oracle_component_agreement"})
+    orbit_claims = _groups(_ORBIT_CLAIMS)
+    hom_claims = _groups(_HOM_CLAIMS, {"admissible_count_total"})
+    graph_claims = _groups(_GRAPH_CLAIMS, {"oracle_component_agreement"})
     for _ in range(cfg.random_instances):
         g, grp = _draw_orbit_group(rng)
         p = perms.orbit_partition(grp)
         m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp))
         if m is None:
             continue  # every claim below needs the projection
-        _apply(results, "orbit", OrbitInstance(m, grp))
-        _apply(results, "hom", m, hom_claims)
-        _apply(results, "graph", g, graph_claims)
+        _apply(results, "orbit", orbit_claims, OrbitInstance(m, grp))
+        _apply(results, "hom", hom_claims, m)
+        _apply(results, "graph", graph_claims, g)
     return results
 
 
@@ -868,4 +870,5 @@ def replay_counterexample(failure: dict) -> bool:
     """Re-run one recorded failure, decoding included; True iff the violation reproduces."""
     cid = failure["claim"]
     claims, _, decode = _KINDS[CLAIM_KINDS[cid]]
-    return bool(_run(*claims[cid], failure["data"], decode))
+    fn, hypotheses = claims[cid]
+    return any(out for _, out in _run((hypotheses, ((cid, fn),)), failure["data"], decode))

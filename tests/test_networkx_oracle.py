@@ -1,6 +1,8 @@
 """Components and quotients against networkx's, on Hypothesis graphs and
 partitions: the component count and blocks, and the quotient graph with
-each block named "[<smallest member>]".
+each block named "[<smallest member>]".  The isomorphism search, on which
+the ``component_image_iso_criterion`` claim rests, against
+``nx.is_isomorphic`` on every pair of small labeled graphs of one size.
 
 networkx is a test-only dependency (the ``test`` extra); the library itself
 stays on the standard library.
@@ -11,7 +13,8 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import given, settings
 
-from quograph import Graph, Partition, quotient
+from quograph import Graph, Partition, find_isomorphism, quotient
+from quograph.verify import enumerate_graphs
 
 from conftest import graphs, graphs_with_partitions
 
@@ -47,3 +50,24 @@ def test_quotient_agrees_with_networkx(gp):
     result = quotient(g, p).quotient
     assert result.vertices == tuple(sorted(q.nodes))
     assert result.sorted_edges() == sorted_pairs(q.edges)
+
+
+def test_isomorphism_search_agrees_with_networkx():
+    # every ordered pair of labeled graphs on up to 4 vertices with equal
+    # vertex and edge counts; each witness must carry edges onto edges
+    by_size: dict[tuple[int, int], list] = {}
+    for g in enumerate_graphs(4):
+        by_size.setdefault((len(g.vertices), len(g.sorted_edges())), []).append((g, to_networkx(g)))
+    pairs = isomorphic = 0
+    for same in by_size.values():
+        for g1, h1 in same:
+            for g2, h2 in same:
+                witness = find_isomorphism(g1, g2)
+                assert (witness is not None) == nx.is_isomorphic(h1, h2), (g1.sorted_edges(), g2.sorted_edges())
+                if witness is not None:
+                    assert sorted(witness.values()) == list(g2.vertices)
+                    images = [(witness[u], witness[v]) for u, v in g1.sorted_edges()]
+                    assert sorted_pairs(images) == g2.sorted_edges()
+                    isomorphic += 1
+                pairs += 1
+    assert (pairs, isomorphic) == (947, 579)

@@ -209,6 +209,76 @@ class TestOneBuildPerObject:
         assert builds == 45 + 11
 
 
+class TestGroupedGate:
+    """Each sweep groups its claims by hypotheses and tests each group's
+    hypotheses once per instance."""
+
+    CFG = SweepConfig(3, 3, 0, 1)  # 1,339 maps, 259 of them locally surjective
+    LSUR = [cid for cid, (_, hyps) in verify._HOM_CLAIMS.items() if hyps == ("is_locally_surjective",)]
+
+    def test_map_table_groups(self):
+        groups = verify._groups(verify._HOM_CLAIMS)
+        assert [hyps for hyps, _ in groups] == [  # in the order of first appearance in the table
+            ("is_locally_surjective",),
+            ("is_surjective",),
+            (),
+            ("is_locally_surjective", "is_component_equitable"),
+            ("is_pseudo_covering", "is_tame"),
+            ("is_complete",),
+            ("is_pseudo_covering",),
+        ]
+        assert sorted(cid for _, members in groups for cid, _ in members) == sorted(verify._HOM_CLAIMS)
+        assert len(self.LSUR) == 5
+
+    def test_shared_hypothesis_is_tested_once_per_map(self, monkeypatch):
+        # neither claim's body calls the predicate, so each call is the gate's
+        original, calls = quograph.homs.is_locally_surjective, []
+        monkeypatch.setattr(quograph.homs, "is_locally_surjective", lambda m: calls.append(m) or original(m))
+        claims = ["isolated_vertex_image", "locally_surjective_implies_locally_strong"]
+        results = sweep_hom_claims(self.CFG, claims=set(claims))
+        assert len(calls) == 1339
+        assert [results[cid].instances for cid in claims] == [259, 259]
+
+    def test_a_raising_hypothesis_fails_every_member_and_replays(self):
+        edge = Graph(["1", "2"], [("1", "2")])
+        original = quograph.homs.is_locally_surjective
+
+        def raising_on_the_identity_of_an_edge(m):
+            if m.source == edge == m.target and m._index_map == (0, 1):
+                raise InternalCheckError("planted")
+            return original(m)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quograph.homs, "is_locally_surjective", raising_on_the_identity_of_an_edge)
+            results = sweep_hom_claims(self.CFG, claims=set(self.LSUR))
+            failures = []
+            for cid in self.LSUR:
+                assert (results[cid].instances, results[cid].failure_count) == (259, 1)
+                [failure] = results[cid].failures
+                assert failure["detail"] == "exception: planted"
+                assert failure["data"]["map"] == {"1": "1", "2": "2"}
+                assert replay_counterexample(failure) is True
+                failures.append(failure)
+        assert not any(replay_counterexample(f) for f in failures)
+
+    def test_a_raising_claim_fails_only_itself(self, monkeypatch):
+        def raising(m):
+            raise InternalCheckError("count self-check failed")
+
+        monkeypatch.setattr(quograph.counting, "count_admissible", raising)
+        results = sweep_hom_claims(self.CFG, claims=set(self.LSUR))
+        assert {cid: results[cid].failure_count for cid in self.LSUR} == {
+            cid: 259 if cid == "admissible_count_total" else 0 for cid in self.LSUR
+        }
+
+    def test_each_sweep_groups_the_table_as_it_is(self, monkeypatch):
+        claim = "isolated_vertex_image"
+        assert sweep_hom_claims(self.CFG, claims={claim})[claim].instances == 259
+        fn, _ = verify._HOM_CLAIMS[claim]
+        monkeypatch.setitem(verify._HOM_CLAIMS, claim, (fn, ()))
+        assert sweep_hom_claims(self.CFG, claims={claim})[claim].instances == 1339
+
+
 class TestMutationSensitivity:
     """Corrupting a predicate must surface as recorded, replayable failures."""
 
@@ -485,6 +555,15 @@ class TestComponentImageGaps:
         m = HomMap(self.PATH, self.TRIANGLE, images)
         assert verify._claim_component_migration(m) == [migration]
         assert verify._claim_single_main_component_image(m) == main
+
+    def test_a_component_split_across_target_components_is_named(self):
+        # a wrong cached component partition of the target splits the image
+        # of the path's one component in two
+        target = Graph(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
+        m = HomMap(self.PATH, target, {"1": "x", "2": "y", "3": "z"})
+        assert verify._claim_component_sum_over_target(m) == []
+        target._components = Partition([["x"], ["y", "z"]], target.vertex_set)
+        assert verify._claim_component_sum_over_target(m) == ["component of '1' maps into 2 target components"]
 
 
 class TestMediumGraphs:
