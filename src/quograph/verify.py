@@ -20,12 +20,23 @@ error is recorded as an ``exception: ...`` failure, so it replays as True.
 Component counts are cross-checked against ``oracle_component_count``, a
 union-find counter kept deliberately separate from the breadth-first search
 used by ``Graph.components``.
+
+``run_suite`` splits the sweeps into units (see ``_Share``) and forks one
+child per further CPU it may run on.  Every process runs the four sweeps on
+its own units; each child sends its counts and its first failures of each
+claim, tagged with their units, back through a pipe, and the parent merges
+them into the report one process writes, byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
 import random
+import signal
+import sys
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -149,14 +160,14 @@ class OrbitInstance(NamedTuple):
     grp: PermGroup
 
 
-def _project(results, cid: str, g: Graph, p: Partition, payload_fn) -> HomMap | None:
+def _project(results, cid: str, g: Graph, p: Partition, payload_fn, unit: int) -> HomMap | None:
     """The projection of g onto its quotient by p, or None when it fails
     ``quotient``'s completeness check, which is then recorded as a failure
-    of claim ``cid`` with ``payload_fn()`` as its counterexample."""
+    of claim ``cid`` in ``unit`` with ``payload_fn()`` as its counterexample."""
     try:
         return partitions.quotient(g, p).projection
     except InternalCheckError as exc:
-        results[cid].record([f"exception: {exc}"], payload_fn)
+        results[cid].record([f"exception: {exc}"], payload_fn, unit)
         return None
 
 
@@ -645,13 +656,15 @@ class ClaimResult:
     instances: int = 0
     failure_count: int = 0
     failures: list = field(default_factory=list)
+    units: list = field(default_factory=list)  # the sweep unit of each kept failure; not reported
 
-    def record(self, details, payload_fn):
+    def record(self, details, payload_fn, unit: int):
         self.instances += 1
         for detail in details:
             self.failure_count += 1
             if len(self.failures) < _FAILURE_CAP:
                 self.failures.append({"claim": self.claim, "detail": detail, "data": payload_fn()})
+                self.units.append(unit)
 
 
 @dataclass
@@ -667,7 +680,10 @@ class VerificationReport:
         return {
             "config": asdict(self.config),
             "passed": self.passed,
-            "claims": [asdict(c) for c in sorted(self.claims, key=lambda c: c.claim)],
+            "claims": [
+                {"claim": c.claim, "instances": c.instances, "failure_count": c.failure_count, "failures": c.failures}
+                for c in sorted(self.claims, key=lambda c: c.claim)
+            ],
         }
 
 
@@ -710,34 +726,71 @@ def _run(group, instance, decode=None):
     return outcomes
 
 
-def _apply(results, kind, groups, instance):
-    """Run a kind's claim groups on one instance and record the outcomes."""
+def _apply(results, kind, groups, instance, unit):
+    """Run a kind's claim groups on one instance of ``unit`` and record the outcomes."""
     encode = _KINDS[kind][1]
     payload_fn = lambda: encode(instance)
     for group in groups:
         for cid, out in _run(group, instance):
             if out is not None:
-                results[cid].record(out, payload_fn)
+                results[cid].record(out, payload_fn, unit)
+
+
+class _Share:
+    """The units of the sweeps one process runs.  A unit is a graph of the
+    partition or orbit sweep, a (source, target) pair of the map sweep, or
+    an instance of the random layer.  ``run_suite`` numbers them on across
+    its four sweeps, in the order one process meets them; a sweep called
+    alone numbers its own from 0.
+
+    Unit u is process floor(count * frac(u / phi))'s, phi the golden ratio
+    (Fibonacci hashing, Knuth, TAOCP vol. 3, 6.4).  These fractions spread
+    evenly over every run of consecutive units, and do not follow the
+    period of the enumeration, as u % count would: unit costs rise and fall
+    with the graphs' edge masks, which u % count tracks.
+    """
+
+    __slots__ = ("index", "count", "unit")
+
+    def __init__(self, index: int = 0, count: int = 1):
+        self.index, self.count, self.unit = index, count, -1
+
+    def owner(self, unit: int) -> int:
+        """The process whose unit ``unit`` is."""
+        return (unit * 0x9E3779B97F4A7C15 & 0xFFFF_FFFF_FFFF_FFFF) * self.count >> 64
+
+    def mine(self, items):
+        """(unit, item) for each of ``items`` that is this process's, one unit per item."""
+        for item in items:
+            self.unit += 1
+            if self.owner(self.unit) == self.index:
+                yield self.unit, item
+
+    def position(self) -> tuple[int, bool]:
+        """Where this process stands in the one-process order: the last unit
+        numbered, and whether it is another process's (so this one is past it)."""
+        return self.unit, self.owner(self.unit) != self.index
 
 
 # ------------------------------------------------------------------- sweeps
 
-def sweep_partition_claims(cfg: SweepConfig, results=None):
-    """Graph-level and (graph, partition)-level claims, exhaustively."""
+def sweep_partition_claims(cfg: SweepConfig, results=None, *, _share=None):
+    """Graph-level and (graph, partition)-level claims, exhaustively; one unit per graph."""
     results = results if results is not None else new_results()
     graph_claims, partition_claims = _groups(_GRAPH_CLAIMS), _groups(_PARTITION_CLAIMS)
-    for g in enumerate_graphs(cfg.max_source_vertices):
-        _apply(results, "graph", graph_claims, g)
+    for unit, g in (_share or _Share()).mine(enumerate_graphs(cfg.max_source_vertices)):
+        _apply(results, "graph", graph_claims, g, unit)
         for blocks in set_partitions(g.vertices):
             p = Partition._on_graph(g, blocks)
-            m = _project(results, "projection_complete", g, p, lambda: _pair_payload(g, p))
+            m = _project(results, "projection_complete", g, p, lambda: _pair_payload(g, p), unit)
             if m is not None:  # the other partition claims need the projection
-                _apply(results, "partition", partition_claims, m)
+                _apply(results, "partition", partition_claims, m, unit)
     return results
 
 
-def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None):
-    """Map-level claims over every valid map in the configured bounds.
+def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None, *, _share=None):
+    """Map-level claims over every valid map in the configured bounds; one
+    unit per (source, target) pair.
 
     ``claims`` restricts the run to a subset of claim identifiers; the
     default is all map-level claims.
@@ -745,10 +798,10 @@ def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None):
     results = results if results is not None else new_results()
     groups = _groups(_HOM_CLAIMS, claims)
     targets = list(enumerate_graphs(cfg.max_target_vertices))
-    for src in enumerate_graphs(cfg.max_source_vertices):
-        for tgt in targets:
-            for index_map in _index_maps(src, tgt):
-                _apply(results, "hom", groups, HomMap._from_index_map(src, tgt, index_map))
+    pairs = ((src, tgt) for src in enumerate_graphs(cfg.max_source_vertices) for tgt in targets)
+    for unit, (src, tgt) in (_share or _Share()).mine(pairs):
+        for index_map in _index_maps(src, tgt):
+            _apply(results, "hom", groups, HomMap._from_index_map(src, tgt, index_map), unit)
     return results
 
 
@@ -779,15 +832,16 @@ def _orbit_subgroups(g: Graph) -> list[tuple[Partition, PermGroup]]:
     return [seen[blocks] for blocks in sorted(seen)]
 
 
-def sweep_orbit_claims(cfg: SweepConfig, results=None, claims=None):
-    """Orbit-quotient claims over subgroup instances of every graph in the bounds."""
+def sweep_orbit_claims(cfg: SweepConfig, results=None, claims=None, *, _share=None):
+    """Orbit-quotient claims over subgroup instances of every graph in the
+    bounds; one unit per graph."""
     results = results if results is not None else new_results()
     groups = _groups(_ORBIT_CLAIMS, claims)
-    for g in enumerate_graphs(cfg.max_source_vertices):
+    for unit, g in (_share or _Share()).mine(enumerate_graphs(cfg.max_source_vertices)):
         for p, grp in _orbit_subgroups(g):
-            m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp))
+            m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp), unit)
             if m is not None:
-                _apply(results, "orbit", groups, OrbitInstance(m, grp))
+                _apply(results, "orbit", groups, OrbitInstance(m, grp), unit)
     return results
 
 
@@ -830,23 +884,152 @@ def _draw_orbit_group(rng: random.Random, max_vertices: int = 40) -> tuple[Graph
     return g, PermGroup._from_positions(g.vertices, gens)
 
 
-def sweep_random_claims(cfg: SweepConfig, results=None):
-    """Orbit-quotient and counting claims over the seeded randomized layer."""
+def sweep_random_claims(cfg: SweepConfig, results=None, *, _share=None):
+    """Orbit-quotient and counting claims over the seeded randomized layer;
+    one unit per instance.  Every process draws every instance, so that each
+    sees the one seeded stream."""
     results = results if results is not None else new_results()
     rng = random.Random(cfg.seed)
     orbit_claims = _groups(_ORBIT_CLAIMS)
     hom_claims = _groups(_HOM_CLAIMS, {"admissible_count_total"})
     graph_claims = _groups(_GRAPH_CLAIMS, {"oracle_component_agreement"})
-    for _ in range(cfg.random_instances):
-        g, grp = _draw_orbit_group(rng)
+    draws = (_draw_orbit_group(rng) for _ in range(cfg.random_instances))
+    for unit, (g, grp) in (_share or _Share()).mine(draws):
         p = perms.orbit_partition(grp)
-        m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp))
+        m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp), unit)
         if m is None:
             continue  # every claim below needs the projection
-        _apply(results, "orbit", orbit_claims, OrbitInstance(m, grp))
-        _apply(results, "hom", hom_claims, m)
-        _apply(results, "graph", graph_claims, g)
+        _apply(results, "orbit", orbit_claims, OrbitInstance(m, grp), unit)
+        _apply(results, "hom", hom_claims, m, unit)
+        _apply(results, "graph", graph_claims, g, unit)
     return results
+
+
+# ------------------------------------------------------------ processes
+# ``run_suite`` forks one child per extra CPU; each process runs every sweep
+# on its own units, and each child sends its results back through a pipe.
+
+# At most this many processes.  The parent forks them one after another, at
+# about 2.5 ms each on a shared 2-CPU x86 host, and every process walks every
+# unit's enumeration and redraws the whole random stream; on a --max-vertices
+# 3 run (about 60 ms in one process there) a fifth process would save less
+# than its fork costs.
+_MAX_PROCESSES = 4
+
+
+def _unit_count(cfg: SweepConfig) -> int:
+    """The number of units of ``run_suite`` (see ``_Share``)."""
+    sources, targets = (
+        sum(1 << n * (n - 1) // 2 for n in range(1, bound + 1))
+        for bound in (cfg.max_source_vertices, cfg.max_target_vertices)
+    )
+    return sources * (2 + targets) + cfg.random_instances
+
+
+def _process_count(cfg: SweepConfig) -> int:
+    """One process per CPU this process may run on, up to ``_MAX_PROCESSES``
+    and the number of units; one where the affinity is unknown or another
+    thread is alive (a fork then copies that thread's locks, not the thread)."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_PROCESSES, _unit_count(cfg))
+
+
+def _sweep_share(cfg: SweepConfig, results, share: _Share) -> None:
+    sweep_partition_claims(cfg, results, _share=share)
+    sweep_hom_claims(cfg, results, _share=share)
+    sweep_orbit_claims(cfg, results, _share=share)
+    sweep_random_claims(cfg, results, _share=share)
+
+
+def _share_outcome(cfg: SweepConfig, share: _Share):
+    """A child's share of the sweeps as ``marshal`` carries it: each claim's
+    (instances, failure count, kept failures, their units), or the position,
+    class and message of the exception that stopped the share."""
+    results = new_results()
+    try:
+        _sweep_share(cfg, results, share)
+    except Exception as exc:
+        return None, (share.position(), type(exc).__module__, type(exc).__qualname__, str(exc))
+    return {cid: (r.instances, r.failure_count, r.failures, r.units) for cid, r in results.items()}, None
+
+
+def _fork_share(cfg: SweepConfig, share: _Share) -> tuple[int, int]:
+    """Fork a child that runs ``share`` and writes its outcome to a pipe;
+    return the child's pid and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    # The child never returns into its caller's code, whatever it raises, and
+    # never flushes the stdio buffers it inherited.
+    code = 1
+    try:
+        os.close(r)
+        with open(w, "wb") as pipe:
+            pipe.write(marshal.dumps(_share_outcome(cfg, share)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(children: dict) -> list:
+    """Each child's outcome.  Reads every pipe to its end, then reaps each
+    child, removing it from ``children`` (pid -> read end, None once closed)."""
+    data = {}
+    for pid, fd in children.items():
+        children[pid] = None  # closed by the with statement
+        with open(fd, "rb") as pipe:
+            data[pid] = pipe.read()
+    outcomes = []
+    for pid in list(children):
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del children[pid]
+        if code:
+            names = {s.value: s.name for s in signal.Signals}
+            how = f"was killed by {names.get(-code, -code)}" if code < 0 else f"exited with status {code}"
+            raise InternalCheckError(f"a verify process {how} before it reported")
+        outcomes.append(marshal.loads(data[pid]))
+    return outcomes
+
+
+def _kill(children: dict) -> None:
+    """Kill and reap every child left in ``children``."""
+    for pid, fd in children.items():
+        os.kill(pid, signal.SIGKILL)
+        if fd is not None:
+            os.close(fd)
+        os.waitpid(pid, 0)
+    children.clear()
+
+
+def _raise_earliest(own, outcomes) -> None:
+    """Raise the earliest exception a child reported, if it came before
+    ``own`` (where this process raised, or None)."""
+    raised = [r for _, r in outcomes if r is not None]
+    if not raised:
+        return
+    position, module, qualname, message = min(raised)
+    if own is None or position < own:
+        raise _rebuilt(module, qualname, message) from None
+
+
+def _rebuilt(module: str, qualname: str, message: str) -> Exception:
+    """An exception of the named class with ``message``, or a RuntimeError
+    naming the class when the class cannot be found or built."""
+    try:
+        cls = sys.modules[module]
+        for name in qualname.split("."):
+            cls = getattr(cls, name)
+        return cls(message)
+    except Exception:
+        return RuntimeError(f"{qualname}: {message}")
 
 
 def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
@@ -854,13 +1037,41 @@ def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
 
     The report is fully determined by the configuration: enumeration order
     is fixed and the randomized layer is seeded, so two runs with the same
-    configuration produce byte-identical JSON.
+    configuration produce byte-identical JSON.  The units are spread over
+    ``_process_count(cfg)`` processes; the parent adds up their counts and
+    keeps the first ``_FAILURE_CAP`` failures of each claim by unit, so the
+    report is the one a single process writes, and an exception no claim
+    records surfaces from the earliest unit that raised it.
     """
     results = new_results()
-    sweep_partition_claims(cfg, results)
-    sweep_hom_claims(cfg, results)
-    sweep_orbit_claims(cfg, results)
-    sweep_random_claims(cfg, results)
+    count = _process_count(cfg)
+    children = {}  # pid -> the read end of its pipe, until the child is reaped
+    try:
+        for index in range(1, count):
+            pid, fd = _fork_share(cfg, _Share(index, count))
+            children[pid] = fd
+        share = _Share(0, count)
+        try:
+            _sweep_share(cfg, results, share)
+        except Exception:
+            _raise_earliest(share.position(), _collect(children))
+            raise
+        outcomes = _collect(children)
+    except BaseException:
+        _kill(children)
+        raise
+    _raise_earliest(None, outcomes)
+    for claims, _ in outcomes:
+        for cid, (instances, failure_count, failures, units) in claims.items():
+            r = results[cid]
+            r.instances += instances
+            r.failure_count += failure_count
+            r.failures += failures
+            r.units += units
+    for r in results.values():
+        # a stable sort: the failures of one unit come from one process, in order
+        kept = sorted(zip(r.units, r.failures), key=lambda pair: pair[0])[:_FAILURE_CAP]
+        r.units, r.failures = [u for u, _ in kept], [f for _, f in kept]
     return VerificationReport(cfg, [results[cid] for cid in sorted(results)])
 
 

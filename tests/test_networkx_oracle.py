@@ -2,7 +2,10 @@
 partitions: the component count and blocks, and the quotient graph with
 each block named "[<smallest member>]".  The isomorphism search, on which
 the ``component_image_iso_criterion`` claim rests, against
-``nx.is_isomorphic`` on every pair of small labeled graphs of one size.
+``nx.is_isomorphic`` on every pair of small labeled graphs of one size.  The
+automorphism group, from which the orbit sweep draws its subgroups, against
+networkx's count of self-isomorphisms on every labeled graph of the
+exhaustive layer.
 
 networkx is a test-only dependency (the ``test`` extra); the library itself
 stays on the standard library.
@@ -13,7 +16,7 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import given, settings
 
-from quograph import Graph, Partition, find_isomorphism, quotient
+from quograph import Graph, Partition, find_isomorphism, perms, quotient
 from quograph.verify import enumerate_graphs
 
 from conftest import graphs, graphs_with_partitions
@@ -71,3 +74,12 @@ def test_isomorphism_search_agrees_with_networkx():
                     isomorphic += 1
                 pairs += 1
     assert (pairs, isomorphic) == (947, 579)
+
+
+def test_automorphism_groups_agree_with_networkx():
+    graphs = list(enumerate_graphs(5))
+    for g in graphs:
+        h = to_networkx(g)
+        isomorphisms = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+        assert isomorphisms == len(perms.generated_elements(perms.automorphism_group(g))), g.sorted_edges()
+    assert len(graphs) == 1099

@@ -1,15 +1,25 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
+from io import StringIO
 
 import pytest
 from hypothesis import given, settings
 
 import quograph.homs
-from quograph import Graph, HomMap, InternalCheckError, Partition, classify, io, quotient
+from quograph import Graph, HomMap, HypothesisError, InternalCheckError, Partition, classify, io, quotient
 from quograph import verify
+from quograph.cli import build_parser, main
 from quograph.verify import (
     CLAIM_KINDS,
     ClaimResult,
@@ -23,7 +33,7 @@ from quograph.verify import (
     sweep_hom_claims,
 )
 
-from conftest import graphs
+from conftest import graphs, subprocess_env
 from golden import medium_test_graphs
 from reference import (
     closure_index_maps,
@@ -466,7 +476,7 @@ class TestFailureCap:
     def test_counts_everything_but_stores_a_bounded_sample(self):
         res = ClaimResult("demo")
         for i in range(30):
-            res.record([f"broken {i}"], lambda: {"n": 1})
+            res.record([f"broken {i}"], lambda: {"n": 1}, i)
         assert res.instances == 30
         assert res.failure_count == 30
         assert len(res.failures) == 20
@@ -572,3 +582,203 @@ class TestMediumGraphs:
         assert len(gs) == 9
         assert all(len(g.vertices) <= 7 for g in gs)
         assert max(len(g.vertices) for g in gs) == 7
+
+
+class TestProcesses:
+    """``run_suite`` spreads its units over forked processes and merges what
+    they send back into the report one process writes."""
+
+    SMALL = SweepConfig(3, 3, 10, 1)  # 11 partition units, then 121 map units, 11 orbit, 10 random
+    ARGV = ["verify", "--max-vertices", "3", "--random", "10", "--seed", "1"]
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def report(monkeypatch, count, cfg) -> str:
+        monkeypatch.setattr(verify, "_process_count", lambda cfg: count)
+        return io.dumps(run_suite(cfg).as_dict())
+
+    @staticmethod
+    def cli(monkeypatch, count, argv) -> tuple[int, str, str]:
+        monkeypatch.setattr(verify, "_process_count", lambda cfg: count)
+        out, err = StringIO(), StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @staticmethod
+    def hom_unit(cfg, count, index, after=-1):
+        """The first map-sweep unit past ``after`` that process ``index`` of
+        ``count`` runs, with its (source, target) pair."""
+        sources = list(enumerate_graphs(cfg.max_source_vertices))
+        pairs = [(s, t) for s in sources for t in enumerate_graphs(cfg.max_target_vertices)]
+        owner = verify._Share(index, count).owner
+        return next((u, pair) for u, pair in enumerate(pairs, len(sources)) if u > after and owner(u) == index)
+
+    @staticmethod
+    def plant(monkeypatch, actions):
+        """Call ``actions[(source, target)]()`` when the map sweep reaches that pair."""
+        original = verify._index_maps
+
+        def planted(src, tgt):
+            action = actions.get((src, tgt))
+            if action is not None:
+                action()
+            return original(src, tgt)
+
+        monkeypatch.setattr(verify, "_index_maps", planted)
+
+    def test_process_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert verify._process_count(self.SMALL) == 1  # as under taskset -c 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert verify._process_count(self.SMALL) == verify._MAX_PROCESSES
+        assert verify._process_count(SweepConfig(1, 1, 0, 1)) == verify._unit_count(SweepConfig(1, 1, 0, 1)) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert verify._process_count(self.SMALL) == 1
+
+    def test_reports_do_not_depend_on_the_process_count(self, monkeypatch):
+        one, two, three = (self.report(monkeypatch, n, SweepConfig(4, 3, 200, 3)) for n in (1, 2, 3))
+        assert json.loads(one)["passed"] is True
+        assert one == two == three
+
+    def test_capped_failures_keep_the_one_process_order(self, monkeypatch):
+        # fails on every map of the map sweep and every random instance: far
+        # more than the cap, from every process
+        monkeypatch.setitem(verify._HOM_CLAIMS, "admissible_count_total", (lambda m: ["planted"], ()))
+        one, two, three = (self.report(monkeypatch, n, self.SMALL) for n in (1, 2, 3))
+        [claim] = [c for c in json.loads(one)["claims"] if c["claim"] == "admissible_count_total"]
+        assert claim["failure_count"] == 1339 + 10 and len(claim["failures"]) == 20
+        assert one == two == three
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_a_failure_in_the_last_share_is_reported_and_replays(self, monkeypatch, count):
+        _, pair = self.hom_unit(self.SMALL, count, count - 1)
+        claim = (lambda m: ["planted"] if (m.source, m.target) == pair else [], ())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(verify._HOM_CLAIMS, "class_inclusion_chain", claim)
+            assert self.report(mp, count, self.SMALL) == self.report(mp, 1, self.SMALL)
+            mp.setattr(verify, "_process_count", lambda cfg: count)
+            [result] = [c for c in run_suite(self.SMALL).claims if c.claim == "class_inclusion_chain"]
+            assert result.failure_count == len(result.failures) > 0
+            assert all(replay_counterexample(f) is True for f in result.failures)
+        assert not any(replay_counterexample(f) for f in result.failures)
+
+    @pytest.mark.parametrize(
+        "cls,code,prefix",
+        [
+            (ValueError, 1, "error: "),
+            (OSError, 1, "error: "),
+            (HypothesisError, 2, "error: "),
+            (InternalCheckError, 3, "internal check failed: "),
+        ],
+    )
+    def test_an_exception_in_a_child_surfaces_as_in_one_process(self, monkeypatch, cls, code, prefix):
+        def raising():
+            raise cls("planted in a child's share")
+
+        self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, 1)[1]: raising})
+        one = self.cli(monkeypatch, 1, self.ARGV)
+        assert one == (code, "", f"{prefix}planted in a child's share\n")
+        assert self.cli(monkeypatch, 2, self.ARGV) == one
+        with pytest.raises(cls) as raised:
+            run_suite(self.SMALL)
+        assert type(raised.value) is cls
+
+    @pytest.mark.parametrize("earlier", ["parent", "child"])
+    def test_the_earliest_unit_that_raises_surfaces(self, monkeypatch, earlier):
+        first = 0 if earlier == "parent" else 1
+        u1, pair1 = self.hom_unit(self.SMALL, 2, first)
+        u2, pair2 = self.hom_unit(self.SMALL, 2, 1 - first, after=u1)
+
+        def raising(unit):
+            def raise_it():
+                raise ValueError(f"planted in unit {unit}")
+
+            return raise_it
+
+        self.plant(monkeypatch, {pair1: raising(u1), pair2: raising(u2)})
+        one = self.cli(monkeypatch, 1, self.ARGV)
+        assert one == (1, "", f"error: planted in unit {u1}\n")
+        assert self.cli(monkeypatch, 2, self.ARGV) == one
+
+    def test_a_killed_child_is_an_internal_check_failure(self, monkeypatch):
+        self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, 1)[1]: lambda: os.kill(os.getpid(), signal.SIGKILL)})
+        assert self.cli(monkeypatch, 2, self.ARGV) == (
+            3,
+            "",
+            "internal check failed: a verify process was killed by SIGKILL before it reported\n",
+        )
+
+    def test_an_interrupted_child_never_returns_into_its_caller(self, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, 1)[1]: interrupt})
+        assert self.cli(monkeypatch, 2, self.ARGV) == (
+            3,
+            "",
+            "internal check failed: a verify process exited with status 1 before it reported\n",
+        )
+
+    def test_an_interrupted_parent_kills_its_children(self, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        sleeping = self.hom_unit(self.SMALL, 2, 1)[1]
+        self.plant(monkeypatch, {sleeping: lambda: time.sleep(60), self.hom_unit(self.SMALL, 2, 0)[1]: interrupt})
+        monkeypatch.setattr(verify, "_process_count", lambda cfg: 2)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(self.SMALL)
+        assert time.perf_counter() - start < 30
+
+    @pytest.mark.parametrize("raising", [None, 0, 1], ids=["clean", "parent-raises", "child-raises"])
+    def test_the_fork_path_leaves_no_cycle(self, monkeypatch, raising):
+        # as TestCollectorPause in test_cli.py, on two processes
+        def raise_it():
+            raise ValueError("planted")
+
+        if raising is not None:
+            self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, raising)[1]: raise_it})
+        monkeypatch.setattr(verify, "_process_count", lambda cfg: 2)
+        build_parser()
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+                code = main(self.ARGV)
+        finally:
+            left = gc.collect()
+            if was_enabled:
+                gc.enable()
+        assert (code, left) == (0 if raising is None else 1, 0)
+
+    def test_unflushed_output_is_written_once(self):
+        script = (
+            "import sys\n"
+            "from quograph import verify\n"
+            "verify._process_count = lambda cfg: 2\n"
+            "sys.stdout.write('written before the fork\\n')\n"
+            "verify.run_suite(verify.SweepConfig(2, 2, 2, 1))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "written before the fork\n", "")
+
+    def test_no_fork_while_another_thread_is_alive(self, monkeypatch):
+        with pytest.MonkeyPatch.context() as mp:
+            expected = self.report(mp, 1, self.SMALL)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked while another thread was alive"))
+            assert io.dumps(run_suite(self.SMALL).as_dict()) == expected
+        finally:
+            release.set()
+            thread.join()
