@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 from itertools import chain
+from operator import itemgetter
 
 from .graphs import Graph, Partition
 from .groups import FiniteGroup
@@ -136,8 +137,9 @@ def dumps(payload) -> str:
     The text is that of ``json.dumps(payload, sort_keys=True, indent=2)``,
     byte for byte.  An indent sends ``json`` to its pure-Python encoder, so
     the indented layout is built here around compact encoder calls instead:
-    each container that holds no non-empty container, and each list of such
-    objects or of lists of scalars, is written by one call.
+    each container that holds no non-empty container, and each list of lists
+    of scalars, is written by one call; so are the values of a list of such
+    objects with one set of ``str`` keys, laid out through one row template.
     """
     return _emit(payload, 0) + "\n"
 
@@ -165,16 +167,66 @@ def _flat(items) -> bool:
     return _scalars(items) or not any(v for v in items if isinstance(v, _CONTAINERS))
 
 
-def _leaf_rows(items) -> str | None:
-    """The brackets of the members of a list whose members are all non-empty
-    flat dicts, or all non-empty lists of scalars; else None."""
+def _object_rows(items, depth: int) -> str | None:
+    """The members of ``items``, two or more non-empty ``dict`` objects, when
+    all have one set of ``str`` keys and flat values, laid out through one
+    row template; else None.
+
+    Only ``str`` keys share a template: ``1`` and ``True``, or ``1`` and
+    ``1.0``, are equal keys that the encoder writes differently.
+    """
+    size = len(items[0])
+    if len(items) < 2 or set(map(len, items)) != {size} or not _all_of(str, chain.from_iterable(items)):
+        return None
+    keys = sorted(items[0])
+    pick = itemgetter(*keys)  # one key gives its value, not a 1-tuple
+    try:
+        values = [*map(pick, items)] if size == 1 else [*chain.from_iterable(map(pick, items))]
+    except KeyError:  # as many keys, but not the same ones
+        return None
+    if not _flat(values):
+        return None
+    # Every member name is followed by a "%s" slot for its value.  Under
+    # ensure_ascii a name never holds a raw newline, so each ': 0,\n' is a
+    # separator; the last name's "0" is cut off with the closing brace.
+    inner, deeper = "  " * (depth + 1), "  " * (depth + 2)
+    names = _encoder(depth + 2).encode(dict.fromkeys(keys, 0))[1:-2]
+    names = names.replace("%", "%%").replace(': 0,\n', ': %s,\n')
+    row = f"{{\n{deeper}{names}%s\n{inner}}}"
+    # Nor does a flat value's text hold a raw newline, so ",\n" splits the
+    # values apart.
+    texts = _encoder(0).encode(values)[1:-1].split(",\n")
+    return f",\n{inner}".join([row] * len(items)) % tuple(texts)
+
+
+def _list_rows(items, depth: int) -> str:
+    """The members of ``items``, non-empty lists of scalars, in one call.
+
+    With ensure_ascii a string never holds a raw newline, so every newline
+    in the text starts a separator.  Inside a member a separator comes
+    before a scalar, never before an opening bracket (an empty list could,
+    which is why list rows hold scalars only); so the separators before one
+    are exactly those between two members.
+    """
+    inner, deeper = "  " * (depth + 1), "  " * (depth + 2)
+    text = _encoder(depth + 2).encode(items)[2:-2].replace(f"],\n{deeper}[", f"\n{inner}],\n{inner}[\n{deeper}")
+    return f"[\n{deeper}{text}\n{inner}]"
+
+
+def _leaf_rows(items, depth: int) -> str | None:
+    """The members of a list of non-empty flat objects of one key set, or of
+    non-empty lists of scalars, written without recursion; else None.
+
+    A ``dict`` subclass takes the recursion: it may read its members in
+    another way than ``dict`` does, which is how the template reads them.
+    """
     if not all(items):
         return None
     kinds = set(map(type, items))
-    if all(issubclass(t, dict) for t in kinds):
-        return "{}" if _flat([*chain.from_iterable(map(dict.values, items))]) else None
-    if all(issubclass(t, (list, tuple)) for t in kinds):
-        return "[]" if _scalars(chain.from_iterable(items)) else None
+    if kinds == {dict}:
+        return _object_rows(items, depth)
+    if all(issubclass(t, (list, tuple)) for t in kinds) and _scalars(chain.from_iterable(items)):
+        return _list_rows(items, depth)
     return None
 
 
@@ -197,20 +249,10 @@ def _emit(x, depth: int) -> str:
         names = _encoder(depth + 1).encode(dict.fromkeys(x, 0))[1:-1].split(sep)
         parts = (name[:-1] + _emit(x[k], depth + 1) for name, k in zip(names, sorted(x)))
         return f"{{\n{inner}{sep.join(parts)}\n{outer}}}"
-    rows = _leaf_rows(x)
+    rows = _leaf_rows(x, depth)
     if rows is None:
-        return f"[\n{inner}{sep.join(_emit(v, depth + 1) for v in x)}\n{outer}]"
-    # With ensure_ascii a string never holds a raw newline, so every newline
-    # in the text starts a separator.  Inside a member a separator comes
-    # before a quoted name or a scalar, never before an opening bracket (an
-    # empty list could, which is why list rows hold scalars only); so the
-    # separators before one are exactly those between two members.
-    open_, close = rows
-    deeper = "  " * (depth + 2)
-    text = _encoder(depth + 2).encode(x)[2:-2].replace(
-        f"{close},\n{deeper}{open_}", f"\n{inner}{close},\n{inner}{open_}\n{deeper}"
-    )
-    return f"[\n{inner}{open_}\n{deeper}{text}\n{inner}{close}\n{outer}]"
+        rows = sep.join(_emit(v, depth + 1) for v in x)
+    return f"[\n{inner}{rows}\n{outer}]"
 
 
 def load_json(path):

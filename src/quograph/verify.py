@@ -475,11 +475,17 @@ def _claim_orbit_admissible_single_orbit(inst: OrbitInstance):
 def _claim_orbit_count_vertex_ratio(inst: OrbitInstance):
     m = inst.m
     fails = []
+    # every block still has its landing checked, but the components landing
+    # in one target component share its preimage, cross-checked once
+    preimages: dict[int, frozenset[str]] = {}
     for y in sorted(m.image):
         admissible = counting.admissible_components(m, y)
         c_y = len(admissible)
         for block in admissible:
-            pre = counting.preimage_of_component_vertices(m, block)
+            t = counting._image_component(m, block)[1]
+            pre = preimages.get(t)
+            if pre is None:
+                pre = preimages[t] = counting._preimage_union(m, t)
             if len(pre) != c_y * len(block):
                 fails.append(
                     f"preimage of the image of a component at {y!r} has {len(pre)} vertices,"

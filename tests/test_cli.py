@@ -659,6 +659,27 @@ class TestCanonicalPayloads:
             assert out == indent_dumps(payloads[-1]), argv
         assert len(payloads) == 2 + len(argvs)
 
+    @pytest.mark.parametrize("method", ["auto", "A", "ce", "B"])
+    def test_count_of_several_terms(self, tmp_path, capsys, payloads, method):
+        # a triangle, an edge and a lone vertex, twice over and swapped by
+        # the group: the quotient has three components, so three terms
+        names = ["t0", "t1", "t2", "e0", "e1", "v0"]
+        pairs = [("t0", "t1"), ("t0", "t2"), ("t1", "t2"), ("e0", "e1")]
+        g = Graph([c + n for c in "ab" for n in names], [(c + x, c + y) for c in "ab" for x, y in pairs])
+        blocks = [["a" + n, "b" + n] for n in names]
+        swap = {c + n: d + n for c, d in ("ab", "ba") for n in names}
+        io.save_json(tmp_path / "g.json", io.graph_to_dict(g))
+        io.save_json(tmp_path / "p.json", io.partition_to_dict(Partition(blocks, g.vertex_set)))
+        io.save_json(tmp_path / "grp.json", io.group_to_dict(PermGroup(g.vertex_set, [swap])))
+        g_path, p_path, grp_path = (str(tmp_path / f) for f in ("g.json", "p.json", "grp.json"))
+        payloads.clear()  # the files above were written through io.dumps too
+        code, out, _ = run_cli(capsys, "count", g_path, p_path, "--group", grp_path, "--method", method)
+        assert code == 0
+        (payload,) = payloads
+        assert payload["total"] == 6 and len(payload["terms"]) == 3
+        assert (None in payload["terms"][0].values()) == (method == "A")
+        assert out == indent_dumps(payload)
+
 
 LABELS = st.sampled_from(["e", "a", "b", "0", "1"])
 DOC_KEYS = st.sampled_from(

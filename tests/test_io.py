@@ -191,6 +191,20 @@ def json_containers(children):
 
 JSON_TREES = st.recursive(SCALARS | LEAF_DICTS | LEAF_LISTS, json_containers, max_leaves=24)
 
+# Keys that look like the row template's own slots and separators.
+ROW_KEYS = st.sampled_from(["%", "%s", "%%s", "%(a)s", '"a": 0,\n', '": 0,\n  "', ": %s,"]) | TRICKY_TEXT
+
+
+@st.composite
+def same_key_rows(draw):
+    """2-6 objects of one key set, one key or several, each inserting the
+    keys in its own order."""
+    keys = draw(st.lists(ROW_KEYS, min_size=1, max_size=4, unique=True))
+    return [
+        {k: draw(FLAT) for k in draw(st.permutations(keys))}
+        for _ in range(draw(st.integers(2, 6)))
+    ]
+
 
 class TestCanonicalText:
     @given(JSON_TREES)
@@ -214,7 +228,32 @@ class TestCanonicalText:
     def test_dumps_matches_on_edge_cases(self, payload):
         assert io.dumps(payload) == indent_dumps(payload)
 
-    @pytest.mark.parametrize("payload", [{(1,): [1]}, {1: [1], "a": [2]}, [{(1,): 1}, {"a": 1}]])
+    @given(same_key_rows(), st.integers(0, 2))
+    @settings(max_examples=400)
+    def test_same_key_rows_share_one_template(self, rows, depth):
+        assert io._object_rows(rows, depth) is not None
+        for _ in range(depth):
+            rows = {"rows": rows}
+        assert io.dumps(rows) == indent_dumps(rows)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [{1: "a"}, {True: "b"}],
+            [{1: 0}, {1.0: 0}],
+            [{"a": 1}],
+            [{"a": 1}, {"b": 1}],
+            [{"a": [1]}, {"a": [2]}],
+        ],
+        ids=["int-and-bool-keys", "int-and-float-keys", "one-row", "other-keys", "nested-values"],
+    )
+    def test_rows_outside_the_template(self, payload):
+        assert io._object_rows(payload, 0) is None
+        assert io.dumps(payload) == indent_dumps(payload)
+
+    @pytest.mark.parametrize(
+        "payload", [{(1,): [1]}, {1: [1], "a": [2]}, [{(1,): 1}, {"a": 1}], [{(1,): 1}, {(1,): 2}]]
+    )
     def test_dumps_refuses_what_the_encoder_refuses(self, payload):
         with pytest.raises(TypeError):
             indent_dumps(payload)
