@@ -25,7 +25,9 @@ used by ``Graph.components``.
 child per further CPU it may run on.  Every process runs the four sweeps on
 its own units; each child sends its counts and its first failures of each
 claim, tagged with their units, back through a pipe, and the parent merges
-them into the report one process writes, byte for byte.
+them into the report one process writes, byte for byte.  When a share stops
+on an exception no claim records, or a fork fails, the parent runs every
+unit again on its own, which raises the earliest unit's exception as it is.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import marshal
 import os
 import random
 import signal
-import sys
 import threading
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -772,11 +773,6 @@ class _Share:
             if self.owner(self.unit) == self.index:
                 yield self.unit, item
 
-    def position(self) -> tuple[int, bool]:
-        """Where this process stands in the one-process order: the last unit
-        numbered, and whether it is another process's (so this one is past it)."""
-        return self.unit, self.owner(self.unit) != self.index
-
 
 # ------------------------------------------------------------------- sweeps
 
@@ -923,22 +919,13 @@ def sweep_random_claims(cfg: SweepConfig, results=None, *, _share=None):
 _MAX_PROCESSES = 4
 
 
-def _unit_count(cfg: SweepConfig) -> int:
-    """The number of units of ``run_suite`` (see ``_Share``)."""
-    sources, targets = (
-        sum(1 << n * (n - 1) // 2 for n in range(1, bound + 1))
-        for bound in (cfg.max_source_vertices, cfg.max_target_vertices)
-    )
-    return sources * (2 + targets) + cfg.random_instances
-
-
 def _process_count(cfg: SweepConfig) -> int:
-    """One process per CPU this process may run on, up to ``_MAX_PROCESSES``
-    and the number of units; one where the affinity is unknown or another
-    thread is alive (a fork then copies that thread's locks, not the thread)."""
+    """One process per CPU this process may run on, up to ``_MAX_PROCESSES``;
+    one where the affinity is unknown or another thread is alive (a fork
+    then copies that thread's locks, not the thread)."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), _MAX_PROCESSES, _unit_count(cfg))
+    return min(len(os.sched_getaffinity(0)), _MAX_PROCESSES)
 
 
 def _sweep_share(cfg: SweepConfig, results, share: _Share) -> None:
@@ -950,14 +937,14 @@ def _sweep_share(cfg: SweepConfig, results, share: _Share) -> None:
 
 def _share_outcome(cfg: SweepConfig, share: _Share):
     """A child's share of the sweeps as ``marshal`` carries it: each claim's
-    (instances, failure count, kept failures, their units), or the position,
-    class and message of the exception that stopped the share."""
+    (instances, failure count, kept failures, their units), or None when an
+    exception stopped the share."""
     results = new_results()
     try:
         _sweep_share(cfg, results, share)
-    except Exception as exc:
-        return None, (share.position(), type(exc).__module__, type(exc).__qualname__, str(exc))
-    return {cid: (r.instances, r.failure_count, r.failures, r.units) for cid, r in results.items()}, None
+    except Exception:
+        return None
+    return {cid: (r.instances, r.failure_count, r.failures, r.units) for cid, r in results.items()}
 
 
 def _fork_share(cfg: SweepConfig, share: _Share) -> tuple[int, int]:
@@ -1015,29 +1002,6 @@ def _kill(children: dict) -> None:
     children.clear()
 
 
-def _raise_earliest(own, outcomes) -> None:
-    """Raise the earliest exception a child reported, if it came before
-    ``own`` (where this process raised, or None)."""
-    raised = [r for _, r in outcomes if r is not None]
-    if not raised:
-        return
-    position, module, qualname, message = min(raised)
-    if own is None or position < own:
-        raise _rebuilt(module, qualname, message) from None
-
-
-def _rebuilt(module: str, qualname: str, message: str) -> Exception:
-    """An exception of the named class with ``message``, or a RuntimeError
-    naming the class when the class cannot be found or built."""
-    try:
-        cls = sys.modules[module]
-        for name in qualname.split("."):
-            cls = getattr(cls, name)
-        return cls(message)
-    except Exception:
-        return RuntimeError(f"{qualname}: {message}")
-
-
 def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
     """Run every sweep and collect one result per claim.
 
@@ -1046,28 +1010,33 @@ def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
     configuration produce byte-identical JSON.  The units are spread over
     ``_process_count(cfg)`` processes; the parent adds up their counts and
     keeps the first ``_FAILURE_CAP`` failures of each claim by unit, so the
-    report is the one a single process writes, and an exception no claim
-    records surfaces from the earliest unit that raised it.
+    report is the one a single process writes.  When a share stops on an
+    exception no claim records, or a pipe or fork fails, the parent kills
+    its children and runs every unit again on its own: that run raises the
+    earliest unit's exception with its own type, message and traceback.
     """
     results = new_results()
     count = _process_count(cfg)
     children = {}  # pid -> the read end of its pipe, until the child is reaped
     try:
-        for index in range(1, count):
-            pid, fd = _fork_share(cfg, _Share(index, count))
-            children[pid] = fd
-        share = _Share(0, count)
         try:
-            _sweep_share(cfg, results, share)
+            for index in range(1, count):
+                pid, fd = _fork_share(cfg, _Share(index, count))
+                children[pid] = fd
+            _sweep_share(cfg, results, _Share(0, count))
         except Exception:
-            _raise_earliest(share.position(), _collect(children))
-            raise
-        outcomes = _collect(children)
-    except BaseException:
+            if count == 1:
+                raise
+            outcomes = [None]
+        else:
+            outcomes = _collect(children)
+    finally:
         _kill(children)
-        raise
-    _raise_earliest(None, outcomes)
-    for claims, _ in outcomes:
+    if None in outcomes:
+        results = new_results()
+        _sweep_share(cfg, results, _Share())
+        outcomes = []
+    for claims in outcomes:
         for cid, (instances, failure_count, failures, units) in claims.items():
             r = results[cid]
             r.instances += instances

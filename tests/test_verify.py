@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import gc
 import hashlib
 import json
@@ -632,14 +633,32 @@ class TestProcesses:
 
         monkeypatch.setattr(verify, "_index_maps", planted)
 
+    @staticmethod
+    def fail_call(monkeypatch, name, nth):
+        """Make the nth call of ``os.<name>`` raise EAGAIN, as a fork does at a process limit."""
+        original, calls = getattr(os, name), []
+
+        def failing():
+            calls.append(name)
+            if len(calls) == nth:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return original()
+
+        monkeypatch.setattr(os, name, failing)
+        return calls
+
     def test_process_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert verify._process_count(self.SMALL) == 1  # as under taskset -c 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         assert verify._process_count(self.SMALL) == verify._MAX_PROCESSES
-        assert verify._process_count(SweepConfig(1, 1, 0, 1)) == verify._unit_count(SweepConfig(1, 1, 0, 1)) == 3
+        assert verify._process_count(SweepConfig(1, 1, 0, 1)) == verify._MAX_PROCESSES  # not capped by its 3 units
         monkeypatch.delattr(os, "sched_getaffinity")
         assert verify._process_count(self.SMALL) == 1
+
+    def test_a_process_past_the_unit_count_gets_no_unit(self, monkeypatch):
+        cfg = SweepConfig(1, 1, 0, 1)  # 3 units: a partition graph, a (source, target) pair, an orbit graph
+        assert self.report(monkeypatch, 4, cfg) == self.report(monkeypatch, 1, cfg)
 
     def test_reports_do_not_depend_on_the_process_count(self, monkeypatch):
         one, two, three = (self.report(monkeypatch, n, SweepConfig(4, 3, 200, 3)) for n in (1, 2, 3))
@@ -706,6 +725,54 @@ class TestProcesses:
         assert one == (1, "", f"error: planted in unit {u1}\n")
         assert self.cli(monkeypatch, 2, self.ARGV) == one
 
+    @pytest.mark.parametrize("parent_too", [False, True], ids=["child", "child-then-parent"])
+    def test_the_surfaced_exception_is_raised_where_it_was(self, monkeypatch, parent_too):
+        def raising(unit):
+            def raise_it():
+                raise ValueError(f"planted in unit {unit}")
+
+            return raise_it
+
+        u1, pair1 = self.hom_unit(self.SMALL, 2, 1)
+        actions = {pair1: raising(u1)}
+        if parent_too:
+            u2, pair2 = self.hom_unit(self.SMALL, 2, 0, after=u1)
+            actions[pair2] = raising(u2)
+        self.plant(monkeypatch, actions)
+        monkeypatch.setattr(verify, "_process_count", lambda cfg: 2)
+        with pytest.raises(ValueError) as raised:
+            run_suite(self.SMALL)
+        assert raised.value.args == (f"planted in unit {u1}",)
+        assert raised.traceback[-1].name == "raise_it"
+        assert raised.value.__context__ is None and raised.value.__cause__ is None
+
+    def test_the_parent_reruns_the_sweeps_only_after_an_exception(self, monkeypatch):
+        calls, original = [], verify._sweep_share
+
+        def counted(cfg, results, share):
+            calls.append((share.index, share.count))  # a child's calls land in its own copy
+            original(cfg, results, share)
+
+        def raise_it():
+            raise ValueError("planted")
+
+        monkeypatch.setattr(verify, "_sweep_share", counted)
+        self.report(monkeypatch, 2, self.SMALL)
+        assert calls == [(0, 2)]
+        calls.clear()
+        self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, 1)[1]: raise_it})
+        with pytest.raises(ValueError):
+            self.report(monkeypatch, 2, self.SMALL)
+        assert calls == [(0, 2), (0, 1)]
+
+    @pytest.mark.parametrize("name", ["pipe", "fork"])
+    def test_a_failed_fork_falls_back_to_one_process(self, monkeypatch, name):
+        one = self.cli(monkeypatch, 1, self.ARGV)
+        assert one[0] == 0
+        calls = self.fail_call(monkeypatch, name, 2)
+        assert self.cli(monkeypatch, 3, self.ARGV) == one
+        assert len(calls) == 2  # the first child was forked, then killed and reaped
+
     def test_a_killed_child_is_an_internal_check_failure(self, monkeypatch):
         self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, 1)[1]: lambda: os.kill(os.getpid(), signal.SIGKILL)})
         assert self.cli(monkeypatch, 2, self.ARGV) == (
@@ -737,15 +804,22 @@ class TestProcesses:
             run_suite(self.SMALL)
         assert time.perf_counter() - start < 30
 
-    @pytest.mark.parametrize("raising", [None, 0, 1], ids=["clean", "parent-raises", "child-raises"])
+    @pytest.mark.parametrize(
+        "raising", [None, 0, 1, "fork"], ids=["clean", "parent-raises", "child-raises", "fork-fails"]
+    )
     def test_the_fork_path_leaves_no_cycle(self, monkeypatch, raising):
-        # as TestCollectorPause in test_cli.py, on two processes
+        # as TestCollectorPause in test_cli.py, on two processes, or on three
+        # whose second fork fails
         def raise_it():
             raise ValueError("planted")
 
-        if raising is not None:
+        count = 2
+        if raising == "fork":
+            count = 3
+            self.fail_call(monkeypatch, "fork", 2)
+        elif raising is not None:
             self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, raising)[1]: raise_it})
-        monkeypatch.setattr(verify, "_process_count", lambda cfg: 2)
+        monkeypatch.setattr(verify, "_process_count", lambda cfg: count)
         build_parser()
         was_enabled = gc.isenabled()
         gc.collect()
@@ -757,7 +831,7 @@ class TestProcesses:
             left = gc.collect()
             if was_enabled:
                 gc.enable()
-        assert (code, left) == (0 if raising is None else 1, 0)
+        assert (code, left) == (1 if raising in (0, 1) else 0, 0)
 
     def test_unflushed_output_is_written_once(self):
         script = (
