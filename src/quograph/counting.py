@@ -18,6 +18,7 @@ number of source components before it is handed back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from . import homs
@@ -191,23 +192,26 @@ def _ratio_count(m: HomMap) -> CountBreakdown:
     Each term takes the component's smallest member y and the first source
     component admissible for it, and contributes fibre size over
     multiplicity, both read off y's ``homs._fibre_blocks`` entry (the fibre
-    size is the sum of its counts).
+    size is the sum of its counts).  Each stage runs over all the terms at
+    once, and each term is built by ``tuple.__new__``, which skips the named
+    tuple's Python-level constructor.
     """
     table = homs._fibre_blocks(m)
-    source, target = m.source.vertices, m.target.vertices
-    leaders = m.source.components()._leaders
-    terms = []
-    for y in m.target.components()._leaders:
-        counts = table.get(y)
-        if counts is None:
-            raise InternalCheckError("no admissible component for a target vertex")
-        first = min(counts)
-        k_x, k_c = sum(counts.values()), counts[first]
-        terms.append(CountTerm(target[y], source[leaders[first]], k_x, k_c, _exact_div(k_x, k_c)))
-    total = sum(t.value for t in terms)
+    ys = m.target.components()._leaders
+    rows = list(map(table.get, ys))
+    if None in rows:
+        raise InternalCheckError("no admissible component for a target vertex")
+    firsts = list(map(min, rows))
+    k_x = list(map(sum, map(dict.values, rows)))
+    k_c = list(map(dict.__getitem__, rows, firsts))
+    values = list(map(_exact_div, k_x, k_c))
+    names = map(m.target.vertices.__getitem__, ys)
+    leaders = map(m.source.vertices.__getitem__, map(m.source.components()._leaders.__getitem__, firsts))
+    terms = tuple(map(tuple.__new__, repeat(CountTerm), zip(names, leaders, k_x, k_c, values)))
+    total = sum(values)
     if total != m.source.components().count:
         raise InternalCheckError("ratio count disagrees with the component index")
-    return CountBreakdown(tuple(terms), total)
+    return CountBreakdown(terms, total)
 
 
 def component_iso_check(m: HomMap, c) -> bool:

@@ -19,11 +19,12 @@ class Graph:
     neighbourhood of position i as a set of positions (i included), and
     ``_edges`` holds each proper edge once as a pair (i, j) with i < j.  The
     label views (``proper_edges``, ``neighborhood``, ``has_edge``,
-    ``sorted_edges``) are derived from them.
+    ``sorted_edges``) are derived from them, and ``vertex_set`` is built on
+    first read and cached.
     """
 
     __slots__ = (
-        "vertices", "vertex_set", "index", "_nbhd", "_edges", "_components", "_induced",
+        "vertices", "index", "_vertex_set", "_nbhd", "_edges", "_components", "_induced",
     )
 
     def __init__(self, vertices, proper_edges=()):
@@ -73,14 +74,19 @@ class Graph:
 
     def _store(self, verts, index, nbhd, edges) -> None:
         self.vertices = verts
-        self.vertex_set = frozenset(verts)
         self.index = index
         self._nbhd = nbhd
         self._edges = edges
-        self._components = None
-        self._induced = None
+        self._vertex_set = self._components = self._induced = None
 
     # ------------------------------------------------------------- queries
+
+    @property
+    def vertex_set(self) -> frozenset[str]:
+        """The vertex labels as a set."""
+        if self._vertex_set is None:
+            self._vertex_set = frozenset(self.vertices)
+        return self._vertex_set
 
     @property
     def proper_edges(self) -> frozenset[frozenset[str]]:
@@ -237,7 +243,8 @@ class Partition:
     def _store(self, verts: tuple, index: dict, blocks) -> None:
         """Number the blocks on ``index``, the label to position map of the
         sorted distinct labels ``verts``, and store the partition; any fault
-        is refused by ``_refuse_cells``."""
+        is refused by ``_refuse_cells``.  Blocks listed by smallest member
+        keep their input ordinals."""
         blocks = list(blocks)
         n = len(verts)
         of = [-1] * n
@@ -262,10 +269,12 @@ class Partition:
                 raise ValueError
         except (TypeError, KeyError, ValueError):
             _refuse_cells(blocks, verts)
-        rank = [0] * len(blocks)  # input block -> its ordinal by smallest member
-        for k, i in enumerate(leaders):
-            rank[of[i]] = k
-        self._set(verts, tuple(map(rank.__getitem__, of)), tuple(leaders))
+        if leaders != least:  # renumber unless the input lists the blocks by smallest member
+            rank = [0] * len(blocks)  # input block -> its ordinal by smallest member
+            for k, i in enumerate(leaders):
+                rank[of[i]] = k
+            of = map(rank.__getitem__, of)
+        self._set(verts, tuple(of), tuple(leaders))
 
     @classmethod
     def _from_positions(cls, vertices: tuple, of: tuple, leaders: tuple) -> "Partition":

@@ -270,9 +270,10 @@ def is_component_equitable(m: HomMap) -> bool:
     """True iff each target vertex meets all its admissible components equally.
 
     For a target vertex y, every source component containing part of the
-    fibre of y must contain the same number of fibre members.
+    fibre of y must contain the same number of fibre members.  A fibre
+    that meets one component passes without building the set of its counts.
     """
-    return all(len(set(counts.values())) == 1 for counts in _fibre_blocks(m).values())
+    return all(len(counts) == 1 or len(set(counts.values())) == 1 for counts in _fibre_blocks(m).values())
 
 
 # ----------------------------------------------------------------- reports

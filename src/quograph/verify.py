@@ -919,7 +919,7 @@ def sweep_random_claims(cfg: SweepConfig, results=None, *, _share=None):
 _MAX_PROCESSES = 4
 
 
-def _process_count(cfg: SweepConfig) -> int:
+def _process_count() -> int:
     """One process per CPU this process may run on, up to ``_MAX_PROCESSES``;
     one where the affinity is unknown or another thread is alive (a fork
     then copies that thread's locks, not the thread)."""
@@ -1008,7 +1008,7 @@ def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
     The report is fully determined by the configuration: enumeration order
     is fixed and the randomized layer is seeded, so two runs with the same
     configuration produce byte-identical JSON.  The units are spread over
-    ``_process_count(cfg)`` processes; the parent adds up their counts and
+    ``_process_count()`` processes; the parent adds up their counts and
     keeps the first ``_FAILURE_CAP`` failures of each claim by unit, so the
     report is the one a single process writes.  When a share stops on an
     exception no claim records, or a pipe or fork fails, the parent kills
@@ -1016,7 +1016,7 @@ def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
     earliest unit's exception with its own type, message and traceback.
     """
     results = new_results()
-    count = _process_count(cfg)
+    count = _process_count()
     children = {}  # pid -> the read end of its pipe, until the child is reaped
     try:
         try:

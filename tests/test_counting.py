@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from quograph import (
+    CountTerm,
     Graph,
     HomMap,
     HypothesisError,
@@ -22,6 +23,7 @@ from quograph import (
     count_ce,
     count_orbit,
     image_of_component,
+    io,
     is_pseudo_covering,
     multiplicity,
     orbit_partition,
@@ -246,14 +248,49 @@ def many_components(count=300):
 
 
 class TestRatioWalk:
+    @staticmethod
+    def check_terms(m, bd):
+        reference = rebuilding_ratio_count(m).terms
+        assert all(type(t) is CountTerm for t in bd.terms)  # a plain tuple would compare equal too
+        assert bd.terms == reference
+        assert [t.as_dict() for t in bd.terms] == [t.as_dict() for t in reference]
+
     def test_unrandomized_representatives_are_component_leaders(self):
         g, grp, m = many_components()
         leaders = [block[0] for block in m.target.components().blocks]
         assert len(leaders) == 300
         for bd in (count_ce(m), count_orbit(m, grp)):
             assert [t.representative for t in bd.terms] == leaders
-            assert bd.terms == rebuilding_ratio_count(m).terms
+            self.check_terms(m, bd)
             assert bd.total == 600
+
+    @given(orbit_instances())
+    @settings(max_examples=30, deadline=None)
+    def test_terms_are_count_terms_equal_to_the_label_walk(self, inst):
+        self.check_terms(inst.m, count_orbit(inst.m, inst.grp))
+
+    @pytest.mark.parametrize("method", ["ce", "B"])
+    def test_a_count_builds_no_vertex_set(self, method):
+        # the count_ce benchmark's shape: edges, triangles and 3-paths, each
+        # collapsed by its own orbits, blocks listed by smallest member
+        pieces = [(2, [(0, 1)], [[0, 1]], [1, 0]), (3, [(0, 1), (1, 2), (0, 2)], [[0, 1, 2]], [1, 2, 0])]
+        pieces.append((3, [(0, 1), (1, 2)], [[0, 2], [1]], [2, 1, 0]))
+        vertices, edges, blocks, shift = [], [], [], {}
+        for c in range(60):
+            n, pairs, cells, aut = pieces[c % 3]
+            names = [f"{c:03d}.{x}" for x in "abc"[:n]]
+            vertices += names
+            edges += [[names[a], names[b]] for a, b in pairs]
+            blocks += [[names[x] for x in cell] for cell in cells]
+            shift.update({names[x]: names[aut[x]] for x in range(n)})
+        g = io.graph_from_dict({"vertices": vertices, "edges": edges})
+        m = quotient(g, io.partition_from_dict({"blocks": blocks}, g)).projection
+        if method == "ce":
+            bd = count_ce(m)
+        else:
+            bd = count_orbit(m, io.group_from_dict({"generators": [shift]}, g))
+        assert io.dumps(bd.as_dict()) and bd.total == 60
+        assert g._vertex_set is None and m.target._vertex_set is None
 
 
 class TestCountCe:

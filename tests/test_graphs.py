@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quograph import Graph, Partition, find_isomorphism
+from quograph import Graph, Partition, find_isomorphism, make_cyclic, make_symmetric, power_graph, proper_power_graph, quotient
 from quograph.verify import oracle_component_count
 
 from conftest import graphs
@@ -184,6 +184,39 @@ class TestInduced:
         assert sub.vertices == ("a", "b") and sub.proper_edges == g.proper_edges
         with pytest.raises(ValueError, match=exact):  # and again with a warm cache
             g.induced(subset)
+
+
+class TestVertexSet:
+    """``vertex_set`` is built on its first read, then kept, whichever
+    builder made the graph."""
+
+    @staticmethod
+    def check(g):
+        assert g._vertex_set is None  # no builder makes it
+        assert g.vertex_set == frozenset(g.vertices)
+        assert g.vertex_set is g.vertex_set
+
+    @given(graphs(), st.data())
+    def test_every_builder(self, g, data):
+        sub = data.draw(st.sets(st.sampled_from(g.vertices), min_size=1))
+        cells = data.draw(st.lists(st.integers(0, 2), min_size=len(g.vertices), max_size=len(g.vertices)))
+        blocks: dict[int, list[str]] = {}
+        for v, c in zip(g.vertices, cells):
+            blocks.setdefault(c, []).append(v)
+        built = [
+            g,
+            Graph._from_edges(g.vertices, g._edges),
+            g.induced(sub),
+            quotient(g, Partition(blocks.values(), g.vertices)).quotient,
+        ]
+        for h in built:
+            self.check(h)
+
+    @pytest.mark.parametrize("group", [make_cyclic(1), make_cyclic(12), make_symmetric(3)])
+    def test_power_graphs(self, group):
+        self.check(power_graph(group))
+        if len(group.elements) > 1:
+            self.check(proper_power_graph(group))
 
 
 class TestIsomorphism:

@@ -259,6 +259,32 @@ class TestFibreTableOracles:
         assert {v[2] for v in verdicts} == {True, False}
 
 
+    @pytest.mark.parametrize(
+        "edges, mapping, tame, equitable",
+        [
+            # the fibre of x meets one component, then y's meets two unequally
+            ([("c", "d")], {"a": "x", "b": "y", "c": "y", "d": "y"}, False, False),
+            # y's fibre meets two components unequally, then x's meets one
+            ([("c", "d")], {"a": "y", "b": "x", "c": "y", "d": "y"}, False, False),
+            # x's fibre meets one component, y's meets two equally
+            ([], {"a": "x", "b": "y", "c": "y"}, False, True),
+            # every fibre meets one component
+            ([("a", "b"), ("b", "c")], {"a": "x", "b": "y", "c": "x"}, True, True),
+        ],
+    )
+    def test_fibres_meeting_one_component_or_several(self, edges, mapping, tame, equitable):
+        m = HomMap(Graph(list(mapping), edges), Graph(["x", "y"], [("x", "y")]), mapping)
+        assert (is_tame(m), is_component_equitable(m)) == (tame, equitable)
+        assert cell_scan_is_tame(m.source, partition_of_map(m)) == tame
+        assert fibre_count_is_component_equitable(m) == equitable
+
+    @given(homomorphisms(max_source=12, max_target=4))
+    @settings(max_examples=150, deadline=None)
+    def test_random_maps_against_the_label_oracles(self, m):
+        assert is_tame(m) == cell_scan_is_tame(m.source, partition_of_map(m))
+        assert is_component_equitable(m) == fibre_count_is_component_equitable(m)
+
+
 class TestOrbitRepresentativePass:
     """``classify`` with a group reads an orbit map's local classes off one
     member per fibre and takes equitability from the group.  Each report must

@@ -193,6 +193,27 @@ def test_random_graphs_and_partitions(raw):
     check_quotient(g, nbhd, edge_set, blocks)
 
 
+@given(raw_graphs_with_cells(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_blocks_in_block_order_or_shuffled_give_one_partition(raw, rnd):
+    """The constructor and the loader store blocks listed by smallest member
+    as they come and renumber any other order, to the same partition."""
+    vertices, edges, blocks = raw
+    g = Graph(vertices, edges)
+    oracle = label_partition(blocks, vertices)
+    ordered = [list(b) for b in oracle.blocks]
+    repeated = [b + b[-1:] for b in ordered]  # still in block order
+    shuffled = [rnd.sample(b, len(b)) for b in repeated]
+    rnd.shuffle(shuffled)
+    built = []
+    for given_as in (ordered, repeated, shuffled):
+        built += [Partition(given_as, vertices), io.partition_from_dict({"blocks": given_as}, g)]
+    for p in built:
+        check_partition(p, oracle)
+        assert type(p._of) is tuple and type(p._leaders) is tuple
+        assert (p._of, p._leaders, p.blocks) == (built[0]._of, built[0]._leaders, built[0].blocks)
+
+
 @given(homomorphism_inputs(max_source=40, max_target=8))
 @settings(max_examples=60, deadline=None)
 def test_random_homomorphisms(case):

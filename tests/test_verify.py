@@ -600,12 +600,12 @@ class TestProcesses:
 
     @staticmethod
     def report(monkeypatch, count, cfg) -> str:
-        monkeypatch.setattr(verify, "_process_count", lambda cfg: count)
+        monkeypatch.setattr(verify, "_process_count", lambda: count)
         return io.dumps(run_suite(cfg).as_dict())
 
     @staticmethod
     def cli(monkeypatch, count, argv) -> tuple[int, str, str]:
-        monkeypatch.setattr(verify, "_process_count", lambda cfg: count)
+        monkeypatch.setattr(verify, "_process_count", lambda: count)
         out, err = StringIO(), StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -649,12 +649,11 @@ class TestProcesses:
 
     def test_process_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert verify._process_count(self.SMALL) == 1  # as under taskset -c 0
+        assert verify._process_count() == 1  # as under taskset -c 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert verify._process_count(self.SMALL) == verify._MAX_PROCESSES
-        assert verify._process_count(SweepConfig(1, 1, 0, 1)) == verify._MAX_PROCESSES  # not capped by its 3 units
+        assert verify._process_count() == verify._MAX_PROCESSES
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert verify._process_count(self.SMALL) == 1
+        assert verify._process_count() == 1
 
     def test_a_process_past_the_unit_count_gets_no_unit(self, monkeypatch):
         cfg = SweepConfig(1, 1, 0, 1)  # 3 units: a partition graph, a (source, target) pair, an orbit graph
@@ -681,7 +680,7 @@ class TestProcesses:
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(verify._HOM_CLAIMS, "class_inclusion_chain", claim)
             assert self.report(mp, count, self.SMALL) == self.report(mp, 1, self.SMALL)
-            mp.setattr(verify, "_process_count", lambda cfg: count)
+            mp.setattr(verify, "_process_count", lambda: count)
             [result] = [c for c in run_suite(self.SMALL).claims if c.claim == "class_inclusion_chain"]
             assert result.failure_count == len(result.failures) > 0
             assert all(replay_counterexample(f) is True for f in result.failures)
@@ -739,7 +738,7 @@ class TestProcesses:
             u2, pair2 = self.hom_unit(self.SMALL, 2, 0, after=u1)
             actions[pair2] = raising(u2)
         self.plant(monkeypatch, actions)
-        monkeypatch.setattr(verify, "_process_count", lambda cfg: 2)
+        monkeypatch.setattr(verify, "_process_count", lambda: 2)
         with pytest.raises(ValueError) as raised:
             run_suite(self.SMALL)
         assert raised.value.args == (f"planted in unit {u1}",)
@@ -798,7 +797,7 @@ class TestProcesses:
 
         sleeping = self.hom_unit(self.SMALL, 2, 1)[1]
         self.plant(monkeypatch, {sleeping: lambda: time.sleep(60), self.hom_unit(self.SMALL, 2, 0)[1]: interrupt})
-        monkeypatch.setattr(verify, "_process_count", lambda cfg: 2)
+        monkeypatch.setattr(verify, "_process_count", lambda: 2)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             run_suite(self.SMALL)
@@ -819,7 +818,7 @@ class TestProcesses:
             self.fail_call(monkeypatch, "fork", 2)
         elif raising is not None:
             self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, raising)[1]: raise_it})
-        monkeypatch.setattr(verify, "_process_count", lambda cfg: count)
+        monkeypatch.setattr(verify, "_process_count", lambda: count)
         build_parser()
         was_enabled = gc.isenabled()
         gc.collect()
@@ -837,7 +836,7 @@ class TestProcesses:
         script = (
             "import sys\n"
             "from quograph import verify\n"
-            "verify._process_count = lambda cfg: 2\n"
+            "verify._process_count = lambda: 2\n"
             "sys.stdout.write('written before the fork\\n')\n"
             "verify.run_suite(verify.SweepConfig(2, 2, 2, 1))\n"
         )
