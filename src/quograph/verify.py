@@ -11,11 +11,11 @@ Each claim kind takes one argument (a graph, a quotient projection, a
 ``HomMap`` or an ``OrbitInstance``) and has one payload encoder and decoder.
 Each claim lists its hypotheses next to it in the claim table, as names of
 ``homs`` predicates (looked up at call time; they cache their passes on the
-``HomMap``).  Each sweep groups its claims by hypotheses, and every claim
-call, in the sweeps and in replay with its decoding, goes through ``_run``,
-which tests a group's hypotheses once per instance and skips the group when
-one fails (a skipped claim counts no instance).  A hypothesis or self-check
-error is recorded as an ``exception: ...`` failure, so it replays as True.
+``HomMap``).  Every claim call, in the sweeps and in replay, goes through
+``_run``, which runs a table's claims in table order, tests each hypothesis
+once per instance, and skips a claim when one of its hypotheses fails (a
+skipped claim counts no instance).  A hypothesis or self-check error fails
+the claim as ``exception: ...``, and replays as True, as a decoding error does.
 
 Component counts are cross-checked against ``oracle_component_count``, a
 union-find counter kept deliberately separate from the breadth-first search
@@ -698,49 +698,43 @@ def new_results() -> dict[str, ClaimResult]:
     return {cid: ClaimResult(cid) for cid in CLAIM_KINDS}
 
 
-def _groups(registry, claims=None):
-    """A table's claims, or the selected ones, as ``(hypotheses, ((cid, fn),
-    ...))`` groups in order of first appearance.  Each sweep call builds its
-    own, so it sees the table as it is then."""
+def _select(registry, claims=None):
+    """A table's ``(cid, fn, hypotheses)`` rows, or the selected ones, in table
+    order; each sweep call selects its own, so it sees the table as it is then."""
     if claims is not None and not set(claims) <= set(registry):
         raise ValueError(f"unknown claim identifiers: {sorted(set(claims) - set(registry))}")
-    groups: dict[tuple, list] = {}
-    for cid, (fn, hypotheses) in registry.items():
-        if claims is None or cid in claims:
-            groups.setdefault(hypotheses, []).append((cid, fn))
-    return [(hypotheses, tuple(members)) for hypotheses, members in groups.items()]
+    return [(cid, fn, hyps) for cid, (fn, hyps) in registry.items() if claims is None or cid in claims]
 
 
-def _run(group, instance, decode=None):
-    """Each member's (cid, failures) on one instance, decoded first if
-    ``decode`` is given; none when a hypothesis fails.  A hypothesis that
-    raises fails every member, a claim that raises only itself."""
-    hypotheses, members = group
-    try:
-        if decode is not None:
-            instance = decode(instance)
+def _run(rows, instance):
+    """Each row's (cid, failures) on one instance, in order; none for a row
+    whose hypotheses do not all hold.  Each hypothesis is tested at most once
+    per instance.  A hypothesis or claim that raises fails the claim."""
+    held = {}  # hypothesis name -> whether it holds, or the failure its exception gives
+    for cid, fn, hypotheses in rows:
         for name in hypotheses:
-            if not getattr(homs, name)(instance):
-                return ()
-    except (HypothesisError, InternalCheckError) as exc:
-        return [(cid, [f"exception: {exc}"]) for cid, _ in members]
-    outcomes = []
-    for cid, fn in members:
-        try:
-            outcomes.append((cid, fn(instance)))
-        except (HypothesisError, InternalCheckError) as exc:
-            outcomes.append((cid, [f"exception: {exc}"]))
-    return outcomes
+            if name not in held:
+                try:
+                    held[name] = bool(getattr(homs, name)(instance))
+                except (HypothesisError, InternalCheckError) as exc:
+                    held[name] = f"exception: {exc}"
+            if held[name] is not True:
+                if held[name]:
+                    yield cid, [held[name]]
+                break
+        else:
+            try:
+                yield cid, fn(instance)
+            except (HypothesisError, InternalCheckError) as exc:
+                yield cid, [f"exception: {exc}"]
 
 
-def _apply(results, kind, groups, instance, unit):
-    """Run a kind's claim groups on one instance of ``unit`` and record the outcomes."""
-    encode = _KINDS[kind][1]
-    payload_fn = lambda: encode(instance)
-    for group in groups:
-        for cid, out in _run(group, instance):
-            if out is not None:
-                results[cid].record(out, payload_fn, unit)
+def _apply(results, kind, rows, instance, unit):
+    """Run a kind's claim rows on one instance of ``unit`` and record the outcomes."""
+    payload_fn = lambda: _KINDS[kind][1](instance)  # the encoder, called on a failure only
+    for cid, out in _run(rows, instance):
+        if out is not None:
+            results[cid].record(out, payload_fn, unit)
 
 
 class _Share:
@@ -779,7 +773,7 @@ class _Share:
 def sweep_partition_claims(cfg: SweepConfig, results=None, *, _share=None):
     """Graph-level and (graph, partition)-level claims, exhaustively; one unit per graph."""
     results = results if results is not None else new_results()
-    graph_claims, partition_claims = _groups(_GRAPH_CLAIMS), _groups(_PARTITION_CLAIMS)
+    graph_claims, partition_claims = _select(_GRAPH_CLAIMS), _select(_PARTITION_CLAIMS)
     for unit, g in (_share or _Share()).mine(enumerate_graphs(cfg.max_source_vertices)):
         _apply(results, "graph", graph_claims, g, unit)
         for blocks in set_partitions(g.vertices):
@@ -798,12 +792,12 @@ def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None, *, _share=None
     default is all map-level claims.
     """
     results = results if results is not None else new_results()
-    groups = _groups(_HOM_CLAIMS, claims)
+    rows = _select(_HOM_CLAIMS, claims)
     targets = list(enumerate_graphs(cfg.max_target_vertices))
     pairs = ((src, tgt) for src in enumerate_graphs(cfg.max_source_vertices) for tgt in targets)
     for unit, (src, tgt) in (_share or _Share()).mine(pairs):
         for index_map in _index_maps(src, tgt):
-            _apply(results, "hom", groups, HomMap._from_index_map(src, tgt, index_map), unit)
+            _apply(results, "hom", rows, HomMap._from_index_map(src, tgt, index_map), unit)
     return results
 
 
@@ -838,12 +832,12 @@ def sweep_orbit_claims(cfg: SweepConfig, results=None, claims=None, *, _share=No
     """Orbit-quotient claims over subgroup instances of every graph in the
     bounds; one unit per graph."""
     results = results if results is not None else new_results()
-    groups = _groups(_ORBIT_CLAIMS, claims)
+    rows = _select(_ORBIT_CLAIMS, claims)
     for unit, g in (_share or _Share()).mine(enumerate_graphs(cfg.max_source_vertices)):
         for p, grp in _orbit_subgroups(g):
             m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp), unit)
             if m is not None:
-                _apply(results, "orbit", groups, OrbitInstance(m, grp), unit)
+                _apply(results, "orbit", rows, OrbitInstance(m, grp), unit)
     return results
 
 
@@ -892,9 +886,9 @@ def sweep_random_claims(cfg: SweepConfig, results=None, *, _share=None):
     sees the one seeded stream."""
     results = results if results is not None else new_results()
     rng = random.Random(cfg.seed)
-    orbit_claims = _groups(_ORBIT_CLAIMS)
-    hom_claims = _groups(_HOM_CLAIMS, {"admissible_count_total"})
-    graph_claims = _groups(_GRAPH_CLAIMS, {"oracle_component_agreement"})
+    orbit_claims = _select(_ORBIT_CLAIMS)
+    hom_claims = _select(_HOM_CLAIMS, {"admissible_count_total"})
+    graph_claims = _select(_GRAPH_CLAIMS, {"oracle_component_agreement"})
     draws = (_draw_orbit_group(rng) for _ in range(cfg.random_instances))
     for unit, (g, grp) in (_share or _Share()).mine(draws):
         p = perms.orbit_partition(grp)
@@ -1053,8 +1047,13 @@ def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
 # ------------------------------------------------------------------- replay
 
 def replay_counterexample(failure: dict) -> bool:
-    """Re-run one recorded failure, decoding included; True iff the violation reproduces."""
+    """Re-run one recorded failure, decoding included; True iff the violation
+    reproduces.  ``_run`` catches its own errors, so the ones caught here come
+    from a decoding that raises, and reproduce an ``exception: ...`` failure."""
     cid = failure["claim"]
     claims, _, decode = _KINDS[CLAIM_KINDS[cid]]
     fn, hypotheses = claims[cid]
-    return any(out for _, out in _run((hypotheses, ((cid, fn),)), failure["data"], decode))
+    try:
+        return any(out for _, out in _run([(cid, fn, hypotheses)], decode(failure["data"])))
+    except (HypothesisError, InternalCheckError):
+        return True

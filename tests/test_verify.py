@@ -221,24 +221,20 @@ class TestOneBuildPerObject:
 
 
 class TestGroupedGate:
-    """Each sweep groups its claims by hypotheses and tests each group's
-    hypotheses once per instance."""
+    """Each sweep runs its claims in table order and tests each hypothesis at
+    most once per instance, however many claims it gates."""
 
     CFG = SweepConfig(3, 3, 0, 1)  # 1,339 maps, 259 of them locally surjective
     LSUR = [cid for cid, (_, hyps) in verify._HOM_CLAIMS.items() if hyps == ("is_locally_surjective",)]
 
-    def test_map_table_groups(self):
-        groups = verify._groups(verify._HOM_CLAIMS)
-        assert [hyps for hyps, _ in groups] == [  # in the order of first appearance in the table
-            ("is_locally_surjective",),
-            ("is_surjective",),
-            (),
-            ("is_locally_surjective", "is_component_equitable"),
-            ("is_pseudo_covering", "is_tame"),
-            ("is_complete",),
-            ("is_pseudo_covering",),
-        ]
-        assert sorted(cid for _, members in groups for cid, _ in members) == sorted(verify._HOM_CLAIMS)
+    def test_map_table_rows(self):
+        rows = verify._select(verify._HOM_CLAIMS)
+        assert [cid for cid, _, _ in rows] == list(verify._HOM_CLAIMS)  # each claim once, in table order
+        assert all(verify._HOM_CLAIMS[cid] == (fn, hyps) for cid, fn, hyps in rows)
+        first, *_, last = verify._HOM_CLAIMS
+        assert [cid for cid, _, _ in verify._select(verify._HOM_CLAIMS, {last, first})] == [first, last]
+        with pytest.raises(ValueError, match="unknown claim"):
+            verify._select(verify._HOM_CLAIMS, {first, "no_such_claim"})
         assert len(self.LSUR) == 5
 
     def test_shared_hypothesis_is_tested_once_per_map(self, monkeypatch):
@@ -250,9 +246,24 @@ class TestGroupedGate:
         assert len(calls) == 1339
         assert [results[cid].instances for cid in claims] == [259, 259]
 
+    def test_hypotheses_shared_across_tuples_are_tested_once_per_map(self, monkeypatch):
+        # the two claims' hypothesis tuples differ but share is_pseudo_covering;
+        # with their bodies emptied, every call is the gate's
+        claims = ["tame_pseudocover_component_bijection", "component_image_iso_criterion"]
+        for cid in claims:
+            monkeypatch.setitem(verify._HOM_CLAIMS, cid, (lambda m: [], verify._HOM_CLAIMS[cid][1]))
+        original, calls = quograph.homs.is_pseudo_covering, []
+        monkeypatch.setattr(quograph.homs, "is_pseudo_covering", lambda m: calls.append(m) or original(m))
+        sweep_hom_claims(self.CFG, claims=set(claims))
+        assert len(calls) == 1339
+
     def test_a_raising_hypothesis_fails_every_member_and_replays(self):
+        # multiplicity_ratio_formula is gated on is_locally_surjective and
+        # is_component_equitable: the raise fails it too
         edge = Graph(["1", "2"], [("1", "2")])
         original = quograph.homs.is_locally_surjective
+        claims = [*self.LSUR, "multiplicity_ratio_formula"]
+        instances = dict.fromkeys(self.LSUR, 259) | {"multiplicity_ratio_formula": 232}
 
         def raising_on_the_identity_of_an_edge(m):
             if m.source == edge == m.target and m._index_map == (0, 1):
@@ -261,10 +272,10 @@ class TestGroupedGate:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(quograph.homs, "is_locally_surjective", raising_on_the_identity_of_an_edge)
-            results = sweep_hom_claims(self.CFG, claims=set(self.LSUR))
+            results = sweep_hom_claims(self.CFG, claims=set(claims))
             failures = []
-            for cid in self.LSUR:
-                assert (results[cid].instances, results[cid].failure_count) == (259, 1)
+            for cid in claims:
+                assert (results[cid].instances, results[cid].failure_count) == (instances[cid], 1)
                 [failure] = results[cid].failures
                 assert failure["detail"] == "exception: planted"
                 assert failure["data"]["map"] == {"1": "1", "2": "2"}
@@ -416,7 +427,7 @@ class TestMutationSensitivity:
         # each sweep records that as a failure of one claim, with its kind's
         # payload (the graph and partition, or the graph and group), skips
         # the instance's other claims, and replay rebuilds the quotient
-        # inside _run.
+        # before the gate.
         cfg = SweepConfig(3, 2, 5, 1)
         original = quograph.homs._edge_classes
         sweeps = [  # sweep, the claim recording the failure, its kind, a skipped claim, failures
@@ -463,6 +474,27 @@ class TestMutationSensitivity:
             assert failure["detail"] == "exception: count self-check failed"
             assert replay_counterexample(failure) is True
         assert replay_counterexample(failure) is False
+
+    def test_a_raising_decoding_replays_before_the_gate(self, monkeypatch):
+        # replay decodes the payload before it tests the claim's hypotheses,
+        # so a decoding that raises reproduces without reaching the gate
+        path = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        failure = {
+            "claim": "connectedness_criterion_sound",  # gated on is_pseudo_covering
+            "detail": "exception: quotient projection failed the completeness check",
+            "data": {"graph": io.graph_to_dict(path), "partition": {"blocks": [["a", "c"], ["b"]]}},
+        }
+        assert replay_counterexample(failure) is False
+        original, gate = quograph.homs._edge_classes, []
+
+        def incomplete(m):
+            m._edge_classes = (original(m)[0], False)
+            return m._edge_classes
+
+        monkeypatch.setattr(quograph.homs, "_edge_classes", incomplete)
+        monkeypatch.setattr(quograph.homs, "is_pseudo_covering", lambda m: gate.append(m) or True)
+        assert replay_counterexample(failure) is True
+        assert gate == []
 
     def test_clean_run_records_nothing(self):
         cfg = SweepConfig(3, 2, 0, 1)
