@@ -328,14 +328,18 @@ class Partition:
 
 
 def _refuse_cells(blocks, universe) -> None:
-    """Raise for the first fault of a list of blocks: a string or dict block,
-    in input order; then, with each block sorted, in block order, an empty
-    block, a member outside the universe, a member of two blocks; then for
-    the smallest vertex no block covers."""
+    """Raise for the first fault of a list of blocks: in input order, a
+    block that is a string, a dict or not iterable, or a member that is not a
+    string, worded as the loader words them; then, with each block sorted,
+    in block order, an empty block, a member outside the universe, a member
+    of two blocks; then for the smallest vertex no block covers."""
     normalized = []
     for raw in blocks:
-        if isinstance(raw, (str, dict)):
+        if isinstance(raw, (str, dict)) or not hasattr(raw, "__iter__"):
             raise ValueError(f"block {raw!r} is not a list")
+        for v in raw:
+            if not isinstance(v, str):
+                raise ValueError(f"block member {v!r} is not a string")
         normalized.append(tuple(sorted(set(raw))))
     universe = frozenset(universe)
     seen: set[str] = set()

@@ -8,11 +8,13 @@ pseudo-covering, equitable, and component equitable.  Edge preservation and
 completeness come from one pass over the source edges, made when the map is
 built, the local classes from one cached pass over the maps N(x) -> N(m(x)),
 the component classes from one cached table of the source components each
-fibre meets.  ``classify`` evaluates every class at once and cross-checks
-the implications that must hold between them.  Given a group whose orbits
-are the fibres and which acts by automorphisms, it runs the local pass on
-one member per fibre and skips the equitability test, since the group moves
-any fibre member onto any other while fixing the map.
+fibre meets.  ``classify`` evaluates every class at once and checks the
+paper's inclusions between them, the laws of ``INCLUSION_LAWS``.  Given a
+group whose orbits are the fibres and which acts by automorphisms, it runs
+the local pass on one member per fibre and skips the equitability test,
+since the group moves any fibre member onto any other while fixing the map.
+The ``class_inclusion_chain`` claim of ``verify`` checks the same laws,
+through ``_broken_inclusions``, on every map it sweeps.
 """
 
 from __future__ import annotations
@@ -113,22 +115,26 @@ def _refuse_map(source: Graph, target: Graph, mapping) -> None:
             raise ValueError(f"image vertex {y!r} is not in the target")
 
 
+def _edge_image(edges, index_map) -> set[tuple[int, int]]:
+    """The target position pairs (i, j), i < j, that the proper source
+    ``edges`` land on when they do not collapse."""
+    image = set()
+    for a, b in edges:
+        ya, yb = index_map[a], index_map[b]
+        if ya != yb:
+            image.add((ya, yb) if ya < yb else (yb, ya))
+    return image
+
+
 def _edge_classes(m: HomMap) -> tuple[bool, bool]:
     """(edge preserving, complete) of the map, from one pass over the source edges.
 
-    The pass collects the target position pairs the proper source edges
-    land on when they do not collapse.  The map preserves edges when every
-    such pair is a proper target edge, and is complete when it also covers
-    them all and the map is surjective.  ``HomMap`` runs the pass once, when
-    it is built, and the pair stays cached on the map, where ``is_complete``
-    reads it.
+    The map preserves edges when every pair of ``_edge_image`` is a proper
+    target edge, and is complete when the pairs also cover them all and the
+    map is surjective.  ``HomMap`` runs the pass once, when it is built, and
+    the pair stays cached on the map, where ``is_complete`` reads it.
     """
-    index_map = m._index_map
-    covered = set()
-    for a, b in m.source._edges:
-        ya, yb = index_map[a], index_map[b]
-        if ya != yb:
-            covered.add((ya, yb) if ya < yb else (yb, ya))
+    covered = _edge_image(m.source._edges, m._index_map)
     target = m.target
     preserving = covered.issubset(target._edges)
     complete = preserving and len(covered) == len(target._edges) and len(m._image) == len(target.vertices)
@@ -301,42 +307,45 @@ class ClassificationReport:
     orbit: bool | None = None
 
 
+# The paper's class inclusions, in the order they are checked.  Every law
+# that reads equitability holds on a map that is not complete, whatever the
+# equitability, so a caller may pass equitable=False there without a test.
+INCLUSION_LAWS = (
+    "complete implies surjective",
+    "isomorphism implies surjective, complete and equitable",
+    "locally surjective implies locally strong",
+    "locally bijective = locally surjective + locally injective",
+    "pseudo-covering = locally strong + surjective",
+    "pseudo-covering = locally strong + complete",
+    "pseudo-covering = locally surjective + complete",
+    "complete equitable implies pseudo-covering",
+)
+
+
+def _broken_inclusions(sur, com, iso, lsur, linj, lbij, ls, pc, eq) -> list[str]:
+    """The laws of ``INCLUSION_LAWS`` the given memberships break, in order;
+    the names are looked up only when a law fails."""
+    holds = (
+        sur or not com,
+        not iso or (sur and com and eq),
+        ls or not lsur,
+        lbij == (lsur and linj),
+        pc == (ls and sur),
+        pc == (ls and com),
+        pc == (lsur and com),
+        pc or not (com and eq),
+    )
+    if all(holds):
+        return []
+    return [law for law, ok in zip(INCLUSION_LAWS, holds) if not ok]
+
+
 def _check_report(r: ClassificationReport) -> None:
-    """Cross-check implications that must hold between the class predicates."""
-    rules = [
-        ("complete implies surjective", (not r.complete) or r.surjective),
-        (
-            "isomorphism implies surjective and complete",
-            (not r.isomorphism) or (r.surjective and r.complete),
-        ),
-        (
-            "locally surjective implies locally strong",
-            (not r.locally_surjective) or r.locally_strong,
-        ),
-        (
-            "locally bijective = locally surjective + locally injective",
-            r.locally_bijective == (r.locally_surjective and r.locally_injective),
-        ),
-        (
-            "pseudo-covering = locally strong + surjective",
-            r.pseudo_covering == (r.locally_strong and r.surjective),
-        ),
-        (
-            "pseudo-covering = locally strong + complete",
-            r.pseudo_covering == (r.locally_strong and r.complete),
-        ),
-        (
-            "pseudo-covering = locally surjective + complete",
-            r.pseudo_covering == (r.locally_surjective and r.complete),
-        ),
-        (
-            "complete equitable implies pseudo-covering",
-            (not (r.complete and r.equitable)) or r.pseudo_covering,
-        ),
-    ]
-    for name, ok in rules:
-        if not ok:
-            raise InternalCheckError(f"classification self-check failed: {name}")
+    """Raise for the first law of ``INCLUSION_LAWS`` the report breaks."""
+    broken = _broken_inclusions(r.surjective, r.complete, r.isomorphism, r.locally_surjective, r.locally_injective,
+                                r.locally_bijective, r.locally_strong, r.pseudo_covering, r.equitable)
+    if broken:
+        raise InternalCheckError(f"classification self-check failed: {broken[0]}")
 
 
 def classify(m: HomMap, grp=None) -> ClassificationReport:

@@ -70,11 +70,7 @@ def partition_from_dict(data, g: Graph) -> Partition:
     _expect("blocks" in data, 'partition document needs a "blocks" list')
     blocks = data["blocks"]
     _expect(isinstance(blocks, list), '"blocks" must be a list')
-    if not (_all_of(list, blocks) and _all_of(str, chain.from_iterable(blocks))):
-        for b in blocks:
-            _expect(isinstance(b, list), f"block {b!r} is not a list")
-            _expect_labels(b, "block member")
-    return Partition._on_graph(g, blocks)
+    return Partition._on_graph(g, blocks)  # Partition words a malformed block as the other loaders do
 
 
 # --------------------------------------------------------------------- maps

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError
 from .graphs import Graph, Partition
-from .homs import HomMap, _is_equitable, is_complete
+from .homs import HomMap, _edge_image, _is_equitable, is_complete
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,7 @@ def quotient(g: Graph, p: Partition) -> QuotientResult:
     for i, b in enumerate(order):
         position[b] = i
     index_map = tuple(map(position.__getitem__, p._of))
-    qedges = set()
-    for a, b in g._edges:
-        ya, yb = index_map[a], index_map[b]
-        if ya != yb:
-            qedges.add((ya, yb) if ya < yb else (yb, ya))
-    q = Graph._from_edges(tuple(map(names.__getitem__, order)), qedges)
+    q = Graph._from_edges(tuple(map(names.__getitem__, order)), _edge_image(g._edges, index_map))
     projection = HomMap._from_index_map(g, q, index_map)
     if not is_complete(projection):
         raise InternalCheckError("quotient projection failed the completeness check")

@@ -17,6 +17,10 @@ once per instance, and skips a claim when one of its hypotheses fails (a
 skipped claim counts no instance).  A hypothesis or self-check error fails
 the claim as ``exception: ...``, and replays as True, as a decoding error does.
 
+The class inclusions are not stated here: ``class_inclusion_chain`` reads
+the memberships through the ``homs`` predicates and checks them against
+``homs.INCLUSION_LAWS``, the list behind ``classify``'s self-check.
+
 Component counts are cross-checked against ``oracle_component_count``, a
 union-find counter kept deliberately separate from the breadth-first search
 used by ``Graph.components``.
@@ -181,12 +185,8 @@ def _image_gap(m: HomMap, i: int) -> tuple[int, str | None]:
     t, full = counting._landing(m, i)
     if not full:
         return t, "vertices"
-    scomp, tcomp, index_map = m.source.components()._of, m.target.components()._of, m._index_map
-    image = set()  # the target position pairs the proper edges of component i land on
-    for a, b in m.source._edges:
-        ya, yb = index_map[a], index_map[b]
-        if scomp[a] == i and ya != yb:
-            image.add((ya, yb) if ya < yb else (yb, ya))
+    scomp, tcomp = m.source.components()._of, m.target.components()._of
+    image = homs._edge_image([e for e in m.source._edges if scomp[e[0]] == i], m._index_map)
     if image != {(a, b) for a, b in m.target._edges if tcomp[a] == t}:
         return t, "edges"
     return t, None
@@ -286,25 +286,14 @@ def _claim_ls_matches_lsur_when_surjective(m: HomMap):
 
 
 def _claim_class_inclusion_chain(m: HomMap):
-    sur = homs.is_surjective(m)
+    # the laws of homs.INCLUSION_LAWS, on memberships read through the
+    # predicates; equitability is tested on complete maps only
     com = homs.is_complete(m)
-    ls = homs.is_locally_strong(m)
-    lsur = homs.is_locally_surjective(m)
-    pc = homs.is_pseudo_covering(m)
-    eq = com and homs._is_equitable(m.source, m._index_map)  # each rule reads it under com only
-    iso = com and len(m._image) == len(m.source.vertices)
-    fails = []
-    if com and not sur:
-        fails.append("complete map is not surjective")
-    if iso and not (eq and com):
-        fails.append("isomorphism is not a complete equitable map")
-    if eq and com and not pc:
-        fails.append("complete equitable map is not a pseudo-covering")
-    if pc != (ls and com):
-        fails.append(f"pseudo_covering={pc} but locally_strong={ls}, complete={com}")
-    if pc != (lsur and com):
-        fails.append(f"pseudo_covering={pc} but locally_surjective={lsur}, complete={com}")
-    return fails
+    return homs._broken_inclusions(
+        homs.is_surjective(m), com, com and len(m._image) == len(m.source.vertices),
+        homs.is_locally_surjective(m), homs.is_locally_injective(m), homs.is_locally_bijective(m),
+        homs.is_locally_strong(m), homs.is_pseudo_covering(m), com and homs._is_equitable(m.source, m._index_map),
+    )
 
 
 def _claim_component_sum_over_target(m: HomMap):

@@ -18,13 +18,16 @@ from quograph import (
     PermGroup,
     admissible_components,
     component_iso_check,
+    conjugation_group,
     connectedness_criterion,
     count_admissible,
     count_ce,
     count_orbit,
     image_of_component,
     io,
+    is_equitable,
     is_pseudo_covering,
+    make_cyclic,
     multiplicity,
     orbit_partition,
     preimage_of_component_vertices,
@@ -114,6 +117,25 @@ def test_refusals_do_not_depend_on_the_hash_seed(seed):
     proc = subprocess.run([sys.executable, "-c", REFUSALS_SCRIPT], capture_output=True, env=env, check=True)
     rows = PARTITION_REFUSALS + BLOCK_REFUSALS + PARTITION_LOADER_REFUSALS + PARTITION_REFUSALS + GROUP_LOADER_REFUSALS
     assert json.loads(proc.stdout) == ["unknown source vertex 'zz'", *(row[-1] for row in rows)]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: two_arcs_graph().neighborhood("z"), "unknown vertex 'z'"),
+        (
+            lambda: is_equitable(two_arcs_graph(), Partition([["a", "b"]], ["a", "b"])),
+            "partition universe does not match the graph's vertices",
+        ),
+        (lambda: admissible_components(balanced_two_component_map(), "q"), "unknown target vertex 'q'"),
+        (lambda: conjugation_group(make_cyclic(3), Graph(["1"], [])), "graph is not a power graph of this group"),
+    ],
+    ids=["neighborhood", "is_equitable", "admissible_components", "conjugation_group"],
+)
+def test_lookup_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestAdmissibleComponents:

@@ -83,3 +83,20 @@ def test_automorphism_groups_agree_with_networkx():
         isomorphisms = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
         assert isomorphisms == len(perms.generated_elements(perms.automorphism_group(g))), g.sorted_edges()
     assert len(graphs) == 1099
+
+
+def cycle(labels: str) -> Graph:
+    return Graph(list(labels), [(a, b) for a, b in zip(labels, labels[1:] + labels[0])])
+
+
+def test_isomorphism_search_refuses_graphs_its_prechecks_pass():
+    # equal vertex counts, edge counts and degree sequences, yet not isomorphic
+    pairs = [
+        (cycle("abcdef"), Graph(list("abcdef"), [*cycle("abc").sorted_edges(), *cycle("def").sorted_edges()])),
+        (Graph(list("abcde"), list(zip("abcd", "bcde"))), Graph(list("abcde"), [*cycle("abc").sorted_edges(), ("d", "e")])),
+    ]
+    for g1, g2 in pairs:
+        assert sorted(map(len, map(g1.neighborhood, g1.vertices))) == sorted(map(len, map(g2.neighborhood, g2.vertices)))
+        assert len(g1.sorted_edges()) == len(g2.sorted_edges())
+        assert not nx.is_isomorphic(to_networkx(g1), to_networkx(g2))
+        assert find_isomorphism(g1, g2) is None

@@ -8,7 +8,7 @@ from quograph import quotient
 from quograph.verify import enumerate_graphs, enumerate_homs, set_partitions
 
 from conftest import graphs, graphs_with_partitions
-from golden import BLOCK_REFUSALS, PARTITION_REFUSALS
+from golden import BLOCK_REFUSALS, PARTITION_LOADER_REFUSALS, PARTITION_REFUSALS
 from reference import list_row_is_equitable, partition_of_map
 
 
@@ -46,11 +46,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([["a"], []], {"a"})
 
-    @pytest.mark.parametrize("universe,cells,message", PARTITION_REFUSALS + BLOCK_REFUSALS)
+    # the loader's rows last: Partition words a malformed block as the loader did
+    @pytest.mark.parametrize("universe,cells,message", PARTITION_REFUSALS + BLOCK_REFUSALS + PARTITION_LOADER_REFUSALS)
     def test_refusal_message(self, universe, cells, message):
         with pytest.raises(ValueError) as exc:
             Partition(cells, universe)
         assert str(exc.value) == message
+
+    def test_any_iterable_is_a_block(self):
+        p = Partition([("b", "a"), {"c"}, iter(["d"])], ["a", "b", "c", "d"])
+        assert p.blocks == (("a", "b"), ("c",), ("d",))
 
     def test_repeated_member_inside_a_cell_is_merged(self):
         p = Partition([["b", "a", "a"], ["c", "c"]], {"a", "b", "c"})

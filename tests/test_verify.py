@@ -314,6 +314,7 @@ class TestMutationSensitivity:
             ("is_tame", "tame_pseudocover_component_bijection"),
             ("is_component_equitable", "multiplicity_ratio_formula"),
             ("is_locally_surjective", "component_migration"),
+            ("is_locally_bijective", "class_inclusion_chain"),
         ],
     )
     def test_broken_predicate_is_caught_and_replayed(self, predicate, claim):
@@ -329,6 +330,42 @@ class TestMutationSensitivity:
             assert replay_counterexample(failure) is True
         # patch undone: the same recorded payload no longer violates anything
         assert replay_counterexample(failure) is False
+
+    @pytest.mark.parametrize(
+        "module,name,broken,sweep,cfg,failures",
+        [
+            (
+                quograph.homs, "is_tame", lambda f: lambda *a: not f(*a),
+                verify.sweep_partition_claims, SweepConfig(3, 3, 0, 1),
+                {"quotient_count_equality_iff_tame": 45, "quotient_connectivity_transfer": 34},
+            ),
+            (
+                verify, "find_isomorphism", lambda f: lambda *a: None,
+                verify.sweep_partition_claims, SweepConfig(3, 3, 0, 1),
+                {"singleton_quotient_isomorphic": 11},
+            ),
+            (
+                quograph.perms, "is_consistent", lambda f: lambda *a: not f(*a),
+                verify.sweep_orbit_claims, SweepConfig(4, 3, 0, 1),
+                {"orbit_projection_consistent": 259, "orbit_multiplicity_total": 259},
+            ),
+            (
+                quograph.counting, "admissible_components", lambda f: lambda *a: f(*a)[:1],
+                verify.sweep_orbit_claims, SweepConfig(4, 3, 0, 1),
+                {"orbit_admissible_single_orbit": 49, "orbit_count_vertex_ratio": 49},
+            ),
+        ],
+        ids=["tame", "isomorphism", "consistent", "admissible"],
+    )
+    def test_broken_function_fails_graph_partition_and_orbit_claims(self, module, name, broken, sweep, cfg, failures):
+        # each claim kind's failure branch, reached through the function it reads
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, name, broken(getattr(module, name)))
+            results = sweep(cfg)
+            assert {c: r.failure_count for c, r in results.items() if r.failure_count} == failures
+            recorded = [f for c in failures for f in results[c].failures]
+            assert all(replay_counterexample(f) is True for f in recorded)
+        assert not any(replay_counterexample(f) for f in recorded)
 
     def test_broken_local_pass_is_caught_and_replayed(self):
         cfg = SweepConfig(3, 2, 0, 1)
