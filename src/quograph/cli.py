@@ -133,12 +133,8 @@ def cmd_powergraph(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = verify.SweepConfig(
-        max_source_vertices=args.max_vertices,
-        max_target_vertices=min(args.max_vertices, 3),
-        random_instances=args.random,
-        seed=args.seed,
-    )
+    n = args.max_vertices  # the source bound, and the target bound up to its largest
+    cfg = verify.SweepConfig(n, min(n, verify.MAX_TARGET_VERTICES), random_instances=args.random, seed=args.seed)
     report = verify.run_suite(cfg)
     _emit(report.as_dict(), args.out)
     return 0 if report.passed else 3
@@ -190,9 +186,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_powergraph)
 
     p = sub.add_parser("verify", help="run the verification suite and emit its report")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--max-vertices", type=int, default=5)
-    p.add_argument("--random", type=int, default=1000, help="randomized orbit-quotient instances")
+    p.add_argument("--seed", type=int, default=verify.SweepConfig.seed)
+    p.add_argument("--max-vertices", type=int, default=verify.SweepConfig.max_source_vertices)
+    p.add_argument(
+        "--random", type=int, default=verify.SweepConfig.random_instances, help="randomized orbit-quotient instances"
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

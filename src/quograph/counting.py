@@ -8,11 +8,11 @@ The counting formulas need different hypotheses:
 * ``count_orbit`` works when the map is complete and its fibres are the
   orbits of an automorphism group; each term is the fibre size divided by
   the multiplicity inside one admissible component.
-* ``count_ce`` needs locally surjective plus component equitable and uses
-  the same ratio terms without any group.
+* ``count_ce`` needs locally surjective, component equitable and surjective,
+  and uses the same ratio terms without any group.
 
-All three return a CountBreakdown whose total is checked against the
-number of source components before it is handed back.
+Each counter tests the map's ``homs`` predicates by name through ``_require``,
+and checks its CountBreakdown's total against the source's component count.
 """
 
 from __future__ import annotations
@@ -162,10 +162,8 @@ def count_orbit(m: HomMap, grp) -> CountBreakdown:
     depend on which representative and admissible component are picked;
     ``verify`` checks that over every choice.
     """
-    report = homs.classify(m, grp)
-    if not report.complete:
-        raise HypothesisError("hypotheses not satisfied: complete")
-    if not report.orbit:
+    _require(m, "complete")
+    if not homs.classify(m, grp).orbit:  # the one refusal that needs the group
         raise HypothesisError("hypotheses not satisfied: orbit")
     return _ratio_count(m)
 
@@ -173,10 +171,10 @@ def count_orbit(m: HomMap, grp) -> CountBreakdown:
 def count_ce(m: HomMap) -> CountBreakdown:
     """Component count via fibre-size ratios for a component-equitable map.
 
-    Requires local surjectivity and component equitability; no group is
-    involved.
+    Requires local surjectivity, component equitability and surjectivity
+    (each ratio term reads a fibre); no group is involved.
     """
-    _require(m, "locally_surjective", "component_equitable")
+    _require(m, "locally_surjective", "component_equitable", "surjective")
     return _ratio_count(m)
 
 
@@ -199,7 +197,7 @@ def _ratio_count(m: HomMap) -> CountBreakdown:
     table = homs._fibre_blocks(m)
     ys = m.target.components()._leaders
     rows = list(map(table.get, ys))
-    if None in rows:
+    if None in rows:  # an invariant: both callers require a surjective map
         raise InternalCheckError("no admissible component for a target vertex")
     firsts = list(map(min, rows))
     k_x = list(map(sum, map(dict.values, rows)))
@@ -236,6 +234,5 @@ def connectedness_criterion(m: HomMap) -> bool:
     """
     if m.target.components().count != 1:
         raise HypothesisError("hypotheses not satisfied: target is not connected")
-    if not homs.is_pseudo_covering(m):
-        raise HypothesisError("hypotheses not satisfied: map is not a pseudo-covering")
+    _require(m, "pseudo_covering")
     return any(len(counts) == 1 for counts in homs._fibre_blocks(m).values())

@@ -251,8 +251,10 @@ class Partition:
         least = []  # the smallest position of each input block
         try:
             for b, raw in enumerate(blocks):
-                if isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} would be the block {a, b}
-                    raise ValueError
+                if type(raw) is not list:
+                    if isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} would be the block {a, b}
+                        raise ValueError
+                    raw = blocks[b] = tuple(raw)  # read once: _refuse_cells reads what was read here
                 low = n
                 for v in raw:
                     i = index[v]

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from io import StringIO
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -606,6 +607,14 @@ class TestVerifyCommand:
         assert code == 0
         assert run_cli(capsys, *argv, "--out", str(tmp_path / "report.json")) == (0, "", "")
         assert (tmp_path / "report.json").read_bytes() == out.encode()
+
+    def test_no_options_run_the_default_config(self, capsys, monkeypatch):
+        # the options default to SweepConfig's own field defaults
+        configs = []
+        report = SimpleNamespace(passed=True, as_dict=dict)
+        monkeypatch.setattr(verify, "run_suite", lambda cfg: configs.append(cfg) or report)
+        assert run_cli(capsys, "verify") == (0, "{}\n", "")
+        assert configs == [verify.SweepConfig()]
 
     def test_pinned_report_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-vertices", "4", "--random", "200", "--seed", "3")

@@ -25,15 +25,19 @@ from quograph import (
     count_orbit,
     image_of_component,
     io,
+    is_component_equitable,
     is_equitable,
+    is_locally_surjective,
     is_pseudo_covering,
+    is_surjective,
     make_cyclic,
     multiplicity,
     orbit_partition,
     preimage_of_component_vertices,
     quotient,
 )
-from quograph.verify import enumerate_graphs, enumerate_homs, oracle_component_count
+import quograph
+from quograph.verify import _index_maps, enumerate_graphs, enumerate_homs, oracle_component_count
 
 from conftest import orbit_instances, subprocess_env
 from reference import every_choice_terms, rebuilding_ratio_count
@@ -242,6 +246,16 @@ class TestCountOrbit:
         with pytest.raises(HypothesisError):
             count_orbit(m, PermGroup(src.vertex_set, []))
 
+    def test_incomplete_map_is_refused_before_it_is_classified(self, monkeypatch):
+        classified = []
+        classify = quograph.homs.classify
+        monkeypatch.setattr(quograph.homs, "classify", lambda *args: classified.append(args) or classify(*args))
+        src = Graph(["a"], [])
+        m = HomMap(src, Graph(["x", "y"], [("x", "y")]), {"a": "x"})
+        with pytest.raises(HypothesisError, match="^hypotheses not satisfied: complete$"):
+            count_orbit(m, PermGroup(src.vertex_set, []))
+        assert classified == []
+
     @given(orbit_instances())
     @settings(max_examples=30, deadline=None)
     def test_total_matches_oracle_on_random_instances(self, inst):
@@ -331,6 +345,46 @@ class TestCountCe:
         with pytest.raises(HypothesisError):
             count_ce(two_arcs_projection())
 
+    @pytest.mark.parametrize(
+        "source,target,mapping",
+        [
+            (Graph(["a"], []), Graph(["x", "y"], []), {"a": "x"}),
+            (
+                Graph([str(i) for i in range(6)], [(str(i), str((i + 1) % 6)) for i in range(6)]),
+                Graph(["1", "2", "3", "4", "5"], [("1", "2"), ("1", "3"), ("2", "3"), ("4", "5")]),
+                {str(i): "123"[i % 3] for i in range(6)},
+            ),
+        ],
+        ids=["isolated-vertex", "hexagon-twice-round-a-triangle"],
+    )
+    def test_refuses_a_map_that_misses_a_target_component(self, source, target, mapping):
+        # locally surjective and component equitable, but a target component
+        # has no fibre to read a ratio term from
+        m = HomMap(source, target, mapping)
+        assert is_locally_surjective(m) and is_component_equitable(m)
+        with pytest.raises(HypothesisError, match="^hypotheses not satisfied: surjective$"):
+            count_ce(m)
+        assert count_admissible(m).terms[-1].value == 0
+
+    def test_every_small_map_it_admits_is_counted_or_refused(self):
+        # each locally surjective, component equitable map of the map sweep at (4, 3)
+        outcomes = {"counted": 0, "refused": 0}
+        targets = list(enumerate_graphs(3))
+        for src in enumerate_graphs(4):
+            for tgt in targets:
+                for index_map in _index_maps(src, tgt):
+                    m = HomMap._from_index_map(src, tgt, index_map)
+                    if not (is_locally_surjective(m) and is_component_equitable(m)):
+                        continue
+                    if is_surjective(m):
+                        assert count_ce(m).total == oracle_component_count(src) == count_admissible(m).total
+                        outcomes["counted"] += 1
+                    else:
+                        with pytest.raises(HypothesisError, match="^hypotheses not satisfied: surjective$"):
+                            count_ce(m)
+                        outcomes["refused"] += 1
+        assert outcomes == {"counted": 998, "refused": 1372}
+
 
 class TestComponentIsoCheck:
     def test_triangle_copies_are_recognized(self):
@@ -364,6 +418,13 @@ class TestConnectednessCriterion:
         p = Partition([["1a", "1b"], ["2"], ["3"]], g.vertex_set)
         with pytest.raises(HypothesisError):
             connectedness_criterion(quotient(g, p).projection)
+
+    def test_refusal_names_the_pseudo_covering_hypothesis(self):
+        g = two_arcs_graph()
+        m = quotient(g, Partition([["1a", "1b"], ["2"], ["3"]], g.vertex_set)).projection
+        assert m.target.components().count == 1 and not is_pseudo_covering(m)
+        with pytest.raises(HypothesisError, match="^hypotheses not satisfied: pseudo_covering$"):
+            connectedness_criterion(m)
 
     def test_rejects_disconnected_quotient(self):
         g = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])

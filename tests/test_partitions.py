@@ -53,6 +53,21 @@ class TestPartition:
             Partition(cells, universe)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ([["a"]], "vertex 'b' is not covered by any cell"),
+            ([["a"], ["z"]], "cell member 'z' is outside the universe"),
+        ],
+        ids=["uncovered", "outside"],
+    )
+    def test_iterator_blocks_are_refused_as_their_lists(self, cells, message):
+        # each block is read once, so the refusal reads the members the check read
+        for given_cells in (cells, [iter(cell) for cell in cells]):
+            with pytest.raises(ValueError) as exc:
+                Partition(given_cells, ["a", "b"])
+            assert str(exc.value) == message
+
     def test_any_iterable_is_a_block(self):
         p = Partition([("b", "a"), {"c"}, iter(["d"])], ["a", "b", "c", "d"])
         assert p.blocks == (("a", "b"), ("c",), ("d",))

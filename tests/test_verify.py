@@ -354,8 +354,74 @@ class TestMutationSensitivity:
                 verify.sweep_orbit_claims, SweepConfig(4, 3, 0, 1),
                 {"orbit_admissible_single_orbit": 49, "orbit_count_vertex_ratio": 49},
             ),
+            (
+                verify, "oracle_component_count", lambda f: lambda g: -1,
+                verify.sweep_partition_claims, SweepConfig(3, 3, 0, 1),
+                {"oracle_component_agreement": 11, "connectedness_criterion_sound": 17},
+            ),
+            (
+                verify, "oracle_component_count", lambda f: lambda g: -1,
+                sweep_hom_claims, SweepConfig(3, 3, 0, 1),
+                {"admissible_count_total": 259},
+            ),
+            (
+                verify, "oracle_component_count", lambda f: lambda g: -1,
+                verify.sweep_orbit_claims, SweepConfig(4, 3, 0, 1),
+                {"orbit_multiplicity_total": 259},
+            ),
+            (
+                quograph.homs, "is_complete", lambda f: lambda m: False,
+                verify.sweep_partition_claims, SweepConfig(3, 3, 0, 1),
+                {"projection_complete": 45},
+            ),
+            (
+                quograph.perms, "verify_automorphisms", lambda f: lambda *a: False,
+                verify.sweep_orbit_claims, SweepConfig(4, 3, 0, 1),
+                {"orbit_partition_equitable": 259, "orbit_projection_consistent": 259, "orbit_multiplicity_total": 259},
+            ),
+            (
+                quograph.homs, "_is_equitable", lambda f: lambda *a: False,
+                verify.sweep_orbit_claims, SweepConfig(4, 3, 0, 1),
+                {"orbit_partition_equitable": 259},
+            ),
+            (
+                verify, "find_isomorphism", lambda f: lambda *a: None,
+                verify.sweep_orbit_claims, SweepConfig(4, 3, 0, 1),
+                {"orbit_admissible_single_orbit": 737},
+            ),
+            (  # doubled at the target's first label only, so the ratios differ across a component
+                quograph.counting, "multiplicity", lambda f: lambda m, u, y: f(m, u, y) * (1 + (y == m.target.vertices[0])),
+                verify.sweep_orbit_claims, SweepConfig(4, 3, 0, 1),
+                {"orbit_multiplicity_total": 294, "multiplicity_ratio_independence": 552},
+            ),
+            (
+                quograph.counting, "component_iso_check", lambda f: lambda m, c: True,
+                verify.sweep_orbit_claims, SweepConfig(4, 3, 0, 1),
+                {"multiplicity_ratio_independence": 117},
+            ),
+            (
+                quograph.homs, "is_pseudo_covering", lambda f: lambda m: True,
+                sweep_hom_claims, SweepConfig(3, 3, 0, 1),
+                {"class_inclusion_chain": 3756, "tame_pseudocover_component_bijection": 906,
+                 "component_image_iso_criterion": 1080},
+            ),
+            (  # the last block of every partition of two or more blocks goes missing
+                Partition, "blocks", lambda f: property(lambda p: f.fget(p)[:-1] if p.count > 1 else f.fget(p)),
+                verify.sweep_partition_claims, SweepConfig(3, 3, 0, 1),
+                {"oracle_component_agreement": 5},
+            ),
+            (  # every graph of three or more vertices is one component
+                Graph, "components", lambda f: lambda g: f(g) if len(g.vertices) < 3 else Partition([g.vertices], g.vertices),
+                verify.sweep_partition_claims, SweepConfig(3, 3, 0, 1),
+                {"oracle_component_agreement": 4, "quotient_count_monotone": 6, "quotient_count_equality_iff_tame": 6,
+                 "quotient_connectivity_transfer": 6, "connectedness_criterion_sound": 8},
+            ),
         ],
-        ids=["tame", "isomorphism", "consistent", "admissible"],
+        ids=[
+            "tame", "isomorphism", "consistent", "admissible", "oracle-partition", "oracle-hom", "oracle-orbit",
+            "complete", "automorphisms", "equitable", "orbit-isomorphism", "multiplicity", "copy-test",
+            "pseudo-covering", "blocks", "components",
+        ],
     )
     def test_broken_function_fails_graph_partition_and_orbit_claims(self, module, name, broken, sweep, cfg, failures):
         # each claim kind's failure branch, reached through the function it reads
