@@ -19,7 +19,6 @@ from .counting import (
     count_orbit,
     image_of_component,
     multiplicity,
-    preimage_of_component_vertices,
 )
 from .errors import HypothesisError, InternalCheckError
 from .graphs import Graph, Partition, find_isomorphism
@@ -28,7 +27,6 @@ from .groups import (
     conjugation_group,
     generating_set,
     make_cyclic,
-    make_klein_four,
     make_symmetric,
     power_graph,
     proper_power_graph,
@@ -110,13 +108,11 @@ __all__ = [
     "is_surjective",
     "is_tame",
     "make_cyclic",
-    "make_klein_four",
     "make_symmetric",
     "multiplicity",
     "oracle_component_count",
     "orbit_partition",
     "power_graph",
-    "preimage_of_component_vertices",
     "proper_power_graph",
     "quotient",
     "replay_counterexample",

@@ -120,17 +120,9 @@ def _landing(m: HomMap, i: int) -> tuple[int, bool]:
     return t, image == {y for y, s in enumerate(tcomp) if s == t}
 
 
-def preimage_of_component_vertices(m: HomMap, c) -> frozenset[str]:
-    """All vertices of the source components that map into the image of c.
-
-    Computed as a union of component blocks and cross-checked against the
-    plain preimage of the image component's vertex set.
-    """
-    return _preimage_union(m, _image_component(m, c)[1])
-
-
 def _preimage_union(m: HomMap, t: int) -> frozenset[str]:
-    """The source components mapping into target component t, checked as above."""
+    """All vertices of the source components mapping into target component t,
+    a union of component blocks checked against t's plain preimage."""
     scomp, tcomp, index_map = m.source.components(), m.target.components()._of, m._index_map
     union = {v for block, x in zip(scomp.blocks, scomp._leaders) if tcomp[index_map[x]] == t for v in block}
     if union != {v for v, y in zip(m.source.vertices, index_map) if tcomp[y] == t}:

@@ -28,7 +28,10 @@ class Graph:
     )
 
     def __init__(self, vertices, proper_edges=()):
-        labels = list(vertices)
+        try:
+            labels, proper_edges = list(vertices), iter(proper_edges)
+        except TypeError:
+            raise ValueError(f"a graph needs lists of vertices and edges, got {vertices!r} and {proper_edges!r}") from None
         if not labels:
             raise ValueError("a graph needs at least one vertex")
         if set(map(type, labels)) != {str}:
@@ -229,7 +232,10 @@ class Partition:
     def __init__(self, blocks, universe):
         """Each block is a collection of labels; a label listed twice in one
         block counts once."""
-        verts = tuple(dict.fromkeys(sorted(universe)))
+        try:  # sorted() is linear on labels already in order; dict.fromkeys drops repeats
+            verts, blocks = tuple(dict.fromkeys(sorted(universe))), iter(blocks)
+        except TypeError:  # not iterable, or labels that do not sort or hash
+            raise ValueError(f"a partition needs lists of blocks and labels, got {blocks!r} and {universe!r}") from None
         self._store(verts, dict(zip(verts, range(len(verts)))), blocks)
 
     @classmethod

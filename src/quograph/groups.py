@@ -34,7 +34,10 @@ class FiniteGroup:
     __slots__ = ("elements", "identity", "generators", "_index", "_rows")
 
     def __init__(self, elements, identity, table):
-        elements = tuple(elements)
+        try:
+            elements = tuple(elements)
+        except TypeError:
+            raise ValueError(f"group elements {elements!r} are not a list") from None
         for a in elements:  # they become vertex labels of the power graphs
             if not isinstance(a, str):
                 raise ValueError(f"group element {a!r} is not a string")
@@ -47,17 +50,12 @@ class FiniteGroup:
         if identity not in elements:
             raise ValueError(f"identity {identity!r} is not an element")
         index = {a: i for i, a in enumerate(elements)}
-        rows = []
-        for a in elements:
-            row = table.get(a)
-            if row is None:
-                raise ValueError(f"Cayley table has no row for {a!r}")
-            try:
-                rows.append(tuple([index[row[b]] for b in elements]))
-            except (LookupError, TypeError):
-                _refuse_row(a, row, elements, index)
-                raise
-        self._validate(index, index[identity], tuple(rows))
+        try:
+            rows = tuple([tuple([index[row[b]] for b in elements]) for row in map(table.get, elements)])
+        except (LookupError, TypeError, AttributeError):
+            _refuse_table(table, elements, index)
+            raise
+        self._validate(index, index[identity], rows)
 
     @classmethod
     def _from_rows(cls, elements, e, rows):
@@ -119,14 +117,26 @@ class FiniteGroup:
         return f"FiniteGroup(order {len(self.elements)})"
 
 
-def _refuse_row(a, row, elements, index):
-    """Word the first fault of a's row, cell by cell in element order."""
-    for b in elements:
-        if b not in row:
-            raise ValueError(f"Cayley table misses the product {a!r}*{b!r}")
-        c = row[b]
-        if c not in index:
-            raise ValueError(f"product {a!r}*{b!r} = {c!r} is not an element")
+def _refuse_table(table, elements, index):
+    """Word the first fault of the table, row by row and cell by cell in
+    element order; a row that is no mapping, or a product that is no string,
+    is worded as the table loader words it."""
+    if not hasattr(table, "keys"):
+        raise ValueError(f"Cayley table {table!r} is not an object")
+    for a in elements:
+        row = table.get(a)
+        if row is None:
+            raise ValueError(f"Cayley table has no row for {a!r}")
+        if not hasattr(row, "keys"):
+            raise ValueError(f"table row {row!r} is not an object")
+        for b in elements:
+            if b not in row:
+                raise ValueError(f"Cayley table misses the product {a!r}*{b!r}")
+            c = row[b]
+            if not isinstance(c, str):
+                raise ValueError(f"product {c!r} is not a string")
+            if c not in index:
+                raise ValueError(f"product {a!r}*{b!r} = {c!r} is not an element")
 
 
 def _cyclic_subgroup(rows, a):
@@ -167,18 +177,6 @@ def make_symmetric(n: int) -> FiniteGroup:
     index = {picks[0](a): i for i, a in enumerate(perms)}
     rows = tuple(tuple([index[pick(a)] for pick in picks]) for a in perms)
     return FiniteGroup._from_rows(["".join(str(i + 1) for i in p) for p in perms], 0, rows)
-
-
-def make_klein_four() -> FiniteGroup:
-    """The Klein four-group: three commuting involutions."""
-    elements = ["e", "a", "b", "c"]
-    table = {
-        "e": {"e": "e", "a": "a", "b": "b", "c": "c"},
-        "a": {"e": "a", "a": "e", "b": "c", "c": "b"},
-        "b": {"e": "b", "a": "c", "b": "e", "c": "a"},
-        "c": {"e": "c", "a": "b", "b": "a", "c": "e"},
-    }
-    return FiniteGroup(elements, "e", table)
 
 
 # ---------------------------------------------------------------- power graphs

@@ -29,11 +29,11 @@ from .graphs import Graph
 class HomMap:
     """A homomorphism between two reflexive graphs.
 
-    The constructor raises ValueError for a map that is not total or leaves
-    the graphs' vertex sets, and HypothesisError for a total map that does
-    not preserve edges.  A proper source edge may land on a proper target
-    edge or collapse onto a single vertex (its implicit loop); implicit
-    source loops are preserved automatically.
+    The constructor raises ValueError for a map that is no mapping of strings,
+    is not total or leaves the graphs' vertex sets, and HypothesisError for a
+    total map that does not preserve edges.  A proper source edge may land on
+    a proper target edge or collapse onto a single vertex (its implicit
+    loop); implicit source loops are preserved automatically.
 
     The map is stored as ``_index_map``, the target position of each source
     vertex by source position (see ``Graph.index``), and ``_image``, the set
@@ -45,8 +45,7 @@ class HomMap:
     __slots__ = ("source", "target", "_index_map", "_image", "_edge_classes", "_local_classes", "_fibre_blocks")
 
     def __init__(self, source: Graph, target: Graph, mapping: dict[str, str]):
-        if mapping.keys() != source.vertex_set or not target.vertex_set.issuperset(mapping.values()):
-            _refuse_map(source, target, mapping)
+        _check_map(source, target, mapping)
         self._index_map = tuple([target.index[mapping[v]] for v in source.vertices])
         self._finish(source, target)
 
@@ -102,16 +101,21 @@ class HomMap:
         return f"HomMap({len(self.source.vertices)} -> {len(self.target.vertices)} vertices)"
 
 
-def _refuse_map(source: Graph, target: Graph, mapping) -> None:
-    """Raise for the first vertex that keeps ``mapping`` from being a total map into the target."""
+def _check_map(source: Graph, target: Graph, mapping) -> None:
+    """Raise for the first fault that keeps ``mapping`` from being a total map
+    into the target; an image that is no string is named as the map loader names it."""
+    if not hasattr(mapping, "keys"):
+        raise ValueError(f"map {mapping!r} is not an object")
     for v in source.vertices:
         if v not in mapping:
             raise ValueError(f"map is not total: no image for {v!r}")
     for v in mapping:
-        if v not in source.vertex_set:
+        if v not in source.index:
             raise ValueError(f"map defined on unknown vertex {v!r}")
     for y in mapping.values():
-        if y not in target.vertex_set:
+        if not isinstance(y, str):
+            raise ValueError(f"map image {y!r} is not a string")
+        if y not in target.index:
             raise ValueError(f"image vertex {y!r} is not in the target")
 
 

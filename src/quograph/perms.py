@@ -28,9 +28,10 @@ class PermGroup:
 
     def __init__(self, universe, generators):
         """Each generator is a label mapping, a bijection of the universe."""
-        # sorted() takes linear time on a universe already in order, such
-        # as a graph's vertices; dict.fromkeys drops repeats
-        verts = tuple(dict.fromkeys(sorted(universe)))
+        try:  # sorted() is linear on labels already in order; dict.fromkeys drops repeats
+            verts, generators = tuple(dict.fromkeys(sorted(universe))), iter(generators)
+        except TypeError:  # not iterable, or labels that do not sort or hash
+            raise ValueError(f"a group needs lists of labels and generators, got {universe!r} and {generators!r}") from None
         self._store(verts, dict(zip(verts, range(len(verts)))), generators)
 
     @classmethod
@@ -47,8 +48,14 @@ class PermGroup:
         the group."""
         gens = []
         for f in generators:
-            f = dict(f)
-            if f.keys() != set(f.values()):
+            try:
+                images = set((f := dict(f)).values())
+            except (TypeError, ValueError):  # worded as the group loader words them
+                if not isinstance(f, dict):
+                    raise ValueError(f"generator {f!r} is not an object") from None
+                image = next(y for y in f.values() if not isinstance(y, str))
+                raise ValueError(f"generator image {image!r} is not a string") from None
+            if f.keys() != images:
                 raise ValueError("mapping is not a bijection of its domain")
             if f.keys() != index.keys():
                 raise ValueError("generator domain does not match the universe")

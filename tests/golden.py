@@ -8,7 +8,7 @@ a test can compare a full classification in one step.  The hand-picked
 
 from __future__ import annotations
 
-from quograph import Graph, HomMap, Partition, quotient
+from quograph import FiniteGroup, Graph, HomMap, Partition, PermGroup, quotient
 
 EDGE_TARGET = Graph(["y", "z"], [("y", "z")])
 
@@ -172,6 +172,80 @@ GOLDEN_CASES = [
     ("prism_and_cube", prism_and_cube_map, PRISM_CUBE_EXPECTED),
     ("two_arcs_projection", two_arcs_projection, TWO_ARCS_EXPECTED),
     ("point_into_edge", point_into_edge_map, POINT_EXPECTED),
+]
+
+
+def split_fibre_injective_map() -> HomMap:
+    """The path 4-1-2-3 plus an isolated vertex 5, onto a triangle by 1->1,
+    2->2 and 3, 4, 5->3.
+
+    Every closed neighbourhood maps injectively, so the map is locally
+    injective; but the fibre of 3 meets the path twice and {5} once, so it
+    is not component equitable.  No map with a source of at most 4 vertices
+    separates these two classes.
+    """
+    src = Graph(["1", "2", "3", "4", "5"], [("4", "1"), ("1", "2"), ("2", "3")])
+    tgt = Graph(["1", "2", "3"], [("1", "2"), ("2", "3"), ("1", "3")])
+    return HomMap(src, tgt, {"1": "1", "2": "2", "3": "3", "4": "3", "5": "3"})
+
+
+# The inclusions between the ClassificationReport classes (orbit aside) that
+# hold on every map of the map sweep at bound (5, 3): (class, class it
+# implies, the laws of homs.INCLUSION_LAWS it follows from).  A row with no
+# laws is observed only: nothing in the library states or checks it.
+CLASS_INCLUSIONS = [
+    ("complete", "surjective", ("complete implies surjective",)),
+    ("isomorphism", "surjective", ("isomorphism implies surjective, complete and equitable",)),
+    ("isomorphism", "complete", ("isomorphism implies surjective, complete and equitable",)),
+    ("isomorphism", "tame", ()),
+    (
+        "isomorphism",
+        "locally_surjective",
+        (
+            "isomorphism implies surjective, complete and equitable",
+            "complete equitable implies pseudo-covering",
+            "pseudo-covering = locally surjective + complete",
+        ),
+    ),
+    ("isomorphism", "locally_injective", ()),
+    ("isomorphism", "locally_bijective", ()),
+    (
+        "isomorphism",
+        "locally_strong",
+        (
+            "isomorphism implies surjective, complete and equitable",
+            "complete equitable implies pseudo-covering",
+            "pseudo-covering = locally strong + complete",
+        ),
+    ),
+    (
+        "isomorphism",
+        "pseudo_covering",
+        ("isomorphism implies surjective, complete and equitable", "complete equitable implies pseudo-covering"),
+    ),
+    ("isomorphism", "equitable", ("isomorphism implies surjective, complete and equitable",)),
+    ("isomorphism", "component_equitable", ()),
+    ("tame", "component_equitable", ()),
+    ("locally_surjective", "locally_strong", ("locally surjective implies locally strong",)),
+    ("locally_bijective", "locally_surjective", ("locally bijective = locally surjective + locally injective",)),
+    ("locally_bijective", "locally_injective", ("locally bijective = locally surjective + locally injective",)),
+    (
+        "locally_bijective",
+        "locally_strong",
+        ("locally bijective = locally surjective + locally injective", "locally surjective implies locally strong"),
+    ),
+    ("locally_bijective", "equitable", ()),
+    ("locally_bijective", "component_equitable", ()),
+    ("pseudo_covering", "surjective", ("pseudo-covering = locally strong + surjective",)),
+    ("pseudo_covering", "complete", ("pseudo-covering = locally strong + complete",)),
+    ("pseudo_covering", "locally_surjective", ("pseudo-covering = locally surjective + complete",)),
+    ("pseudo_covering", "locally_strong", ("pseudo-covering = locally strong + surjective",)),
+    ("equitable", "component_equitable", ()),
+]
+# Inclusions that hold on every map at bound (4, 3) but not beyond it, each
+# with a map that breaks it.
+INCLUSION_WITNESSES = [
+    ("locally_injective", "component_equitable", split_fibre_injective_map),
 ]
 
 
@@ -359,4 +433,24 @@ CAYLEY_TABLE_REFUSALS = [  # (document, message)
         },
         "associativity fails on ('1', '1', '2')",
     ),
+]
+# Each public constructor's refusal of a malformed argument, worded as the
+# loaders word the same fault (ValueError, never TypeError or AttributeError).
+PAIR = Graph(["a", "b"], [("a", "b")])
+CONSTRUCTOR_REFUSALS = [  # (constructor, arguments, message)
+    (PermGroup, (["a"], [5]), "generator 5 is not an object"),
+    (PermGroup, (["a", "b"], [{"a": ["b"], "b": "a"}]), "generator image ['b'] is not a string"),
+    (HomMap, (PAIR, PAIR, 5), "map 5 is not an object"),
+    (HomMap, (PAIR, PAIR, {"a": ["a"], "b": "b"}), "map image ['a'] is not a string"),
+    (FiniteGroup, (["e"], "e", {"e": ["e"]}), "table row ['e'] is not an object"),
+    (FiniteGroup, (["e"], "e", {"e": {"e": ["e"]}}), "product ['e'] is not a string"),
+    (FiniteGroup, (["e"], "e", [["e"]]), "Cayley table [['e']] is not an object"),
+    # an argument that cannot be iterated, or labels that do not sort
+    (Graph, (5,), "a graph needs lists of vertices and edges, got 5 and ()"),
+    (Graph, (["a"], None), "a graph needs lists of vertices and edges, got ['a'] and None"),
+    (Partition, (5, ["a"]), "a partition needs lists of blocks and labels, got 5 and ['a']"),
+    (Partition, ([["a"]], ["a", 1]), "a partition needs lists of blocks and labels, got [['a']] and ['a', 1]"),
+    (PermGroup, (None, []), "a group needs lists of labels and generators, got None and []"),
+    (PermGroup, (["a"], 5), "a group needs lists of labels and generators, got ['a'] and 5"),
+    (FiniteGroup, (5, "e", {}), "group elements 5 are not a list"),
 ]

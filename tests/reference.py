@@ -278,6 +278,8 @@ def dict_table_refusal(elements, identity, table) -> str | None:
             if b not in row:
                 return f"Cayley table misses the product {a!r}*{b!r}"
             c = row[b]
+            if not isinstance(c, str):
+                return f"product {c!r} is not a string"
             if c not in universe:
                 return f"product {a!r}*{b!r} = {c!r} is not an element"
             pairs[(a, b)] = c
@@ -567,6 +569,18 @@ def random_orbit_instance(rng, max_vertices: int = 40) -> OrbitInstance:
     built so the hypotheses hold by construction."""
     g, grp = _draw_orbit_group(rng, max_vertices)
     return OrbitInstance(quotient(g, orbit_partition(grp)).projection, grp)
+
+
+def make_klein_four() -> FiniteGroup:
+    """The Klein four-group: three commuting involutions."""
+    elements = ["e", "a", "b", "c"]
+    table = {
+        "e": {"e": "e", "a": "a", "b": "b", "c": "c"},
+        "a": {"e": "a", "a": "e", "b": "c", "c": "b"},
+        "b": {"e": "b", "a": "c", "b": "e", "c": "a"},
+        "c": {"e": "c", "a": "b", "b": "a", "c": "e"},
+    }
+    return FiniteGroup(elements, "e", table)
 
 
 def cayley_to_dict(group: FiniteGroup) -> dict:

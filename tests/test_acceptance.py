@@ -19,7 +19,6 @@ from quograph import (
     count_orbit,
     find_isomorphism,
     make_cyclic,
-    make_klein_four,
     make_symmetric,
     conjugation_group,
     orbit_partition,
@@ -36,7 +35,7 @@ from quograph.verify import (
 )
 
 from golden import GOLDEN_CASES, medium_test_graphs
-from reference import every_choice_terms, orbit_instances_for, random_orbit_instance
+from reference import every_choice_terms, make_klein_four, orbit_instances_for, random_orbit_instance
 
 
 def report(num, label, ok, elapsed=None, budget=None):

@@ -24,7 +24,6 @@ from quograph import (
     Partition,
     PermGroup,
     make_cyclic,
-    make_klein_four,
     make_symmetric,
     quotient,
 )
@@ -46,7 +45,7 @@ from golden import (
     balanced_two_component_map,
     two_arcs_graph,
 )
-from reference import cayley_to_dict, indent_dumps
+from reference import cayley_to_dict, indent_dumps, make_klein_four
 
 
 @pytest.fixture
@@ -461,7 +460,6 @@ class TestPowergraph:
         assert json.loads(out)["blocks"] == [["132", "213", "321"], ["231", "312"]]
 
     def test_cayley_spec(self, tmp_path, capsys):
-        from quograph import make_klein_four
 
         io.save_json(tmp_path / "k4.json", cayley_to_dict(make_klein_four()))
         code, out, _ = run_cli(

@@ -13,7 +13,6 @@ from quograph import (
     conjugation_group,
     generating_set,
     make_cyclic,
-    make_klein_four,
     make_symmetric,
     orbit_partition,
     power_graph,
@@ -24,6 +23,7 @@ from reference import (
     cayley_to_dict,
     dict_table_refusal,
     exhaustive_is_associative,
+    make_klein_four,
     pairwise_power_edges,
     tuple_symmetric_table,
 )
@@ -104,15 +104,15 @@ def perturbed_tables(draw):
 def broken_tables(draw):
     """A group table of order 2..6 with one or two faults of the kinds the
     constructor names before the axioms: a missing row, a missing product, a
-    product that is not an element, or a changed cell in the identity's row
-    or column.  A second fault lands in the same row half the time, so the
+    product that is not an element or not a string, or a changed cell in the
+    identity's row or column.  A second fault lands in the same row half the time, so the
     order in which one row's faults are named is drawn too."""
     group = draw(st.sampled_from(SMALL_GROUPS))
     els, e = group.elements, group.identity
     table = cayley_to_dict(group)["table"]
     element = st.sampled_from(els)
     a = draw(element)
-    for kind in draw(st.lists(st.sampled_from(["row", "product", "outsider", "identity"]), min_size=1, max_size=2)):
+    for kind in draw(st.lists(st.sampled_from(["row", "product", "outsider", "nonstring", "identity"]), min_size=1, max_size=2)):
         if draw(st.booleans()):
             a = draw(element)
         row, b = a, draw(element)
@@ -127,6 +127,8 @@ def broken_tables(draw):
             table[row].pop(b, None)
         elif kind == "outsider":
             table[row][b] = "x"
+        elif kind == "nonstring":
+            table[row][b] = draw(st.sampled_from([1, None, ["x"]]))
         else:
             table[row][b] = draw(st.sampled_from([c for c in els if c != kept]))
     return els, e, table

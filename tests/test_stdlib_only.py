@@ -1,11 +1,12 @@
 """The library imports nothing outside the standard library, and its modules import
-each other at module level only, without a cycle; it defines nothing that only
-the tests use, and no nested function of it refers to itself."""
+each other at module level only, without a cycle; it defines and exports nothing
+that only the tests use, and no nested function of it refers to itself."""
 
 from __future__ import annotations
 
 import ast
 import graphlib
+import re
 import sys
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 
 import quograph
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "quograph").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "quograph").glob("*.py"))
 
 
 def parse(path: Path) -> ast.Module:
@@ -80,6 +82,29 @@ def test_every_top_level_definition_is_used():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     }
     assert sorted(defined - used) == []
+
+
+# Exports that neither library code nor README.md names, each with its reason.
+UNREFERENCED_EXPORTS = {
+    # perfbench/layers.py times it; it moves to tests/reference.py once the
+    # benchmark times verify._index_maps, which the sweeps use
+    "enumerate_homs",
+}
+
+
+def test_every_export_is_used_or_documented():
+    # An export that only the tests call is test code: it belongs in tests/.
+    used = set()
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            for node in ast.walk(parse(path)):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    readme = (ROOT / "README.md").read_text()
+    unreferenced = {n for n in quograph.__all__ if n not in used and not re.search(rf"\b{re.escape(n)}\b", readme)}
+    assert unreferenced == UNREFERENCED_EXPORTS
 
 
 def self_calling_nested_functions(tree: ast.Module) -> list[str]:
