@@ -28,40 +28,34 @@ class Graph:
     )
 
     def __init__(self, vertices, proper_edges=()):
-        try:
-            labels, proper_edges = list(vertices), iter(proper_edges)
+        try:  # a fault reads the edges again, so they are read into a list unless they are one
+            labels, edges = list(vertices), proper_edges if type(proper_edges) is list else list(proper_edges)
         except TypeError:
             raise ValueError(f"a graph needs lists of vertices and edges, got {vertices!r} and {proper_edges!r}") from None
-        if not labels:
-            raise ValueError("a graph needs at least one vertex")
-        if set(map(type, labels)) != {str}:
-            _refuse_labels(labels)
+        if not labels or set(map(type, labels)) != {str}:  # a str subclass passes _refuse_graph
+            _refuse_graph(labels, edges)
         verts = tuple(sorted(labels))
         index = {v: i for i, v in enumerate(verts)}
         if len(index) != len(labels):
-            _refuse_labels(labels)
+            _refuse_graph(labels, edges)
 
         # One pass builds the edge pairs and the neighbourhoods; a repeated
         # edge shows as an endpoint already in the other's neighbourhood.
         nbhd = [{i} for i in range(len(verts))]
-        edges = []
-        for raw in proper_edges:
-            if isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} would unpack into the edge a-b
-                _refuse_edge(raw, index)
+        pairs = []
+        for raw in edges:
             try:
                 u, v = raw
                 a, b = index[u], index[v]
             except (TypeError, ValueError, KeyError):
-                _refuse_edge(raw, index)
-            if a == b:
-                raise ValueError(f"loop at {u!r} supplied as a proper edge; loops are implicit")
+                _refuse_graph(labels, edges)
             na = nbhd[a]
-            if b in na:
-                raise ValueError(f"duplicate edge ({min(u, v)!r}, {max(u, v)!r})")
+            if a == b or b in na or isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} unpacks into a-b
+                _refuse_graph(labels, edges)
             na.add(b)
             nbhd[b].add(a)
-            edges.append((a, b) if a < b else (b, a))
-        self._store(verts, index, nbhd, edges)
+            pairs.append((a, b) if a < b else (b, a))
+        self._store(verts, index, nbhd, pairs)
 
     @classmethod
     def _from_edges(cls, vertices: tuple, edges) -> "Graph":
@@ -185,24 +179,20 @@ class Graph:
         return f"Graph({len(self.vertices)} vertices, {len(self._edges)} proper edges)"
 
 
-def _refuse_edge(raw, index) -> None:
-    """Raise for a proper edge that is not a pair of declared vertex labels,
-    in the loader's words: the shape first, then each endpoint in turn."""
-    try:
-        ends = () if isinstance(raw, (str, dict)) else tuple(raw)
-    except TypeError:
-        ends = ()
-    if len(ends) != 2:
-        raise ValueError(f"edge {raw!r} is not a two-element list")
-    for end in ends:
-        if not isinstance(end, str):
-            raise ValueError(f"edge endpoint {end!r} is not a string")
-        if end not in index:
-            raise ValueError(f"edge endpoint {end!r} is not a declared vertex")
-
-
-def _refuse_labels(labels) -> None:
-    """Raise for the first label that is not a string or repeats an earlier one."""
+def _refuse_graph(labels, edges) -> None:
+    """Raise for the first fault of a graph, in the loader's order: a malformed
+    edge or a non-string endpoint anywhere in the list; then no labels, a
+    non-string or repeated label; then, edge by edge, an undeclared endpoint,
+    a loop or a repeated edge.  Return if there is none."""
+    for raw in edges:
+        ends = () if isinstance(raw, (str, dict)) or not hasattr(raw, "__iter__") else tuple(raw)
+        if len(ends) != 2:
+            raise ValueError(f"edge {raw!r} is not a two-element list")
+        for end in ends:
+            if not isinstance(end, str):
+                raise ValueError(f"edge endpoint {end!r} is not a string")
+    if not labels:
+        raise ValueError("a graph needs at least one vertex")
     seen = set()
     for v in labels:
         if not isinstance(v, str):
@@ -210,6 +200,16 @@ def _refuse_labels(labels) -> None:
         if v in seen:
             raise ValueError(f"duplicate vertex label {v!r}")
         seen.add(v)
+    done = set()
+    for u, v in edges:
+        for end in (u, v):
+            if end not in seen:
+                raise ValueError(f"edge endpoint {end!r} is not a declared vertex")
+        if u == v:
+            raise ValueError(f"loop at {u!r} supplied as a proper edge; loops are implicit")
+        if (edge := frozenset((u, v))) in done:
+            raise ValueError(f"duplicate edge ({min(u, v)!r}, {max(u, v)!r})")
+        done.add(edge)
 
 
 class Partition:
@@ -233,10 +233,12 @@ class Partition:
         """Each block is a collection of labels; a label listed twice in one
         block counts once."""
         try:  # sorted() is linear on labels already in order; dict.fromkeys drops repeats
-            verts, blocks = tuple(dict.fromkeys(sorted(universe))), iter(blocks)
-        except TypeError:  # not iterable, or labels that do not sort or hash
+            verts, cells = tuple(dict.fromkeys(sorted(universe))), iter(blocks)
+            if not all(isinstance(v, str) for v in verts):
+                raise TypeError
+        except TypeError:  # not iterable, or labels that are not strings
             raise ValueError(f"a partition needs lists of blocks and labels, got {blocks!r} and {universe!r}") from None
-        self._store(verts, dict(zip(verts, range(len(verts)))), blocks)
+        self._store(verts, dict(zip(verts, range(len(verts)))), cells)
 
     @classmethod
     def _on_graph(cls, g: Graph, blocks) -> "Partition":

@@ -103,9 +103,12 @@ class HomMap:
 
 def _check_map(source: Graph, target: Graph, mapping) -> None:
     """Raise for the first fault that keeps ``mapping`` from being a total map
-    into the target; an image that is no string is named as the map loader names it."""
+    into the target; an image that is no string is named first, wherever it is."""
     if not hasattr(mapping, "keys"):
         raise ValueError(f"map {mapping!r} is not an object")
+    for y in mapping.values():
+        if not isinstance(y, str):
+            raise ValueError(f"map image {y!r} is not a string")
     for v in source.vertices:
         if v not in mapping:
             raise ValueError(f"map is not total: no image for {v!r}")
@@ -113,8 +116,6 @@ def _check_map(source: Graph, target: Graph, mapping) -> None:
         if v not in source.index:
             raise ValueError(f"map defined on unknown vertex {v!r}")
     for y in mapping.values():
-        if not isinstance(y, str):
-            raise ValueError(f"map image {y!r} is not a string")
         if y not in target.index:
             raise ValueError(f"image vertex {y!r} is not in the target")
 

@@ -29,10 +29,12 @@ class PermGroup:
     def __init__(self, universe, generators):
         """Each generator is a label mapping, a bijection of the universe."""
         try:  # sorted() is linear on labels already in order; dict.fromkeys drops repeats
-            verts, generators = tuple(dict.fromkeys(sorted(universe))), iter(generators)
-        except TypeError:  # not iterable, or labels that do not sort or hash
+            verts, gens = tuple(dict.fromkeys(sorted(universe))), iter(generators)
+            if not all(isinstance(v, str) for v in verts):
+                raise TypeError
+        except TypeError:  # not iterable, or labels that are not strings
             raise ValueError(f"a group needs lists of labels and generators, got {universe!r} and {generators!r}") from None
-        self._store(verts, dict(zip(verts, range(len(verts)))), generators)
+        self._store(verts, dict(zip(verts, range(len(verts)))), gens)
 
     @classmethod
     def _on_graph(cls, g: Graph, generators) -> "PermGroup":

@@ -248,6 +248,90 @@ INCLUSION_WITNESSES = [
     ("locally_injective", "component_equitable", split_fibre_injective_map),
 ]
 
+# One witness map for each of the 43 class vectors that the 732,563 maps of
+# the map sweep at bound (5, 3) realise: the first map of each vector in the
+# sweep's order, found offline by classifying every map (about 12 s).  Rows
+# are (source vertices, source edges, target vertices, target edges, the
+# images of the source vertices in order, the classes the map is in, orbit
+# aside); a label is one character and an edge two labels.
+CLASS_VECTOR_WITNESSES = [
+    (
+        "1", "", "1", "", "1",
+        "surjective complete isomorphism tame locally_surjective locally_injective"
+        " locally_bijective locally_strong pseudo_covering equitable component_equitable",
+    ),
+    (
+        "1", "", "12", "", "1",
+        "tame locally_surjective locally_injective locally_bijective locally_strong"
+        " equitable component_equitable",
+    ),
+    ("1", "", "12", "12", "1", "tame locally_injective locally_strong equitable component_equitable"),
+    (
+        "12", "", "1", "", "11",
+        "surjective complete locally_surjective locally_injective locally_bijective"
+        " locally_strong pseudo_covering equitable component_equitable",
+    ),
+    (
+        "12", "", "12", "", "11",
+        "locally_surjective locally_injective locally_bijective locally_strong equitable"
+        " component_equitable",
+    ),
+    ("12", "", "12", "12", "11", "locally_injective locally_strong equitable component_equitable"),
+    ("12", "", "12", "12", "12", "surjective tame locally_injective equitable component_equitable"),
+    ("12", "", "123", "12", "12", "tame locally_injective equitable component_equitable"),
+    (
+        "12", "12", "1", "", "11",
+        "surjective complete tame locally_surjective locally_strong pseudo_covering"
+        " equitable component_equitable",
+    ),
+    ("12", "12", "12", "", "11", "tame locally_surjective locally_strong equitable component_equitable"),
+    ("12", "12", "12", "12", "11", "tame locally_strong equitable component_equitable"),
+    ("123", "", "12", "12", "112", "surjective locally_injective equitable component_equitable"),
+    ("123", "", "123", "12", "112", "locally_injective equitable component_equitable"),
+    ("123", "12", "1", "", "111", "surjective complete locally_surjective locally_strong pseudo_covering"),
+    ("123", "12", "12", "", "111", "locally_surjective locally_strong"),
+    ("123", "12", "12", "12", "111", "locally_strong"),
+    ("123", "12", "12", "12", "112", "surjective tame equitable component_equitable"),
+    ("123", "12", "12", "12", "121", "surjective complete locally_injective component_equitable"),
+    ("123", "12", "123", "12", "112", "tame equitable component_equitable"),
+    ("123", "12", "123", "12", "121", "locally_injective component_equitable"),
+    (
+        "123", "12 13", "1", "", "111",
+        "surjective complete tame locally_surjective locally_strong pseudo_covering"
+        " component_equitable",
+    ),
+    ("123", "12 13", "12", "", "111", "tame locally_surjective locally_strong component_equitable"),
+    ("123", "12 13", "12", "12", "111", "tame locally_strong component_equitable"),
+    ("123", "12 13", "12", "12", "112", "surjective complete tame component_equitable"),
+    ("123", "12 13", "123", "12", "112", "tame component_equitable"),
+    (
+        "1234", "12", "12", "", "1122",
+        "surjective complete locally_surjective locally_strong pseudo_covering equitable"
+        " component_equitable",
+    ),
+    ("1234", "12", "12", "12", "1112", "surjective"),
+    ("1234", "12", "12", "12", "1122", "surjective equitable component_equitable"),
+    ("1234", "12", "123", "", "1122", "locally_surjective locally_strong equitable component_equitable"),
+    ("1234", "12", "123", "12", "1112", ""),
+    ("1234", "12", "123", "12", "1122", "equitable component_equitable"),
+    ("1234", "12", "123", "12", "1133", "locally_strong equitable component_equitable"),
+    ("1234", "12", "123", "12 13", "1213", "surjective locally_injective component_equitable"),
+    ("1234", "12 13", "12", "12", "1112", "surjective tame component_equitable"),
+    ("1234", "12 13", "12", "12", "1121", "surjective complete"),
+    ("1234", "12 13", "12", "12", "1122", "surjective complete component_equitable"),
+    ("1234", "12 13", "123", "12", "1122", "component_equitable"),
+    ("1234", "12 14 23", "123", "12 13 23", "1233", "surjective complete tame locally_injective component_equitable"),
+    (
+        "12345", "12 13", "12", "", "11122",
+        "surjective complete locally_surjective locally_strong pseudo_covering"
+        " component_equitable",
+    ),
+    ("12345", "12 13", "12", "12", "11122", "surjective component_equitable"),
+    ("12345", "12 13", "123", "", "11122", "locally_surjective locally_strong component_equitable"),
+    ("12345", "12 13", "123", "12", "11133", "locally_strong component_equitable"),
+    ("12345", "12 14 23", "123", "12 13 23", "12333", "surjective complete locally_injective"),
+]
+
 
 def medium_test_graphs() -> list[Graph]:
     """Hand-picked 6- and 7-vertex graphs for the larger orbit sweeps."""
@@ -300,10 +384,11 @@ def medium_test_graphs() -> list[Graph]:
 
 
 # Refusals, with the exact message each one must give.  Rows of a table are
-# (vertices, edges or blocks, message).  GRAPH_REFUSALS are Graph's own
-# checks; LOADER_REFUSALS are the shape checks the graph loader makes before
-# any edge reaches Graph, so a malformed edge is named even when an earlier
-# edge has an undeclared endpoint.
+# (vertices, edges or blocks, message).  GRAPH_REFUSALS are Graph's checks of
+# labels, endpoints, loops and repeats; LOADER_REFUSALS are its checks of an
+# edge's shape and endpoint types, which come before all of those, so a
+# malformed edge is named even when an earlier edge has an undeclared
+# endpoint.  Graph, the graph loader and the CLI all give both tables.
 GRAPH_REFUSALS = [
     (["a", "b"], [["z", "y"]], "edge endpoint 'z' is not a declared vertex"),
     (["a", "b"], [["a", "b"], ["a", "z"]], "edge endpoint 'z' is not a declared vertex"),
@@ -445,7 +530,7 @@ CONSTRUCTOR_REFUSALS = [  # (constructor, arguments, message)
     (FiniteGroup, (["e"], "e", {"e": ["e"]}), "table row ['e'] is not an object"),
     (FiniteGroup, (["e"], "e", {"e": {"e": ["e"]}}), "product ['e'] is not a string"),
     (FiniteGroup, (["e"], "e", [["e"]]), "Cayley table [['e']] is not an object"),
-    # an argument that cannot be iterated, or labels that do not sort
+    # an argument that cannot be iterated, or labels that are not strings
     (Graph, (5,), "a graph needs lists of vertices and edges, got 5 and ()"),
     (Graph, (["a"], None), "a graph needs lists of vertices and edges, got ['a'] and None"),
     (Partition, (5, ["a"]), "a partition needs lists of blocks and labels, got 5 and ['a']"),
@@ -453,4 +538,7 @@ CONSTRUCTOR_REFUSALS = [  # (constructor, arguments, message)
     (PermGroup, (None, []), "a group needs lists of labels and generators, got None and []"),
     (PermGroup, (["a"], 5), "a group needs lists of labels and generators, got ['a'] and 5"),
     (FiniteGroup, (5, "e", {}), "group elements 5 are not a list"),
+    (Partition, ([[1, 2]], [1, 2]), "a partition needs lists of blocks and labels, got [[1, 2]] and [1, 2]"),
+    (Partition, ([[True]], [1]), "a partition needs lists of blocks and labels, got [[True]] and [1]"),
+    (PermGroup, ([None], [{None: None}]), "a group needs lists of labels and generators, got [None] and [{None: None}]"),
 ]

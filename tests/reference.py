@@ -43,6 +43,65 @@ def label_graph(vertices, edges) -> tuple[dict[str, frozenset[str]], frozenset[f
     return {v: frozenset(s) for v, s in nbhd.items()}, frozenset(edge_set)
 
 
+def graph_document_result(vertices, edges):
+    """What the graph loader gives for the lists ``vertices`` and ``edges``,
+    spelled on labels as two walks: the loader's own walk over every edge's
+    shape and endpoint types, then ``Graph``'s checks of the labels and,
+    edge by edge, of the endpoints, loops and repeats.  Returns the sorted
+    vertices and the proper edges as two-label sets, or the refusal's exact
+    message."""
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2):
+            return f"edge {e!r} is not a two-element list"
+        for x in e:
+            if not isinstance(x, str):
+                return f"edge endpoint {x!r} is not a string"
+    if not vertices:
+        return "a graph needs at least one vertex"
+    declared = set()
+    for v in vertices:
+        if not isinstance(v, str):
+            return f"vertex labels must be strings, got {v!r}"
+        if v in declared:
+            return f"duplicate vertex label {v!r}"
+        declared.add(v)
+    proper = set()
+    for u, v in edges:
+        for x in (u, v):
+            if x not in declared:
+                return f"edge endpoint {x!r} is not a declared vertex"
+        if u == v:
+            return f"loop at {u!r} supplied as a proper edge; loops are implicit"
+        if frozenset((u, v)) in proper:
+            return f"duplicate edge ({min(u, v)!r}, {max(u, v)!r})"
+        proper.add(frozenset((u, v)))
+    return tuple(sorted(vertices)), frozenset(proper)
+
+
+def map_document_result(source: Graph, target: Graph, mapping: dict):
+    """What the map loader gives for the ``"map"`` object ``mapping``,
+    spelled on labels as two walks: the loader's own walk over the images'
+    types, then ``HomMap``'s checks of totality, of the domain, of the
+    images and of each proper source edge.  Returns the map by source label,
+    or the refusal's exact message."""
+    for y in mapping.values():
+        if not isinstance(y, str):
+            return f"map image {y!r} is not a string"
+    for v in source.vertices:
+        if v not in mapping:
+            return f"map is not total: no image for {v!r}"
+    for v in mapping:
+        if v not in source.vertices:
+            return f"map defined on unknown vertex {v!r}"
+    for y in mapping.values():
+        if y not in target.vertices:
+            return f"image vertex {y!r} is not in the target"
+    for u, v in source.sorted_edges():
+        if mapping[u] != mapping[v] and frozenset((mapping[u], mapping[v])) not in target.proper_edges:
+            return "map is not a homomorphism (an edge is not preserved)"
+    return {v: mapping[v] for v in source.vertices}
+
+
 def label_components(nbhd: dict[str, frozenset[str]]) -> tuple[tuple[str, ...], ...]:
     """Component blocks by breadth-first search over label neighbourhoods,
     each seeded at the smallest label not yet reached."""

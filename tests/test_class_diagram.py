@@ -1,9 +1,12 @@
-"""The paper's class diagram, both ways, at bound (4, 3).
+"""The paper's class diagram, both ways, at bounds (4, 3) and (5, 3).
 
 Every inclusion of ``golden.CLASS_INCLUSIONS`` holds on each of the 21,387
 maps of the map sweep at bound (4, 3), each row follows from the laws it
 cites, and every other ordered pair of classes fails on some map there, or,
 when only a larger source separates the two classes, on a stored witness.
+At bound (5, 3) the 43 stored witnesses of ``golden.CLASS_VECTOR_WITNESSES``,
+one per class vector realised there, keep their vectors, and the same holds
+on them: every row, and a failure of every other pair.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from dataclasses import fields
 
 import pytest
 
-from quograph import ClassificationReport, HomMap, classify, homs
+from quograph import ClassificationReport, Graph, HomMap, classify, homs
 from quograph.verify import _index_maps, enumerate_graphs
 
-from golden import CLASS_INCLUSIONS, INCLUSION_WITNESSES
+from golden import CLASS_INCLUSIONS, CLASS_VECTOR_WITNESSES, INCLUSION_WITNESSES
 
 CLASSES = [f.name for f in fields(ClassificationReport) if f.name != "orbit"]
 # the classes homs._broken_inclusions reads, in the order of its arguments
@@ -97,3 +100,35 @@ def test_every_pair_left_out_fails_on_some_map(sweep):
 def test_witness_breaks_the_pair(a, b):
     report = classify(WITNESSED[(a, b)]())
     assert getattr(report, a) and not getattr(report, b)
+
+
+def vector_witness(source_vertices, source_edges, target_vertices, target_edges, images) -> HomMap:
+    """The map of a ``CLASS_VECTOR_WITNESSES`` row."""
+    source = Graph(list(source_vertices), [tuple(e) for e in source_edges.split()])
+    target = Graph(list(target_vertices), [tuple(e) for e in target_edges.split()])
+    return HomMap(source, target, dict(zip(source_vertices, images)))
+
+
+@pytest.fixture(scope="module")
+def witness_vectors() -> list[tuple[bool, ...]]:
+    """The class vector of each witness at bound (5, 3), in row order."""
+    reports = [classify(vector_witness(*row[:5])) for row in CLASS_VECTOR_WITNESSES]
+    return [tuple(getattr(r, c) for c in CLASSES) for r in reports]
+
+
+def test_witnesses_keep_their_stored_vectors(witness_vectors):
+    stored = [tuple(c in names.split() for c in CLASSES) for *_, names in CLASS_VECTOR_WITNESSES]
+    assert all(set(names.split()) <= set(CLASSES) for *_, names in CLASS_VECTOR_WITNESSES)
+    assert all(len(row[0]) <= 5 and len(row[2]) <= 3 for row in CLASS_VECTOR_WITNESSES)
+    assert witness_vectors == stored
+    assert len(set(stored)) == 43
+
+
+@pytest.mark.parametrize("a,b,laws", CLASS_INCLUSIONS, ids=[f"{a}->{b}" for a, b, _ in CLASS_INCLUSIONS])
+def test_inclusion_holds_on_every_witness(witness_vectors, a, b, laws):
+    assert not breaks(witness_vectors, a, b)
+
+
+def test_every_pair_left_out_fails_on_a_witness(witness_vectors):
+    left_out = set(itertools.permutations(CLASSES, 2)) - TABLE
+    assert sorted(pair for pair in left_out if not breaks(witness_vectors, *pair)) == []

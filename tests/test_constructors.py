@@ -86,3 +86,13 @@ def test_other_shapes_are_still_accepted():
     assert HomMap(PAIR, PAIR, MappingProxyType({"a": "b", "b": "a"})).mapping == {"a": "b", "b": "a"}
     table = MappingProxyType({"e": MappingProxyType({"e": "e"})})
     assert FiniteGroup(("e",), "e", table).elements == ("e",)
+
+
+def test_labels_of_a_str_subclass_are_accepted():
+    class Label(str):
+        pass
+
+    a, b = Label("a"), Label("b")
+    assert Graph([b, a], [(a, b)]).sorted_edges() == [("a", "b")]
+    assert Partition([[a], [b]], [a, b]).blocks == (("a",), ("b",))
+    assert PermGroup([a, b], [{a: b, b: a}]).generators == ({"a": "b", "b": "a"},)

@@ -10,7 +10,7 @@ from quograph import Graph, Partition, find_isomorphism, make_cyclic, make_symme
 from quograph.verify import oracle_component_count
 
 from conftest import graphs
-from golden import EDGE_REFUSALS, GRAPH_REFUSALS
+from golden import EDGE_REFUSALS, GRAPH_REFUSALS, LOADER_REFUSALS
 
 
 def path(labels):
@@ -52,7 +52,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(["a", "b"], [("a", "b"), ("b", "a")])
 
-    @pytest.mark.parametrize("vertices,edges,message", GRAPH_REFUSALS + EDGE_REFUSALS)
+    @pytest.mark.parametrize("vertices,edges,message", GRAPH_REFUSALS + EDGE_REFUSALS + LOADER_REFUSALS)
     def test_refusal_message(self, vertices, edges, message):
         with pytest.raises(ValueError) as exc:
             Graph(vertices, edges)

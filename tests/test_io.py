@@ -26,7 +26,51 @@ from golden import (
     PARTITION_LOADER_REFUSALS,
     PARTITION_REFUSALS,
 )
-from reference import cayley_to_dict, indent_dumps
+from reference import cayley_to_dict, graph_document_result, indent_dumps, map_document_result
+
+
+def loaded(load, *args):
+    """What a loader returns, or the message of its refusal."""
+    try:
+        return load(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Items of documents with several faults at once: declared and undeclared
+# labels (so loops and repeated edges turn up too), values that are no
+# strings, edges of the wrong shape and partial maps.
+NO_STRINGS = st.sampled_from([1, None, True, 2.5, ["a"], {"a": "b"}])
+DOC_LABELS = st.sampled_from(["a", "b", "c", "z"])
+GOOD_EDGES = st.lists(st.sampled_from(["a", "b", "c"]), min_size=2, max_size=2)
+DOC_EDGES = st.one_of(
+    GOOD_EDGES,
+    GOOD_EDGES,
+    GOOD_EDGES,
+    st.lists(DOC_LABELS, min_size=2, max_size=2),
+    st.lists(st.one_of(DOC_LABELS, DOC_LABELS, NO_STRINGS), min_size=2, max_size=2),
+    st.sampled_from([[], ["a"], ["a", "b", "c"], "ab", {"a": "b"}, 5, None]),
+)
+DOC_VERTICES = st.one_of(
+    st.just(["a", "b", "c"]),
+    st.lists(st.one_of(st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "b", "c"]), NO_STRINGS), max_size=4),
+)
+MAP_SOURCES = [Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]), Graph(["a", "b"], [])]
+MAP_TARGETS = [Graph(["x", "y"], [("x", "y")]), Graph(["w", "x", "y"], [("x", "y")])]
+
+
+@st.composite
+def map_documents(draw):
+    """A source, a target and a map between them: some source vertices
+    left out, an unknown vertex "q" perhaps added, images in the target,
+    outside it or no strings, all in a drawn order."""
+    source, target = draw(st.sampled_from(MAP_SOURCES)), draw(st.sampled_from(MAP_TARGETS))
+    images = st.one_of(st.sampled_from(target.vertices), st.sampled_from(target.vertices), st.just("v"), NO_STRINGS)
+    keys = [v for v in source.vertices if draw(st.integers(0, 5))]
+    if not draw(st.integers(0, 3)):
+        keys.append("q")
+    items = draw(st.permutations([(v, draw(images)) for v in keys]))
+    return source, target, dict(items)
 
 
 class TestGraphFormat:
@@ -60,6 +104,14 @@ class TestGraphFormat:
         with pytest.raises(ValueError) as exc:
             io.graph_from_dict({"vertices": vertices, "edges": edges})
         assert str(exc.value) == message
+
+    @given(DOC_VERTICES, st.lists(DOC_EDGES, max_size=5))
+    @settings(max_examples=400, deadline=None)
+    def test_multi_fault_documents_agree_with_the_two_walks(self, vertices, edges):
+        got = loaded(io.graph_from_dict, {"vertices": vertices, "edges": edges})
+        if isinstance(got, Graph):
+            got = got.vertices, got.proper_edges
+        assert got == graph_document_result(vertices, edges)
 
 
 class TestPartitionFormat:
@@ -104,6 +156,15 @@ class TestMapFormat:
         g = Graph(["a"], [])
         with pytest.raises(ValueError):
             io.hom_from_dict(doc, g, g)
+
+    @given(map_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_multi_fault_documents_agree_with_the_two_walks(self, case):
+        source, target, mapping = case
+        got = loaded(io.hom_from_dict, {"map": mapping}, source, target)
+        if isinstance(got, HomMap):
+            got = got.mapping
+        assert got == map_document_result(source, target, mapping)
 
 
 class TestGroupFormat:

@@ -1,6 +1,7 @@
 """The library imports nothing outside the standard library, and its modules import
 each other at module level only, without a cycle; it defines and exports nothing
-that only the tests use, and no nested function of it refers to itself."""
+that only the tests use, no nested function of it refers to itself, and the graph
+and map loaders leave the document's items to Graph and HomMap."""
 
 from __future__ import annotations
 
@@ -136,3 +137,40 @@ def test_no_nested_function_refers_to_itself(path):
 def test_self_reference_check_finds_a_recursive_closure():
     tree = ast.parse("def outer():\n    def rec(i):\n        return rec(i - 1) if i else 0\n    return rec(3)\n")
     assert self_calling_nested_functions(tree) == ["rec (line 2)"]
+
+
+# Loops, comprehensions and the io helpers that walk a document's items.
+ITEM_WALKS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+ITEM_CHECKS = {"_expect_labels", "_all_of"}
+
+
+def item_walks(function: ast.FunctionDef) -> list[str]:
+    """Each loop, comprehension or call of an item check in a function, by line."""
+    found = []
+    for node in ast.walk(function):
+        if isinstance(node, ITEM_WALKS):
+            found.append((node.lineno, type(node).__name__))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ITEM_CHECKS:
+            found.append((node.lineno, node.func.id))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("name", ["graph_from_dict", "hom_from_dict"])
+def test_graph_and_map_loaders_check_only_the_envelope(name):
+    # Graph and HomMap name the first faulty item in document order, so a
+    # walk over the items in the loader would check each of them twice.
+    tree = parse(ROOT / "src" / "quograph" / "io.py")
+    [function] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert item_walks(function) == []
+
+
+def test_item_walk_check_finds_a_loader_walk():
+    source = (
+        "def load(data):\n"
+        "    if not _all_of(list, data):\n"
+        "        for e in data:\n"
+        "            _expect_labels(e, 'edge endpoint')\n"
+        "    return [x for x in data]\n"
+    )
+    [function] = ast.parse(source).body
+    assert item_walks(function) == ["_all_of (line 2)", "For (line 3)", "_expect_labels (line 4)", "ListComp (line 5)"]
