@@ -28,11 +28,11 @@ class Graph:
     )
 
     def __init__(self, vertices, proper_edges=()):
-        try:  # a fault reads the edges again, so they are read into a list unless they are one
-            labels, edges = list(vertices), proper_edges if type(proper_edges) is list else list(proper_edges)
+        try:  # a fault reads the edges again, so the graph reads them into a list of its own
+            labels, edges = list(vertices), list(proper_edges)
         except TypeError:
             raise ValueError(f"a graph needs lists of vertices and edges, got {vertices!r} and {proper_edges!r}") from None
-        if not labels or set(map(type, labels)) != {str}:  # a str subclass passes _refuse_graph
+        if not labels or not all(issubclass(t, str) for t in set(map(type, labels))):
             _refuse_graph(labels, edges)
         verts = tuple(sorted(labels))
         index = {v: i for i, v in enumerate(verts)}
@@ -43,14 +43,18 @@ class Graph:
         # edge shows as an endpoint already in the other's neighbourhood.
         nbhd = [{i} for i in range(len(verts))]
         pairs = []
-        for raw in edges:
+        for k, raw in enumerate(edges):
             try:
+                if type(raw) is not tuple and type(raw) is not list:
+                    if isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} would unpack into a-b
+                        raise ValueError
+                    raw = edges[k] = tuple(raw)  # read once: _refuse_graph reads what was read here
                 u, v = raw
                 a, b = index[u], index[v]
             except (TypeError, ValueError, KeyError):
                 _refuse_graph(labels, edges)
             na = nbhd[a]
-            if a == b or b in na or isinstance(raw, (str, dict)):  # "ab" or {"a": 1, "b": 2} unpacks into a-b
+            if a == b or b in na:
                 _refuse_graph(labels, edges)
             na.add(b)
             nbhd[b].add(a)

@@ -27,11 +27,11 @@ used by ``Graph.components``.
 
 ``run_suite`` splits the sweeps into units (see ``_Share``) and forks one
 child per further CPU it may run on.  Every process runs the four sweeps on
-its own units; each child sends its counts and its first failures of each
-claim, tagged with their units, back through a pipe, and the parent merges
-them into the report one process writes, byte for byte.  When a share stops
-on an exception no claim records, or a fork fails, the parent runs every
-unit again on its own, which raises the earliest unit's exception as it is.
+its own units, and each child sends its instance count per claim back
+through a pipe.  Only a run in which every share passed is added up from
+its shares.  When a share fails a claim or stops on an exception, or a fork
+fails, the parent runs every unit again on its own: that run writes the
+report with its failures, or raises the earliest unit's exception as it is.
 """
 
 from __future__ import annotations
@@ -165,14 +165,14 @@ class OrbitInstance(NamedTuple):
     grp: PermGroup
 
 
-def _project(results, cid: str, g: Graph, p: Partition, payload_fn, unit: int) -> HomMap | None:
+def _project(results, cid: str, g: Graph, p: Partition, payload_fn) -> HomMap | None:
     """The projection of g onto its quotient by p, or None when it fails
     ``quotient``'s completeness check, which is then recorded as a failure
-    of claim ``cid`` in ``unit`` with ``payload_fn()`` as its counterexample."""
+    of claim ``cid`` with ``payload_fn()`` as its counterexample."""
     try:
         return partitions.quotient(g, p).projection
     except InternalCheckError as exc:
-        results[cid].record([f"exception: {exc}"], payload_fn, unit)
+        results[cid].record([f"exception: {exc}"], payload_fn)
         return None
 
 
@@ -652,15 +652,13 @@ class ClaimResult:
     instances: int = 0
     failure_count: int = 0
     failures: list = field(default_factory=list)
-    units: list = field(default_factory=list)  # the sweep unit of each kept failure; not reported
 
-    def record(self, details, payload_fn, unit: int):
+    def record(self, details, payload_fn):
         self.instances += 1
         for detail in details:
             self.failure_count += 1
             if len(self.failures) < _FAILURE_CAP:
                 self.failures.append({"claim": self.claim, "detail": detail, "data": payload_fn()})
-                self.units.append(unit)
 
 
 @dataclass
@@ -718,12 +716,12 @@ def _run(rows, instance):
                 yield cid, [f"exception: {exc}"]
 
 
-def _apply(results, kind, rows, instance, unit):
-    """Run a kind's claim rows on one instance of ``unit`` and record the outcomes."""
+def _apply(results, kind, rows, instance):
+    """Run a kind's claim rows on one instance and record the outcomes."""
     payload_fn = lambda: _KINDS[kind][1](instance)  # the encoder, called on a failure only
     for cid, out in _run(rows, instance):
         if out is not None:
-            results[cid].record(out, payload_fn, unit)
+            results[cid].record(out, payload_fn)
 
 
 class _Share:
@@ -750,11 +748,11 @@ class _Share:
         return (unit * 0x9E3779B97F4A7C15 & 0xFFFF_FFFF_FFFF_FFFF) * self.count >> 64
 
     def mine(self, items):
-        """(unit, item) for each of ``items`` that is this process's, one unit per item."""
+        """Each of ``items`` that is this process's, one unit per item."""
         for item in items:
             self.unit += 1
             if self.owner(self.unit) == self.index:
-                yield self.unit, item
+                yield item
 
 
 # ------------------------------------------------------------------- sweeps
@@ -763,13 +761,13 @@ def sweep_partition_claims(cfg: SweepConfig, results=None, *, _share=None):
     """Graph-level and (graph, partition)-level claims, exhaustively; one unit per graph."""
     results = results if results is not None else new_results()
     graph_claims, partition_claims = _select(_GRAPH_CLAIMS), _select(_PARTITION_CLAIMS)
-    for unit, g in (_share or _Share()).mine(enumerate_graphs(cfg.max_source_vertices)):
-        _apply(results, "graph", graph_claims, g, unit)
+    for g in (_share or _Share()).mine(enumerate_graphs(cfg.max_source_vertices)):
+        _apply(results, "graph", graph_claims, g)
         for blocks in set_partitions(g.vertices):
             p = Partition._on_graph(g, blocks)
-            m = _project(results, "projection_complete", g, p, lambda: _pair_payload(g, p), unit)
+            m = _project(results, "projection_complete", g, p, lambda: _pair_payload(g, p))
             if m is not None:  # the other partition claims need the projection
-                _apply(results, "partition", partition_claims, m, unit)
+                _apply(results, "partition", partition_claims, m)
     return results
 
 
@@ -784,9 +782,9 @@ def sweep_hom_claims(cfg: SweepConfig, results=None, claims=None, *, _share=None
     rows = _select(_HOM_CLAIMS, claims)
     targets = list(enumerate_graphs(cfg.max_target_vertices))
     pairs = ((src, tgt) for src in enumerate_graphs(cfg.max_source_vertices) for tgt in targets)
-    for unit, (src, tgt) in (_share or _Share()).mine(pairs):
+    for src, tgt in (_share or _Share()).mine(pairs):
         for index_map in _index_maps(src, tgt):
-            _apply(results, "hom", rows, HomMap._from_index_map(src, tgt, index_map), unit)
+            _apply(results, "hom", rows, HomMap._from_index_map(src, tgt, index_map))
     return results
 
 
@@ -822,11 +820,11 @@ def sweep_orbit_claims(cfg: SweepConfig, results=None, claims=None, *, _share=No
     bounds; one unit per graph."""
     results = results if results is not None else new_results()
     rows = _select(_ORBIT_CLAIMS, claims)
-    for unit, g in (_share or _Share()).mine(enumerate_graphs(cfg.max_source_vertices)):
+    for g in (_share or _Share()).mine(enumerate_graphs(cfg.max_source_vertices)):
         for p, grp in _orbit_subgroups(g):
-            m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp), unit)
+            m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp))
             if m is not None:
-                _apply(results, "orbit", rows, OrbitInstance(m, grp), unit)
+                _apply(results, "orbit", rows, OrbitInstance(m, grp))
     return results
 
 
@@ -879,20 +877,20 @@ def sweep_random_claims(cfg: SweepConfig, results=None, *, _share=None):
     hom_claims = _select(_HOM_CLAIMS, {"admissible_count_total"})
     graph_claims = _select(_GRAPH_CLAIMS, {"oracle_component_agreement"})
     draws = (_draw_orbit_group(rng) for _ in range(cfg.random_instances))
-    for unit, (g, grp) in (_share or _Share()).mine(draws):
+    for g, grp in (_share or _Share()).mine(draws):
         p = perms.orbit_partition(grp)
-        m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp), unit)
+        m = _project(results, "orbit_projection_consistent", g, p, lambda: _orbit_payload(g, grp))
         if m is None:
             continue  # every claim below needs the projection
-        _apply(results, "orbit", orbit_claims, OrbitInstance(m, grp), unit)
-        _apply(results, "hom", hom_claims, m, unit)
-        _apply(results, "graph", graph_claims, g, unit)
+        _apply(results, "orbit", orbit_claims, OrbitInstance(m, grp))
+        _apply(results, "hom", hom_claims, m)
+        _apply(results, "graph", graph_claims, g)
     return results
 
 
 # ------------------------------------------------------------ processes
 # ``run_suite`` forks one child per extra CPU; each process runs every sweep
-# on its own units, and each child sends its results back through a pipe.
+# on its own units, and each child sends its instance counts back through a pipe.
 
 # At most this many processes.  The parent forks them one after another, at
 # about 2.5 ms each on a shared 2-CPU x86 host, and every process walks every
@@ -919,15 +917,17 @@ def _sweep_share(cfg: SweepConfig, results, share: _Share) -> None:
 
 
 def _share_outcome(cfg: SweepConfig, share: _Share):
-    """A child's share of the sweeps as ``marshal`` carries it: each claim's
-    (instances, failure count, kept failures, their units), or None when an
-    exception stopped the share."""
+    """A process's share of the sweeps as ``marshal`` carries it: each
+    claim's instance count, or None when the share failed a claim or an
+    exception stopped it."""
     results = new_results()
     try:
         _sweep_share(cfg, results, share)
     except Exception:
         return None
-    return {cid: (r.instances, r.failure_count, r.failures, r.units) for cid, r in results.items()}
+    if any(r.failure_count for r in results.values()):
+        return None
+    return {cid: r.instances for cid, r in results.items()}
 
 
 def _fork_share(cfg: SweepConfig, share: _Share) -> tuple[int, int]:
@@ -991,45 +991,36 @@ def run_suite(cfg: SweepConfig = SweepConfig()) -> VerificationReport:
     The report is fully determined by the configuration: enumeration order
     is fixed and the randomized layer is seeded, so two runs with the same
     configuration produce byte-identical JSON.  The units are spread over
-    ``_process_count()`` processes; the parent adds up their counts and
-    keeps the first ``_FAILURE_CAP`` failures of each claim by unit, so the
-    report is the one a single process writes.  When a share stops on an
-    exception no claim records, or a pipe or fork fails, the parent kills
-    its children and runs every unit again on its own: that run raises the
-    earliest unit's exception with its own type, message and traceback.
+    ``_process_count()`` processes.  When every share passes, the parent
+    adds up their instance counts.  Otherwise (a share failed a claim or
+    raised, a pipe or fork failed, or there is one process) the parent
+    kills its children and runs every unit on its own: that run writes the
+    first ``_FAILURE_CAP`` failures of each claim, or raises the earliest
+    unit's exception with its own type, message and traceback.
     """
-    results = new_results()
     count = _process_count()
     children = {}  # pid -> the read end of its pipe, until the child is reaped
+    outcomes = [None]  # one process runs every unit unless every share passed
     try:
         try:
             for index in range(1, count):
                 pid, fd = _fork_share(cfg, _Share(index, count))
                 children[pid] = fd
-            _sweep_share(cfg, results, _Share(0, count))
-        except Exception:
-            if count == 1:
-                raise
-            outcomes = [None]
-        else:
-            outcomes = _collect(children)
+        except OSError:  # a failed pipe or fork
+            count = 1
+        if count > 1:
+            outcomes = [_share_outcome(cfg, _Share(0, count))]
+            if outcomes[0] is not None:
+                outcomes += _collect(children)
     finally:
         _kill(children)
+    results = new_results()
     if None in outcomes:
-        results = new_results()
         _sweep_share(cfg, results, _Share())
-        outcomes = []
-    for claims in outcomes:
-        for cid, (instances, failure_count, failures, units) in claims.items():
-            r = results[cid]
-            r.instances += instances
-            r.failure_count += failure_count
-            r.failures += failures
-            r.units += units
-    for r in results.values():
-        # a stable sort: the failures of one unit come from one process, in order
-        kept = sorted(zip(r.units, r.failures), key=lambda pair: pair[0])[:_FAILURE_CAP]
-        r.units, r.failures = [u for u, _ in kept], [f for _, f in kept]
+    else:
+        for counts in outcomes:
+            for cid, instances in counts.items():
+                results[cid].instances += instances
     return VerificationReport(cfg, [results[cid] for cid in sorted(results)])
 
 

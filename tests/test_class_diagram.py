@@ -6,7 +6,9 @@ cites, and every other ordered pair of classes fails on some map there, or,
 when only a larger source separates the two classes, on a stored witness.
 At bound (5, 3) the 43 stored witnesses of ``golden.CLASS_VECTOR_WITNESSES``,
 one per class vector realised there, keep their vectors, and the same holds
-on them: every row, and a failure of every other pair.
+on them: every row, and a failure of every other pair.  On every instance
+of the orbit sweep at bound 5, ``classify`` with its group finds an orbit
+map, and what it reads off one member per fibre matches full passes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from quograph import ClassificationReport, Graph, HomMap, classify, homs
 from quograph.verify import _index_maps, enumerate_graphs
 
 from golden import CLASS_INCLUSIONS, CLASS_VECTOR_WITNESSES, INCLUSION_WITNESSES
+from reference import label_is_equitable, orbit_instances_for
 
 CLASSES = [f.name for f in fields(ClassificationReport) if f.name != "orbit"]
 # the classes homs._broken_inclusions reads, in the order of its arguments
@@ -132,3 +135,22 @@ def test_inclusion_holds_on_every_witness(witness_vectors, a, b, laws):
 def test_every_pair_left_out_fails_on_a_witness(witness_vectors):
     left_out = set(itertools.permutations(CLASSES, 2)) - TABLE
     assert sorted(pair for pair in left_out if not breaks(witness_vectors, *pair)) == []
+
+
+def test_every_orbit_sweep_instance_is_an_orbit_map():
+    # classify takes the orbit fork here: local classes from one member per
+    # fibre and equitability without a test, so both are judged afresh
+    count = 0
+    for g in enumerate_graphs(5):
+        nbhd = {v: g.neighborhood(v) for v in g.vertices}
+        for inst in orbit_instances_for(g):
+            m = inst.m
+            report = classify(m, inst.grp)
+            assert report.orbit is True
+            fresh = HomMap._from_index_map(m.source, m.target, m._index_map)
+            local = (report.locally_surjective, report.locally_injective, report.locally_strong)
+            assert local == homs._local_classes(fresh)
+            assert label_is_equitable(nbhd, m.fibres.values(), m.mapping)
+            assert report.complete and report.pseudo_covering and report.component_equitable
+            count += 1
+    assert count == 3857

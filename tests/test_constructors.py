@@ -96,3 +96,26 @@ def test_labels_of_a_str_subclass_are_accepted():
     assert Graph([b, a], [(a, b)]).sorted_edges() == [("a", "b")]
     assert Partition([[a], [b]], [a, b]).blocks == (("a",), ("b",))
     assert PermGroup([a, b], [{a: b, b: a}]).generators == ({"a": "b", "b": "a"},)
+
+
+def test_an_edge_read_once_is_refused_as_it_was_read():
+    # an edge given as an iterator is read once; the refusal of a later edge
+    # must not read it again and find it empty
+    with pytest.raises(ValueError) as exc:
+        Graph(["a", "b", "c"], [iter(["a", "b"]), ["c", "c"]])
+    assert str(exc.value) == "loop at 'c' supplied as a proper edge; loops are implicit"
+    with pytest.raises(ValueError) as exc:
+        Graph(["a", "b", "c"], [iter(["a", "b", "c"])])
+    assert str(exc.value) == "edge ('a', 'b', 'c') is not a two-element list"
+
+
+def test_an_edge_read_once_is_kept_as_it_was_read():
+    class Label(str):
+        pass
+
+    a, b = Label("a"), Label("b")
+    assert Graph([a, b], [iter([a, b])]).sorted_edges() == [("a", "b")]
+    edges = [iter(["a", "b"]), ["b", "c"]]
+    first = edges[0]
+    Graph(["a", "b", "c"], edges)
+    assert edges[0] is first  # the caller's list is left as it was

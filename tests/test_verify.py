@@ -612,7 +612,7 @@ class TestFailureCap:
     def test_counts_everything_but_stores_a_bounded_sample(self):
         res = ClaimResult("demo")
         for i in range(30):
-            res.record([f"broken {i}"], lambda: {"n": 1}, i)
+            res.record([f"broken {i}"], lambda: {"n": 1})
         assert res.instances == 30
         assert res.failure_count == 30
         assert len(res.failures) == 20
@@ -721,8 +721,9 @@ class TestMediumGraphs:
 
 
 class TestProcesses:
-    """``run_suite`` spreads its units over forked processes and merges what
-    they send back into the report one process writes."""
+    """``run_suite`` spreads its units over forked processes and adds up the
+    counts they send back, or writes the report in one process when a share
+    did not pass."""
 
     SMALL = SweepConfig(3, 3, 10, 1)  # 11 partition units, then 121 map units, 11 orbit, 10 random
     ARGV = ["verify", "--max-vertices", "3", "--random", "10", "--seed", "1"]
@@ -880,7 +881,7 @@ class TestProcesses:
         assert raised.traceback[-1].name == "raise_it"
         assert raised.value.__context__ is None and raised.value.__cause__ is None
 
-    def test_the_parent_reruns_the_sweeps_only_after_an_exception(self, monkeypatch):
+    def test_the_parent_reruns_the_sweeps_only_after_a_failure_or_exception(self, monkeypatch):
         calls, original = [], verify._sweep_share
 
         def counted(cfg, results, share):
@@ -894,7 +895,14 @@ class TestProcesses:
         self.report(monkeypatch, 2, self.SMALL)
         assert calls == [(0, 2)]
         calls.clear()
-        self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, 1)[1]: raise_it})
+        _, pair = self.hom_unit(self.SMALL, 2, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            claim = (lambda m: ["planted"] if (m.source, m.target) == pair else [], ())
+            mp.setitem(verify._HOM_CLAIMS, "class_inclusion_chain", claim)
+            assert json.loads(self.report(mp, 2, self.SMALL))["passed"] is False
+        assert calls == [(0, 2), (0, 1)]
+        calls.clear()
+        self.plant(monkeypatch, {pair: raise_it})
         with pytest.raises(ValueError):
             self.report(monkeypatch, 2, self.SMALL)
         assert calls == [(0, 2), (0, 1)]
@@ -939,7 +947,9 @@ class TestProcesses:
         assert time.perf_counter() - start < 30
 
     @pytest.mark.parametrize(
-        "raising", [None, 0, 1, "fork"], ids=["clean", "parent-raises", "child-raises", "fork-fails"]
+        "raising",
+        [None, 0, 1, "fork", "claim"],
+        ids=["clean", "parent-raises", "child-raises", "fork-fails", "claim-fails"],
     )
     def test_the_fork_path_leaves_no_cycle(self, monkeypatch, raising):
         # as TestCollectorPause in test_cli.py, on two processes, or on three
@@ -951,6 +961,8 @@ class TestProcesses:
         if raising == "fork":
             count = 3
             self.fail_call(monkeypatch, "fork", 2)
+        elif raising == "claim":
+            monkeypatch.setitem(verify._HOM_CLAIMS, "class_inclusion_chain", (lambda m: ["planted"], ()))
         elif raising is not None:
             self.plant(monkeypatch, {self.hom_unit(self.SMALL, 2, raising)[1]: raise_it})
         monkeypatch.setattr(verify, "_process_count", lambda: count)
@@ -965,7 +977,7 @@ class TestProcesses:
             left = gc.collect()
             if was_enabled:
                 gc.enable()
-        assert (code, left) == (1 if raising in (0, 1) else 0, 0)
+        assert (code, left) == ({0: 1, 1: 1, "claim": 3}.get(raising, 0), 0)
 
     def test_unflushed_output_is_written_once(self):
         script = (
