@@ -30,11 +30,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _emit(payload, out_path=None) -> None:
+def _emit(text: str, out_path=None) -> None:
     if out_path:
-        io.save_json(out_path, payload)
+        io.save_text(out_path, text)
     else:
-        sys.stdout.write(io.dumps(payload))
+        sys.stdout.write(text)
 
 
 def _emit_parts(parts: dict, prefix=None) -> None:
@@ -43,12 +43,12 @@ def _emit_parts(parts: dict, prefix=None) -> None:
         for name, payload in parts.items():
             io.save_json(f"{prefix}.{name}.json", payload)
     else:
-        _emit(parts)
+        _emit(io.dumps(parts))
 
 
 def cmd_components(args) -> int:
     comp = io.load_graph(args.graph).components()
-    _emit({"c": comp.count, **io.partition_to_dict(comp)}, args.out)
+    _emit(io.dumps({"c": comp.count, **io.partition_to_dict(comp)}), args.out)
     return 0
 
 
@@ -65,7 +65,7 @@ def cmd_classify(args) -> int:
     tgt = io.load_graph(args.target)
     m = io.load_hom(args.map, src, tgt)
     grp = io.load_group(args.group, src) if args.group else None
-    _emit(asdict(homs.classify(m, grp)), args.out)
+    _emit(io.dumps(asdict(homs.classify(m, grp))), args.out)
     return 0
 
 
@@ -94,14 +94,14 @@ def cmd_count(args) -> int:
         except HypothesisError:
             if method == methods[-1]:
                 raise
-    _emit(breakdown.as_dict(), args.out)
+    _emit(io.count_text(breakdown), args.out)
     return 0
 
 
 def cmd_orbits(args) -> int:
     g = io.load_graph(args.graph)
     grp = io.load_group(args.group, g)
-    _emit(io.partition_to_dict(perms.orbit_partition(grp)), args.out)
+    _emit(io.dumps(io.partition_to_dict(perms.orbit_partition(grp))), args.out)
     return 0
 
 
@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
     n = args.max_vertices  # the source bound, and the target bound up to its largest
     cfg = verify.SweepConfig(n, min(n, verify.MAX_TARGET_VERTICES), random_instances=args.random, seed=args.seed)
     report = verify.run_suite(cfg)
-    _emit(report.as_dict(), args.out)
+    _emit(io.dumps(report.as_dict()), args.out)
     return 0 if report.passed else 3
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 import json
 from itertools import chain
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii
 
+from .counting import CountBreakdown, CountTerm
 from .graphs import Graph, Partition
 from .groups import FiniteGroup
 from .homs import HomMap
@@ -125,10 +126,45 @@ def dumps(payload) -> str:
     byte for byte.  An indent sends ``json`` to its pure-Python encoder, so
     the indented layout is built here around compact encoder calls instead:
     each container that holds no non-empty container, and each list of lists
-    of scalars, is written by one call; so are the values of a list of such
-    objects with one set of ``str`` keys, laid out through one row template.
+    of scalars, is written by one call.
     """
     return _emit(payload, 0) + "\n"
+
+
+def count_text(b: CountBreakdown) -> str:
+    """``dumps(b.as_dict())``, byte for byte, written straight from the terms.
+
+    Each term field is encoded once as a column: labels by the function the
+    C encoder itself uses, an exact ``int`` as ``%s`` writes it, and None as
+    ``null``.  The columns fill a copy of ``_TERM_ROW`` per term.  No terms,
+    another value in a field, or a total that is not an exact ``int`` take
+    ``dumps``.
+    """
+    columns = []
+    if b.terms and type(b.total) is int and _all_of(CountTerm, b.terms):
+        for column in zip(*b.terms):
+            kinds = set(map(type, column))
+            if kinds == {str}:
+                columns.append(list(map(encode_basestring_ascii, column)))
+            elif kinds <= {int, type(None)}:
+                columns.append(["null" if v is None else v for v in column] if type(None) in kinds else column)
+            else:
+                break
+    if len(columns) != len(CountTerm._fields):
+        return dumps(b.as_dict())
+    values = chain.from_iterable(zip(*(columns[field] for _, field in _TERM_SLOTS)))  # row by row
+    rows = ",\n    ".join([_TERM_ROW] * len(b.terms)) % tuple(values)
+    # the frame's one "[]" is the empty terms list, as the total is an int
+    head, _, tail = _emit(CountBreakdown((), b.total).as_dict(), 0).partition("[]")
+    return f"{head}[\n    {rows}\n  ]{tail}\n"
+
+
+# A count term's member names, sorted, each with the field it is read from
+# (read off ``CountTerm.as_dict``), and its row template at depth 2.
+_TERM_SLOTS = sorted(CountTerm(*range(len(CountTerm._fields))).as_dict().items())
+_TERM_ROW = "{\n      %s\n    }" % ",\n      ".join(
+    encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name, _ in _TERM_SLOTS
+)
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -154,38 +190,6 @@ def _flat(items) -> bool:
     return _scalars(items) or not any(v for v in items if isinstance(v, _CONTAINERS))
 
 
-def _object_rows(items, depth: int) -> str | None:
-    """The members of ``items``, two or more non-empty ``dict`` objects, when
-    all have one set of ``str`` keys and flat values, laid out through one
-    row template; else None.
-
-    Only ``str`` keys share a template: ``1`` and ``True``, or ``1`` and
-    ``1.0``, are equal keys that the encoder writes differently.
-    """
-    size = len(items[0])
-    if len(items) < 2 or set(map(len, items)) != {size} or not _all_of(str, chain.from_iterable(items)):
-        return None
-    keys = sorted(items[0])
-    pick = itemgetter(*keys)  # one key gives its value, not a 1-tuple
-    try:
-        values = [*map(pick, items)] if size == 1 else [*chain.from_iterable(map(pick, items))]
-    except KeyError:  # as many keys, but not the same ones
-        return None
-    if not _flat(values):
-        return None
-    # Every member name is followed by a "%s" slot for its value.  Under
-    # ensure_ascii a name never holds a raw newline, so each ': 0,\n' is a
-    # separator; the last name's "0" is cut off with the closing brace.
-    inner, deeper = "  " * (depth + 1), "  " * (depth + 2)
-    names = _encoder(depth + 2).encode(dict.fromkeys(keys, 0))[1:-2]
-    names = names.replace("%", "%%").replace(': 0,\n', ': %s,\n')
-    row = f"{{\n{deeper}{names}%s\n{inner}}}"
-    # Nor does a flat value's text hold a raw newline, so ",\n" splits the
-    # values apart.
-    texts = _encoder(0).encode(values)[1:-1].split(",\n")
-    return f",\n{inner}".join([row] * len(items)) % tuple(texts)
-
-
 def _list_rows(items, depth: int) -> str:
     """The members of ``items``, non-empty lists of scalars, in one call.
 
@@ -198,23 +202,6 @@ def _list_rows(items, depth: int) -> str:
     inner, deeper = "  " * (depth + 1), "  " * (depth + 2)
     text = _encoder(depth + 2).encode(items)[2:-2].replace(f"],\n{deeper}[", f"\n{inner}],\n{inner}[\n{deeper}")
     return f"[\n{deeper}{text}\n{inner}]"
-
-
-def _leaf_rows(items, depth: int) -> str | None:
-    """The members of a list of non-empty flat objects of one key set, or of
-    non-empty lists of scalars, written without recursion; else None.
-
-    A ``dict`` subclass takes the recursion: it may read its members in
-    another way than ``dict`` does, which is how the template reads them.
-    """
-    if not all(items):
-        return None
-    kinds = set(map(type, items))
-    if kinds == {dict}:
-        return _object_rows(items, depth)
-    if all(issubclass(t, (list, tuple)) for t in kinds) and _scalars(chain.from_iterable(items)):
-        return _list_rows(items, depth)
-    return None
 
 
 def _emit(x, depth: int) -> str:
@@ -236,8 +223,9 @@ def _emit(x, depth: int) -> str:
         names = _encoder(depth + 1).encode(dict.fromkeys(x, 0))[1:-1].split(sep)
         parts = (name[:-1] + _emit(x[k], depth + 1) for name, k in zip(names, sorted(x)))
         return f"{{\n{inner}{sep.join(parts)}\n{outer}}}"
-    rows = _leaf_rows(x, depth)
-    if rows is None:
+    if all(x) and all(issubclass(t, (list, tuple)) for t in set(map(type, x))) and _scalars(chain.from_iterable(x)):
+        rows = _list_rows(x, depth)  # non-empty lists of scalars, in one call
+    else:
         rows = sep.join(_emit(v, depth + 1) for v in x)
     return f"[\n{inner}{rows}\n{outer}]"
 
@@ -251,8 +239,12 @@ def load_json(path):
 
 
 def save_json(path, payload) -> None:
+    save_text(path, dumps(payload))
+
+
+def save_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(payload))
+        fh.write(text)
 
 
 def load_graph(path) -> Graph:

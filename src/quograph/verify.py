@@ -916,16 +916,23 @@ def _sweep_share(cfg: SweepConfig, results, share: _Share) -> None:
     sweep_random_claims(cfg, results, _share=share)
 
 
+class _FirstFailure(ClaimResult):
+    """A claim's result in a share, which stops at the claim's first failure."""
+
+    def record(self, details, payload_fn):
+        self.instances += 1
+        for detail in details:
+            raise InternalCheckError(detail)
+
+
 def _share_outcome(cfg: SweepConfig, share: _Share):
     """A process's share of the sweeps as ``marshal`` carries it: each
     claim's instance count, or None when the share failed a claim or an
     exception stopped it."""
-    results = new_results()
+    results = {cid: _FirstFailure(cid) for cid in CLAIM_KINDS}
     try:
         _sweep_share(cfg, results, share)
     except Exception:
-        return None
-    if any(r.failure_count for r in results.values()):
         return None
     return {cid: r.instances for cid, r in results.items()}
 

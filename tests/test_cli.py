@@ -634,14 +634,18 @@ class TestVerifyCommand:
 
 
 class TestCanonicalPayloads:
-    """Every payload shape the commands emit, written by ``io.dumps`` and by
-    the standard library's indenting encoder."""
+    """Every payload shape the commands emit, written by ``io.dumps`` (or, for
+    a count, ``io.count_text``) and by the standard library's indenting
+    encoder."""
 
     @pytest.fixture
     def payloads(self, monkeypatch):
+        """What each command hands to ``io.dumps``, or the ``as_dict()`` of the
+        breakdown ``count`` hands to ``io.count_text``."""
         recorded = []
-        dumps = io.dumps
+        dumps, count_text = io.dumps, io.count_text
         monkeypatch.setattr(io, "dumps", lambda payload: recorded.append(payload) or dumps(payload))
+        monkeypatch.setattr(io, "count_text", lambda b: recorded.append(b.as_dict()) or count_text(b))
         return recorded
 
     def test_each_command(self, two_triangles_files, capsys, payloads):
@@ -680,12 +684,15 @@ class TestCanonicalPayloads:
         io.save_json(tmp_path / "grp.json", io.group_to_dict(PermGroup(g.vertex_set, [swap])))
         g_path, p_path, grp_path = (str(tmp_path / f) for f in ("g.json", "p.json", "grp.json"))
         payloads.clear()  # the files above were written through io.dumps too
-        code, out, _ = run_cli(capsys, "count", g_path, p_path, "--group", grp_path, "--method", method)
+        argv = ["count", g_path, p_path, "--group", grp_path, "--method", method]
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         (payload,) = payloads
         assert payload["total"] == 6 and len(payload["terms"]) == 3
         assert (None in payload["terms"][0].values()) == (method == "A")
         assert out == indent_dumps(payload)
+        assert run_cli(capsys, *argv, "--out", str(tmp_path / "count.json")) == (0, "", "")
+        assert (tmp_path / "count.json").read_bytes() == out.encode()
 
 
 LABELS = st.sampled_from(["e", "a", "b", "0", "1"])

@@ -14,6 +14,9 @@ from quograph import (
     make_symmetric,
 )
 from quograph import io
+from quograph.counting import CountBreakdown, CountTerm, count_admissible, count_ce, count_orbit
+from quograph.errors import HypothesisError
+from quograph.verify import _index_maps, enumerate_graphs
 
 from conftest import graphs, graphs_with_partitions
 from golden import (
@@ -26,7 +29,7 @@ from golden import (
     PARTITION_LOADER_REFUSALS,
     PARTITION_REFUSALS,
 )
-from reference import cayley_to_dict, graph_document_result, indent_dumps, map_document_result
+from reference import cayley_to_dict, graph_document_result, indent_dumps, map_document_result, orbit_instances_for
 
 
 def loaded(load, *args):
@@ -252,7 +255,7 @@ def json_containers(children):
 
 JSON_TREES = st.recursive(SCALARS | LEAF_DICTS | LEAF_LISTS, json_containers, max_leaves=24)
 
-# Keys that look like the row template's own slots and separators.
+# Keys that look like a row template's slots and separators.
 ROW_KEYS = st.sampled_from(["%", "%s", "%%s", "%(a)s", '"a": 0,\n', '": 0,\n  "', ": %s,"]) | TRICKY_TEXT
 
 
@@ -291,8 +294,7 @@ class TestCanonicalText:
 
     @given(same_key_rows(), st.integers(0, 2))
     @settings(max_examples=400)
-    def test_same_key_rows_share_one_template(self, rows, depth):
-        assert io._object_rows(rows, depth) is not None
+    def test_same_key_rows_match_the_indenting_encoder(self, rows, depth):
         for _ in range(depth):
             rows = {"rows": rows}
         assert io.dumps(rows) == indent_dumps(rows)
@@ -309,7 +311,7 @@ class TestCanonicalText:
         ids=["int-and-bool-keys", "int-and-float-keys", "one-row", "other-keys", "nested-values"],
     )
     def test_rows_outside_the_template(self, payload):
-        assert io._object_rows(payload, 0) is None
+        # equal keys the encoder writes differently, one row, other keys in each row, nested values
         assert io.dumps(payload) == indent_dumps(payload)
 
     @pytest.mark.parametrize(
@@ -345,3 +347,99 @@ class TestCanonicalText:
         io.save_json(tmp_path / "p.json", io.partition_to_dict(p))
         g2 = io.load_graph(tmp_path / "g.json")
         assert io.load_partition(tmp_path / "p.json", g2) == p
+
+
+# Labels the encoder must escape, or that look like the row template's slots.
+TERM_LABELS = st.sampled_from(['"', "\\", "%", "%s", "%%s", "%(y)s", "é", "☃", "\n", "\x00", "\ud800", ""])
+TERM_LABELS |= st.text(max_size=6)
+TERM_INTS = st.integers(0, 10**20)
+
+
+class Label(str):
+    """A label type the encoder writes as ``str``, which ``count_text`` leaves to ``dumps``."""
+
+
+class TestCountText:
+    """``io.count_text`` writes a breakdown's ``as_dict()`` as the standard
+    library's indenting encoder does, from its terms or through ``dumps``."""
+
+    @pytest.fixture
+    def dumped(self, monkeypatch):
+        """The payloads ``count_text`` hands to ``io.dumps``."""
+        recorded, dumps = [], io.dumps
+        monkeypatch.setattr(io, "dumps", lambda payload: recorded.append(payload) or dumps(payload))
+        return recorded
+
+    @staticmethod
+    def sweep_breakdowns():
+        """Every breakdown the three counters give on the map sweep at
+        bounds (3, 3) and on the orbit sweep at bound 4."""
+        graphs = list(enumerate_graphs(3))
+        for src in graphs:
+            for tgt in graphs:
+                for index_map in _index_maps(src, tgt):
+                    m = HomMap._from_index_map(src, tgt, index_map)
+                    for count in (count_admissible, count_ce):
+                        try:
+                            yield count(m)
+                        except HypothesisError:
+                            pass
+        for g in enumerate_graphs(4):
+            for m, grp in orbit_instances_for(g):
+                yield count_orbit(m, grp)
+
+    def test_every_sweep_breakdown(self, dumped):
+        breakdowns = list(self.sweep_breakdowns())
+        assert len(breakdowns) > 343  # the map sweep's admissible and ce counts, then the orbit counts
+        for b in breakdowns:
+            assert io.count_text(b) == indent_dumps(b.as_dict())
+        assert dumped == []  # none took the fallback
+
+    @given(
+        st.lists(
+            st.builds(CountTerm, TERM_LABELS, TERM_LABELS, TERM_INTS, TERM_INTS, TERM_INTS)
+            | st.builds(CountTerm, TERM_LABELS, st.none(), st.none(), st.none(), TERM_INTS),
+            min_size=1,
+            max_size=5,
+        ),
+        TERM_INTS,
+    )
+    @settings(max_examples=300)
+    def test_drawn_labels_and_null_columns(self, terms, total):
+        b = CountBreakdown(tuple(terms), total)
+        dumps, recorded = io.dumps, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "dumps", lambda payload: recorded.append(payload) or dumps(payload))
+            text = io.count_text(b)
+        assert text == indent_dumps(b.as_dict())
+        # a column of labels, of ints or of None is written from the terms
+        one_kind = all(len({type(v) for v in column}) == 1 for column in zip(*terms))
+        assert (recorded == []) == one_kind
+
+    @pytest.mark.parametrize(
+        "terms,total",
+        [
+            ((), 0),
+            ((CountTerm("a", "b", 1, 1, True),), 1),
+            ((CountTerm("a", "b", 2.0, 1, 2),), 2),
+            ((CountTerm(Label("a"), "b", 1, 1, 1),), 1),
+            ((CountTerm("a", Label("b"), 1, 1, 1),), 1),
+            ((CountTerm("a", "b", 1, 1, 1),), 1.0),
+            ((CountTerm("a", "b", 1, 1, 1),), True),
+            ((CountTerm("a", "b", 1, 1, 1), CountTerm("c", None, None, None, 1)), 2),
+        ],
+        ids=[
+            "no-terms",
+            "bool-value",
+            "float-size",
+            "str-subclass-label",
+            "str-subclass-leader",
+            "float-total",
+            "bool-total",
+            "mixed-columns",
+        ],
+    )
+    def test_other_values_take_dumps(self, dumped, terms, total):
+        b = CountBreakdown(terms, total)
+        assert io.count_text(b) == indent_dumps(b.as_dict())
+        assert dumped == [b.as_dict()]

@@ -907,6 +907,12 @@ class TestProcesses:
             self.report(monkeypatch, 2, self.SMALL)
         assert calls == [(0, 2), (0, 1)]
 
+    def test_a_share_stops_at_its_first_failure(self, monkeypatch):
+        maps = []
+        monkeypatch.setitem(verify._HOM_CLAIMS, "admissible_count_total", (lambda m: maps.append(m) or ["planted"], ()))
+        assert verify._share_outcome(self.SMALL, verify._Share()) is None
+        assert len(maps) == 1  # of the 1,339 maps the claim fails on in a one-process run
+
     @pytest.mark.parametrize("name", ["pipe", "fork"])
     def test_a_failed_fork_falls_back_to_one_process(self, monkeypatch, name):
         one = self.cli(monkeypatch, 1, self.ARGV)
