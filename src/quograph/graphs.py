@@ -19,13 +19,10 @@ class Graph:
     neighbourhood of position i as a set of positions (i included), and
     ``_edges`` holds each proper edge once as a pair (i, j) with i < j.  The
     label views (``proper_edges``, ``neighborhood``, ``has_edge``,
-    ``sorted_edges``) are derived from them, and ``vertex_set`` is built on
-    first read and cached.
+    ``sorted_edges``, ``vertex_set``) are derived from them on each read.
     """
 
-    __slots__ = (
-        "vertices", "index", "_vertex_set", "_nbhd", "_edges", "_components", "_induced",
-    )
+    __slots__ = ("vertices", "index", "_nbhd", "_edges", "_components", "_induced")
 
     def __init__(self, vertices, proper_edges=()):
         try:  # a fault reads the edges again, so the graph reads them into a list of its own
@@ -78,16 +75,14 @@ class Graph:
         self.index = index
         self._nbhd = nbhd
         self._edges = edges
-        self._vertex_set = self._components = self._induced = None
+        self._components = self._induced = None
 
     # ------------------------------------------------------------- queries
 
     @property
     def vertex_set(self) -> frozenset[str]:
         """The vertex labels as a set."""
-        if self._vertex_set is None:
-            self._vertex_set = frozenset(self.vertices)
-        return self._vertex_set
+        return frozenset(self.vertices)
 
     @property
     def proper_edges(self) -> frozenset[frozenset[str]]:

@@ -50,11 +50,8 @@ class FiniteGroup:
         if identity not in elements:
             raise ValueError(f"identity {identity!r} is not an element")
         index = {a: i for i, a in enumerate(elements)}
-        try:
-            rows = tuple([tuple([index[row[b]] for b in elements]) for row in map(table.get, elements)])
-        except (LookupError, TypeError, AttributeError):
-            _refuse_table(table, elements, index)
-            raise
+        _refuse_table(table, elements, index)
+        rows = tuple([tuple([index[row[b]] for b in elements]) for row in map(table.get, elements)])
         self._validate(index, index[identity], rows)
 
     @classmethod
@@ -119,8 +116,8 @@ class FiniteGroup:
 
 def _refuse_table(table, elements, index):
     """Word the first fault of the table, row by row and cell by cell in
-    element order; a row that is no mapping, or a product that is no string,
-    is worded as the table loader words it."""
+    element order, or return when there is none; a row that is no mapping,
+    or a product that is no string, is worded as the table loader words it."""
     if not hasattr(table, "keys"):
         raise ValueError(f"Cayley table {table!r} is not an object")
     for a in elements:

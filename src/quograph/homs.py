@@ -345,14 +345,6 @@ def _broken_inclusions(sur, com, iso, lsur, linj, lbij, ls, pc, eq) -> list[str]
     return [law for law, ok in zip(INCLUSION_LAWS, holds) if not ok]
 
 
-def _check_report(r: ClassificationReport) -> None:
-    """Raise for the first law of ``INCLUSION_LAWS`` the report breaks."""
-    broken = _broken_inclusions(r.surjective, r.complete, r.isomorphism, r.locally_surjective, r.locally_injective,
-                                r.locally_bijective, r.locally_strong, r.pseudo_covering, r.equitable)
-    if broken:
-        raise InternalCheckError(f"classification self-check failed: {broken[0]}")
-
-
 def classify(m: HomMap, grp=None) -> ClassificationReport:
     """Evaluate every class predicate on the map.
 
@@ -380,7 +372,7 @@ def classify(m: HomMap, grp=None) -> ClassificationReport:
     surjective = is_surjective(m)
     complete = is_complete(m)
     bijective = len(m._image) == len(m.source.vertices) and surjective
-    report = ClassificationReport(
+    r = ClassificationReport(
         surjective=surjective,
         complete=complete,
         isomorphism=bijective and complete,
@@ -394,8 +386,11 @@ def classify(m: HomMap, grp=None) -> ClassificationReport:
         component_equitable=is_component_equitable(m),
         orbit=orbit,
     )
-    _check_report(report)
-    return report
+    broken = _broken_inclusions(r.surjective, r.complete, r.isomorphism, r.locally_surjective, r.locally_injective,
+                                r.locally_bijective, r.locally_strong, r.pseudo_covering, r.equitable)
+    if broken:
+        raise InternalCheckError(f"classification self-check failed: {broken[0]}")
+    return r
 
 
 def is_orbit_map(m: HomMap, grp) -> bool:

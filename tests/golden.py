@@ -8,6 +8,8 @@ a test can compare a full classification in one step.  The hand-picked
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from quograph import FiniteGroup, Graph, HomMap, Partition, PermGroup, quotient
 
 EDGE_TARGET = Graph(["y", "z"], [("y", "z")])
@@ -530,6 +532,12 @@ CONSTRUCTOR_REFUSALS = [  # (constructor, arguments, message)
     (FiniteGroup, (["e"], "e", {"e": ["e"]}), "table row ['e'] is not an object"),
     (FiniteGroup, (["e"], "e", {"e": {"e": ["e"]}}), "product ['e'] is not a string"),
     (FiniteGroup, (["e"], "e", [["e"]]), "Cayley table [['e']] is not an object"),
+    # a row that would invent the missing product
+    (
+        FiniteGroup,
+        (["e", "a"], "e", {"e": {"e": "e", "a": "a"}, "a": defaultdict(lambda: "e", {"e": "a"})}),
+        "Cayley table misses the product 'a'*'a'",
+    ),
     # an argument that cannot be iterated, or labels that are not strings
     (Graph, (5,), "a graph needs lists of vertices and edges, got 5 and ()"),
     (Graph, (["a"], None), "a graph needs lists of vertices and edges, got ['a'] and None"),

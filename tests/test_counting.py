@@ -14,6 +14,7 @@ from quograph import (
     Graph,
     HomMap,
     HypothesisError,
+    InternalCheckError,
     Partition,
     PermGroup,
     admissible_components,
@@ -36,6 +37,7 @@ from quograph import (
     quotient,
 )
 import quograph
+from quograph.cli import main
 from quograph.counting import _image_component, _preimage_union
 from quograph.verify import _index_maps, enumerate_graphs, enumerate_homs, oracle_component_count
 
@@ -306,9 +308,12 @@ class TestRatioWalk:
         self.check_terms(inst.m, count_orbit(inst.m, inst.grp))
 
     @pytest.mark.parametrize("method", ["ce", "B"])
-    def test_a_count_builds_no_vertex_set(self, method):
+    def test_a_count_builds_no_vertex_set(self, method, monkeypatch):
         # the count_ce benchmark's shape: edges, triangles and 3-paths, each
-        # collapsed by its own orbits, blocks listed by smallest member
+        # collapsed by its own orbits, blocks listed by smallest member;
+        # neither the load, the quotient nor the count reads vertex_set
+        reads = []
+        monkeypatch.setattr(Graph, "vertex_set", property(lambda g: reads.append(g) or frozenset(g.vertices)))
         pieces = [(2, [(0, 1)], [[0, 1]], [1, 0]), (3, [(0, 1), (1, 2), (0, 2)], [[0, 1, 2]], [1, 2, 0])]
         pieces.append((3, [(0, 1), (1, 2)], [[0, 2], [1]], [2, 1, 0]))
         vertices, edges, blocks, shift = [], [], [], {}
@@ -326,7 +331,7 @@ class TestRatioWalk:
         else:
             bd = count_orbit(m, io.group_from_dict({"generators": [shift]}, g))
         assert io.dumps(bd.as_dict()) and bd.total == 60
-        assert g._vertex_set is None and m.target._vertex_set is None
+        assert reads == []
 
 
 class TestCountCe:
@@ -448,3 +453,64 @@ class TestConnectednessCriterion:
                     if verdict:
                         assert oracle_component_count(g) == 1
         assert verdicts[True] and verdicts[False]
+
+
+def drop_first_row(table):
+    return {y: counts for y, counts in table.items() if y}
+
+
+def split_first_row(table):
+    return {**table, 0: {0: 2, 5: 1}}
+
+
+class TestSelfChecks:
+    """Each counter's own check fires when the fact it compares is wrong.
+
+    The map collapses the edge a-b onto one vertex and keeps c, so the
+    fibre table is {0: {0: 2}, 1: {1: 1}}.  A doctored table drops the first
+    row, or adds a component the fibre does not meet; the counters read it
+    through ``homs._fibre_blocks`` and must raise InternalCheckError, and
+    ``count`` must exit 3 with nothing on stdout.
+    """
+
+    @staticmethod
+    def projection():
+        g = Graph(["a", "b", "c"], [("a", "b")])
+        return quotient(g, Partition([["a", "b"], ["c"]], g.vertices)).projection
+
+    @staticmethod
+    def doctor(monkeypatch, change):
+        original = quograph.homs._fibre_blocks
+        monkeypatch.setattr(quograph.homs, "_fibre_blocks", lambda m: change(original(m)))
+
+    def test_a_component_image_short_of_its_target_component(self, monkeypatch):
+        self.doctor(monkeypatch, drop_first_row)
+        with pytest.raises(InternalCheckError, match="^component image is not a full target component$"):
+            image_of_component(self.projection(), ("a", "b"))
+
+    def test_a_preimage_union_that_differs_from_the_preimage(self):
+        # the source's cached components claim c joins a and b
+        m = self.projection()
+        m.source._components = Partition([["a", "b", "c"]], m.source.vertices)
+        with pytest.raises(InternalCheckError, match="^component preimage union differs from the direct preimage$"):
+            _preimage_union(m, 0)
+
+    @pytest.mark.parametrize(
+        "method,change,message",
+        [
+            ("A", drop_first_row, "admissibility count disagrees with the component index"),
+            ("ce", drop_first_row, "no admissible component for a target vertex"),
+            ("ce", split_first_row, "multiplicity 2 does not divide fibre size 3"),
+        ],
+    )
+    def test_a_count_that_disagrees(self, monkeypatch, capsys, tmp_path, method, change, message):
+        self.doctor(monkeypatch, change)
+        # the gates are skipped: component equitability reads the doctored table too
+        monkeypatch.setattr(quograph.counting, "_require", lambda m, *names: None)
+        with pytest.raises(InternalCheckError, match=f"^{message}$"):
+            (count_admissible if method == "A" else count_ce)(self.projection())
+        g = self.projection().source
+        io.save_json(tmp_path / "g.json", io.graph_to_dict(g))
+        io.save_json(tmp_path / "p.json", {"blocks": [["a", "b"], ["c"]]})
+        code = main(["count", str(tmp_path / "g.json"), str(tmp_path / "p.json"), "--method", method])
+        assert (code, *capsys.readouterr()) == (3, "", f"internal check failed: {message}\n")

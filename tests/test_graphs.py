@@ -187,14 +187,12 @@ class TestInduced:
 
 
 class TestVertexSet:
-    """``vertex_set`` is built on its first read, then kept, whichever
-    builder made the graph."""
+    """``vertex_set`` is the set of the labels, whichever builder made the
+    graph."""
 
     @staticmethod
     def check(g):
-        assert g._vertex_set is None  # no builder makes it
         assert g.vertex_set == frozenset(g.vertices)
-        assert g.vertex_set is g.vertex_set
 
     @given(graphs(), st.data())
     def test_every_builder(self, g, data):

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import ast
 import itertools
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quograph
 from quograph import (
     FiniteGroup,
     HypothesisError,
+    InternalCheckError,
     conjugation_group,
     generating_set,
     make_cyclic,
@@ -18,6 +21,7 @@ from quograph import (
     power_graph,
     proper_power_graph,
 )
+from quograph.cli import main
 from golden import CAYLEY_TABLE_REFUSALS
 from reference import (
     cayley_to_dict,
@@ -169,6 +173,15 @@ class TestFiniteGroupValidation:
         del table["1"]["0"]
         with pytest.raises(ValueError, match="misses the product"):
             FiniteGroup(els, "0", table)
+
+    def test_a_row_that_supplies_missing_products_is_not_read_past_them(self):
+        # every cell is checked before any is read: a defaultdict row would
+        # invent the missing product, and write it into the caller's table
+        table = {"e": {"e": "e", "a": "a"}, "a": defaultdict(lambda: "e", {"e": "a"})}
+        with pytest.raises(ValueError) as exc:
+            FiniteGroup(["e", "a"], "e", table)
+        assert str(exc.value) == "Cayley table misses the product 'a'*'a'"
+        assert dict(table["a"]) == {"e": "a"}
 
     def test_product_outside_universe(self):
         els, table = _mod_table(2)
@@ -432,6 +445,15 @@ class TestConjugation:
         grp = make_symmetric(3)
         action = conjugation_group(grp, power_graph(grp))
         assert ("123",) in orbit_partition(action).blocks
+
+    def test_a_conjugation_that_fails_the_automorphism_check(self, monkeypatch, capsys):
+        message = "conjugation failed the automorphism check on the power graph"
+        monkeypatch.setattr(quograph.groups, "verify_automorphisms", lambda g, grp: False)
+        grp = make_cyclic(3)
+        with pytest.raises(InternalCheckError, match=f"^{message}$"):
+            conjugation_group(grp, power_graph(grp))
+        code = main(["powergraph", "--group", "cyclic:3"])
+        assert (code, *capsys.readouterr()) == (3, "", f"internal check failed: {message}\n")
 
     def test_rejects_unrelated_graph(self):
         from quograph import Graph
