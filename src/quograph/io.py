@@ -134,27 +134,19 @@ def dumps(payload) -> str:
 def count_text(b: CountBreakdown) -> str:
     """``dumps(b.as_dict())``, byte for byte, written straight from the terms.
 
-    Each term field is encoded once as a column: labels by the function the
-    C encoder itself uses, an exact ``int`` as ``%s`` writes it, and None as
-    ``null``.  The columns fill a copy of ``_TERM_ROW`` per term.  No terms,
-    another value in a field, or a total that is not an exact ``int`` take
-    ``dumps``.
+    Each term field is encoded once as a column, as its first cell says:
+    labels by the function the C encoder itself uses, None as ``null``, and
+    an exact ``int`` as ``%s`` writes it.  The columns fill a copy of
+    ``_TERM_ROW`` per term.  A count has at least one term, and each of its
+    columns holds labels only, None only or ints only.
     """
-    columns = []
-    if b.terms and type(b.total) is int and _all_of(CountTerm, b.terms):
-        for column in zip(*b.terms):
-            kinds = set(map(type, column))
-            if kinds == {str}:
-                columns.append(list(map(encode_basestring_ascii, column)))
-            elif kinds <= {int, type(None)}:
-                columns.append(["null" if v is None else v for v in column] if type(None) in kinds else column)
-            else:
-                break
-    if len(columns) != len(CountTerm._fields):
-        return dumps(b.as_dict())
+    columns = [
+        list(map(encode_basestring_ascii, c)) if isinstance(c[0], str) else ["null"] * len(c) if c[0] is None else c
+        for c in zip(*b.terms)
+    ]
     values = chain.from_iterable(zip(*(columns[field] for _, field in _TERM_SLOTS)))  # row by row
     rows = ",\n    ".join([_TERM_ROW] * len(b.terms)) % tuple(values)
-    # the frame's one "[]" is the empty terms list, as the total is an int
+    # the frame's one "[]" is the empty terms list, as the total is a number
     head, _, tail = _emit(CountBreakdown((), b.total).as_dict(), 0).partition("[]")
     return f"{head}[\n    {rows}\n  ]{tail}\n"
 

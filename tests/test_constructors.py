@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quograph import FiniteGroup, Graph, HomMap, Partition, PermGroup
+from quograph import FiniteGroup, Graph, HomMap, Partition, PermGroup, make_cyclic
 
 from golden import CONSTRUCTOR_REFUSALS, PAIR
 
@@ -119,3 +119,22 @@ def test_an_edge_read_once_is_kept_as_it_was_read():
     first = edges[0]
     Graph(["a", "b", "c"], edges)
     assert edges[0] is first  # the caller's list is left as it was
+
+
+@pytest.mark.parametrize(
+    "built,text",
+    [
+        (Graph(["a", "b", "e"], [("a", "e")]), "Graph(3 vertices, 1 proper edges)"),
+        (Partition([["a", "b"], ["e"]], ["a", "b", "e"]), "Partition(2 blocks over 3 vertices)"),
+        (HomMap(PAIR, Graph(["a"]), {"a": "a", "b": "a"}), "HomMap(2 -> 1 vertices)"),
+        (PermGroup(["a", "b"], [{"a": "b", "b": "a"}]), "PermGroup(1 generators on 2 points)"),
+        (make_cyclic(4), "FiniteGroup(order 4)"),
+    ],
+    ids=["Graph", "Partition", "HomMap", "PermGroup", "FiniteGroup"],
+)
+def test_repr_and_comparison_with_another_type(built, text):
+    # a repr reads only the slots the object has; equality with another
+    # type is left to the other operand, so it is False
+    assert repr(built) == text
+    assert built.__eq__(text) is NotImplemented
+    assert built != text and not built == text

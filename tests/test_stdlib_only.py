@@ -1,7 +1,8 @@
 """The library imports nothing outside the standard library, and its modules import
-each other at module level only, without a cycle; it defines and exports nothing
-that only the tests use, no nested function of it refers to itself, and the graph
-and map loaders leave the document's items to Graph and HomMap."""
+each other at module level only, without a cycle; it defines and exports nothing,
+and its exported classes have no public method, that only the tests use; no nested
+function of it refers to itself, and the graph and map loaders leave the document's
+items to Graph and HomMap."""
 
 from __future__ import annotations
 
@@ -93,8 +94,9 @@ UNREFERENCED_EXPORTS = {
 }
 
 
-def test_every_export_is_used_or_documented():
-    # An export that only the tests call is test code: it belongs in tests/.
+def names_in_code() -> set[str]:
+    """Every name and attribute the library's code refers to, bar
+    ``__init__.py``, which names every export only to re-export it."""
     used = set()
     for path in SOURCES:
         if path.name != "__init__.py":
@@ -103,9 +105,36 @@ def test_every_export_is_used_or_documented():
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-    readme = (ROOT / "README.md").read_text()
-    unreferenced = {n for n in quograph.__all__ if n not in used and not re.search(rf"\b{re.escape(n)}\b", readme)}
+    return used
+
+
+def in_readme(name: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", (ROOT / "README.md").read_text()) is not None
+
+
+def test_every_export_is_used_or_documented():
+    # An export that only the tests call is test code: it belongs in tests/.
+    used = names_in_code()
+    unreferenced = {n for n in quograph.__all__ if n not in used and not in_readme(n)}
     assert unreferenced == UNREFERENCED_EXPORTS
+
+
+def test_every_public_method_is_used_or_documented():
+    # The export rule one level down: each public method or property of an
+    # exported class is named by library code or by README.md.
+    used = names_in_code()
+    unreferenced = [
+        f"{cls.name}.{item.name}"
+        for path in SOURCES
+        for cls in parse(path).body
+        if isinstance(cls, ast.ClassDef) and cls.name in quograph.__all__
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and item.name not in used
+        and not in_readme(item.name)
+    ]
+    assert unreferenced == []
 
 
 def self_calling_nested_functions(tree: ast.Module) -> list[str]:

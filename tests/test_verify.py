@@ -416,11 +416,16 @@ class TestMutationSensitivity:
                 {"oracle_component_agreement": 4, "quotient_count_monotone": 6, "quotient_count_equality_iff_tame": 6,
                  "quotient_connectivity_transfer": 6, "connectedness_criterion_sound": 8},
             ),
+            (  # the target components of the source components, read in reverse order
+                verify, "_component_targets", lambda f: lambda m: f(m)[::-1],
+                sweep_hom_claims, SweepConfig(3, 3, 0, 1),
+                {"admissible_constant_on_target_components": 162, "tame_pseudocover_component_bijection": 64},
+            ),
         ],
         ids=[
             "tame", "isomorphism", "consistent", "admissible", "oracle-partition", "oracle-hom", "oracle-orbit",
             "complete", "automorphisms", "equitable", "orbit-isomorphism", "multiplicity", "copy-test",
-            "pseudo-covering", "blocks", "components",
+            "pseudo-covering", "blocks", "components", "component-targets",
         ],
     )
     def test_broken_function_fails_graph_partition_and_orbit_claims(self, module, name, broken, sweep, cfg, failures):
