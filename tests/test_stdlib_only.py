@@ -18,6 +18,7 @@ import quograph
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "quograph").glob("*.py"))
+README = (ROOT / "README.md").read_text()
 
 
 def parse(path: Path) -> ast.Module:
@@ -109,7 +110,7 @@ def names_in_code() -> set[str]:
 
 
 def in_readme(name: str) -> bool:
-    return re.search(rf"\b{re.escape(name)}\b", (ROOT / "README.md").read_text()) is not None
+    return re.search(rf"\b{re.escape(name)}\b", README) is not None
 
 
 def test_every_export_is_used_or_documented():
