@@ -26,6 +26,8 @@ class Graph:
 
     def __init__(self, vertices, proper_edges=()):
         try:  # a fault reads the edges again, so the graph reads them into a list of its own
+            if isinstance(vertices, (str, dict)):  # "ab" would be read as the labels a and b
+                raise TypeError
             labels, edges = list(vertices), list(proper_edges)
         except TypeError:
             raise ValueError(f"a graph needs lists of vertices and edges, got {vertices!r} and {proper_edges!r}") from None
@@ -233,9 +235,9 @@ class Partition:
         block counts once."""
         try:  # sorted() is linear on labels already in order; dict.fromkeys drops repeats
             verts, cells = tuple(dict.fromkeys(sorted(universe))), iter(blocks)
-            if not all(isinstance(v, str) for v in verts):
+            if isinstance(universe, (str, dict)) or not all(isinstance(v, str) for v in verts):
                 raise TypeError
-        except TypeError:  # not iterable, or labels that are not strings
+        except TypeError:  # not iterable, a str or dict (read as its characters or keys), or non-string labels
             raise ValueError(f"a partition needs lists of blocks and labels, got {blocks!r} and {universe!r}") from None
         self._store(verts, dict(zip(verts, range(len(verts)))), cells)
 

@@ -35,12 +35,23 @@ class FiniteGroup:
 
     def __init__(self, elements, identity, table):
         try:
+            if isinstance(elements, (str, dict)):  # "ea" would be read as the elements e and a
+                raise TypeError
             elements = tuple(elements)
         except TypeError:
             raise ValueError(f"group elements {elements!r} are not a list") from None
         for a in elements:  # they become vertex labels of the power graphs
             if not isinstance(a, str):
                 raise ValueError(f"group element {a!r} is not a string")
+        # the table's own shape, in its own order, rows of non-elements included
+        if not hasattr(table, "keys"):
+            raise ValueError(f"Cayley table {table!r} is not an object")
+        for row in table.values():
+            if not hasattr(row, "keys"):
+                raise ValueError(f"table row {row!r} is not an object")
+            for c in row.values():
+                if not isinstance(c, str):
+                    raise ValueError(f"product {c!r} is not a string")
         if len(elements) != len(set(elements)):
             raise ValueError("duplicate group element")
         if not elements:
@@ -115,23 +126,18 @@ class FiniteGroup:
 
 
 def _refuse_table(table, elements, index):
-    """Word the first fault of the table, row by row and cell by cell in
-    element order, or return when there is none; a row that is no mapping,
-    or a product that is no string, is worded as the table loader words it."""
-    if not hasattr(table, "keys"):
-        raise ValueError(f"Cayley table {table!r} is not an object")
+    """Word the first missing row, missing product or product that is no
+    element, row by row and cell by cell in element order, or return when
+    there is none.  Every cell is checked before any is read, so a row that
+    would supply a missing product is refused for it."""
     for a in elements:
         row = table.get(a)
         if row is None:
             raise ValueError(f"Cayley table has no row for {a!r}")
-        if not hasattr(row, "keys"):
-            raise ValueError(f"table row {row!r} is not an object")
         for b in elements:
             if b not in row:
                 raise ValueError(f"Cayley table misses the product {a!r}*{b!r}")
             c = row[b]
-            if not isinstance(c, str):
-                raise ValueError(f"product {c!r} is not a string")
             if c not in index:
                 raise ValueError(f"product {a!r}*{b!r} = {c!r} is not an element")
 

@@ -1,9 +1,10 @@
 """JSON file formats for graphs, partitions, maps, and groups.
 
 All emitters produce canonical JSON: vertices and blocks sorted, edges as
-sorted pairs in sorted order, keys sorted.  Loaders validate eagerly and
-raise ValueError with a pointed message on malformed input; the map loader
-raises HypothesisError for a total map that is not a homomorphism.
+sorted pairs in sorted order, keys sorted.  Loaders check only a document's
+envelope and leave its items to the constructors, which raise ValueError
+with a pointed message on malformed input; the map loader raises
+HypothesisError for a total map that is not a homomorphism.
 """
 
 from __future__ import annotations
@@ -23,18 +24,6 @@ from .perms import PermGroup
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-def _all_of(kind: type, items) -> bool:
-    """True when every item is exactly a ``kind``: one pass in C, so a
-    loader words a refusal item by item only when it has one to word."""
-    return set(map(type, items)) <= {kind}
-
-
-def _expect_labels(labels, what: str) -> None:
-    """Refuse labels that are not strings; a list would crash set lookups later."""
-    for x in labels:
-        _expect(isinstance(x, str), f"{what} {x!r} is not a string")
 
 
 # ------------------------------------------------------------------ graphs
@@ -94,26 +83,16 @@ def group_from_dict(data, g: Graph) -> PermGroup:
     _expect("generators" in data, 'group document needs a "generators" list')
     gens = data["generators"]
     _expect(isinstance(gens, list), '"generators" must be a list')
-    if not (_all_of(dict, gens) and _all_of(str, chain.from_iterable(map(dict.values, gens)))):
-        for f in gens:
-            _expect(isinstance(f, dict), f"generator {f!r} is not an object")
-            _expect_labels(f.values(), "generator image")
-    try:
-        return PermGroup._on_graph(g, gens)
-    except ValueError as exc:
-        raise ValueError(f"bad generator: {exc}") from None
+    return PermGroup._on_graph(g, gens)
 
 
 def cayley_from_dict(data) -> FiniteGroup:
     _expect(isinstance(data, dict), "group table document must be a JSON object")
-    for key in ("elements", "identity", "table"):
-        _expect(key in data, f'group table document needs "{key}"')
+    _expect("elements" in data, 'group table document needs "elements"')
+    _expect("identity" in data, 'group table document needs "identity"')
+    _expect("table" in data, 'group table document needs "table"')
     _expect(isinstance(data["elements"], list), '"elements" must be a list')
     _expect(isinstance(data["table"], dict), '"table" must be an object')
-    _expect_labels(data["elements"], "group element")
-    for row in data["table"].values():
-        _expect(isinstance(row, dict), f"table row {row!r} is not an object")
-        _expect_labels(row.values(), "product")
     return FiniteGroup(data["elements"], data["identity"], data["table"])
 
 

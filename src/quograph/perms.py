@@ -30,9 +30,9 @@ class PermGroup:
         """Each generator is a label mapping, a bijection of the universe."""
         try:  # sorted() is linear on labels already in order; dict.fromkeys drops repeats
             verts, gens = tuple(dict.fromkeys(sorted(universe))), iter(generators)
-            if not all(isinstance(v, str) for v in verts):
+            if isinstance(universe, (str, dict)) or not all(isinstance(v, str) for v in verts):
                 raise TypeError
-        except TypeError:  # not iterable, or labels that are not strings
+        except TypeError:  # not iterable, a str or dict (read as its characters or keys), or non-string labels
             raise ValueError(f"a group needs lists of labels and generators, got {universe!r} and {generators!r}") from None
         self._store(verts, dict(zip(verts, range(len(verts)))), gens)
 
@@ -48,21 +48,9 @@ class PermGroup:
         """Check each label-mapping generator against ``index``, the label
         to position map of the sorted distinct labels ``verts``, and store
         the group."""
-        gens = []
-        for f in generators:
-            try:
-                images = set((f := dict(f)).values())
-            except (TypeError, ValueError):  # worded as the group loader words them
-                if not isinstance(f, dict):
-                    raise ValueError(f"generator {f!r} is not an object") from None
-                image = next(y for y in f.values() if not isinstance(y, str))
-                raise ValueError(f"generator image {image!r} is not a string") from None
-            if f.keys() != images:
-                raise ValueError("mapping is not a bijection of its domain")
-            if f.keys() != index.keys():
-                raise ValueError("generator domain does not match the universe")
-            gens.append(tuple(map(index.__getitem__, map(f.__getitem__, verts))))
-        self.vertices, self._gens = verts, tuple(gens)
+        gens = list(generators)
+        _refuse_generators(gens, index)
+        self.vertices, self._gens = verts, tuple([tuple(map(index.__getitem__, map(f.__getitem__, verts))) for f in gens])
 
     @classmethod
     def _from_positions(cls, vertices: tuple, gens) -> "PermGroup":
@@ -80,6 +68,24 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup({len(self._gens)} generators on {len(self.vertices)} points)"
+
+
+def _refuse_generators(gens, index: dict) -> None:
+    """Raise for the first generator that is no bijection of ``index``'s
+    labels: anywhere in the list, a generator that is no mapping, then an
+    image that is no string; then, generator by generator, a mapping that
+    is no bijection of its domain, then a domain that is not the universe."""
+    for f in gens:
+        if not hasattr(f, "keys"):
+            raise ValueError(f"generator {f!r} is not an object")
+        for y in f.values():
+            if not isinstance(y, str):
+                raise ValueError(f"generator image {y!r} is not a string")
+    for f in gens:
+        if f.keys() != set(f.values()):
+            raise ValueError("bad generator: mapping is not a bijection of its domain")
+        if f.keys() != index.keys():
+            raise ValueError("bad generator: generator domain does not match the universe")
 
 
 def verify_automorphisms(g: Graph, grp: PermGroup) -> bool:

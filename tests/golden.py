@@ -451,9 +451,11 @@ MAP_REFUSALS = [  # (source vertices, target vertices, map, message)
     (["a"], ["x"], {"q": "x", "a": "w"}, "map defined on unknown vertex 'q'"),
     (["a", "b", "c"], ["x"], {"a": "x", "b": "w", "c": "v"}, "image vertex 'w' is not in the target"),
 ]
-# The loaders' own shape checks, run before a Partition, PermGroup or
-# FiniteGroup is built; the first fault in document order is the one named.
-# Keys are in sorted order, so a document keeps its order through a file.
+# Malformed items, which the loaders leave to Partition, PermGroup and
+# FiniteGroup: the constructor, its loader and the CLI give the same words,
+# and the first fault in document order is the one named.  The first two
+# Cayley rows are the table loader's own envelope checks.  Keys are in
+# sorted order, so a document keeps its order through a file.
 PARTITION_LOADER_REFUSALS = [  # (vertices, blocks, message)
     (["a", "b"], ["ab"], "block 'ab' is not a list"),
     (["a", "b"], [["a"], {"b": 1}], "block {'b': 1} is not a list"),
@@ -549,4 +551,18 @@ CONSTRUCTOR_REFUSALS = [  # (constructor, arguments, message)
     (Partition, ([[1, 2]], [1, 2]), "a partition needs lists of blocks and labels, got [[1, 2]] and [1, 2]"),
     (Partition, ([[True]], [1]), "a partition needs lists of blocks and labels, got [[True]] and [1]"),
     (PermGroup, ([None], [{None: None}]), "a group needs lists of labels and generators, got [None] and [{None: None}]"),
+    # a generator's faults in the loader's order: its own domain, then the
+    # universe, generator by generator; a table's shape before its elements repeat
+    (PermGroup, (["a", "b"], [{"a": "b"}]), "bad generator: mapping is not a bijection of its domain"),
+    (PermGroup, (["a", "b"], [{"a": "a"}, {"a": "b", "b": "b"}]), "bad generator: generator domain does not match the universe"),
+    (FiniteGroup, (["e", "e"], "e", {"e": {"e": 1}}), "product 1 is not a string"),
+    # a label collection that is a string or a dict: "ab" would be read as the labels a and b
+    (Graph, ("ab", []), "a graph needs lists of vertices and edges, got 'ab' and []"),
+    (Graph, ({"a": 1, "b": 2}, []), "a graph needs lists of vertices and edges, got {'a': 1, 'b': 2} and []"),
+    (Partition, ([["a"], ["b"]], "ab"), "a partition needs lists of blocks and labels, got [['a'], ['b']] and 'ab'"),
+    (Partition, ([["a"]], {"a": 1}), "a partition needs lists of blocks and labels, got [['a']] and {'a': 1}"),
+    (PermGroup, ("ab", []), "a group needs lists of labels and generators, got 'ab' and []"),
+    (PermGroup, ({"a": "a"}, [{"a": "a"}]), "a group needs lists of labels and generators, got {'a': 'a'} and [{'a': 'a'}]"),
+    (FiniteGroup, ("e", "e", {"e": {"e": "e"}}), "group elements 'e' are not a list"),
+    (FiniteGroup, ({"e": "e"}, "e", {"e": {"e": "e"}}), "group elements {'e': 'e'} are not a list"),
 ]

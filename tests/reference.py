@@ -315,9 +315,16 @@ def exhaustive_is_associative(elements, table) -> bool:
 
 def dict_table_refusal(elements, identity, table) -> str | None:
     """The refusal ``FiniteGroup`` must give for a nested-dict Cayley table,
-    or None when it must accept it: the table copied into a dict keyed by
-    label pairs, then the identity, inverses and Light's test over the
-    greedy generating set, each on label lookups."""
+    or None when it must accept it: the rows and products read in the
+    table's own order, the table copied into a dict keyed by label pairs,
+    then the identity, inverses and Light's test over the greedy generating
+    set, each on label lookups."""
+    for row in table.values():
+        if not hasattr(row, "keys"):
+            return f"table row {row!r} is not an object"
+        for c in row.values():
+            if not isinstance(c, str):
+                return f"product {c!r} is not a string"
     elements = tuple(elements)
     if len(elements) != len(set(elements)):
         return "duplicate group element"
@@ -337,8 +344,6 @@ def dict_table_refusal(elements, identity, table) -> str | None:
             if b not in row:
                 return f"Cayley table misses the product {a!r}*{b!r}"
             c = row[b]
-            if not isinstance(c, str):
-                return f"product {c!r} is not a string"
             if c not in universe:
                 return f"product {a!r}*{b!r} = {c!r} is not an element"
             pairs[(a, b)] = c

@@ -81,8 +81,8 @@ def test_refusal_message(constructor, args, message):
 
 
 def test_other_shapes_are_still_accepted():
-    # a generator as a list of pairs, and maps and tables that are mappings but no dicts
-    assert PermGroup(["a", "b"], [[("a", "b"), ("b", "a")]]).generators == ({"a": "b", "b": "a"},)
+    # generators, maps and tables that are mappings but no dicts
+    assert PermGroup(["a", "b"], [MappingProxyType({"a": "b", "b": "a"})]).generators == ({"a": "b", "b": "a"},)
     assert HomMap(PAIR, PAIR, MappingProxyType({"a": "b", "b": "a"})).mapping == {"a": "b", "b": "a"}
     table = MappingProxyType({"e": MappingProxyType({"e": "e"})})
     assert FiniteGroup(("e",), "e", table).elements == ("e",)

@@ -22,7 +22,7 @@ from quograph import (
     proper_power_graph,
 )
 from quograph.cli import main
-from golden import CAYLEY_TABLE_REFUSALS
+from golden import CAYLEY_LOADER_REFUSALS, CAYLEY_TABLE_REFUSALS
 from reference import (
     cayley_to_dict,
     dict_table_refusal,
@@ -142,6 +142,11 @@ class TestFiniteGroupValidation:
     def test_non_string_element(self):
         with pytest.raises(ValueError, match="group element 1 is not a string"):
             FiniteGroup(["0", 1], "0", {"0": {"0": "0", 1: 1}, 1: {"0": 1, 1: "0"}})
+
+    # the loader's rows past its envelope: FiniteGroup words a malformed item as the loader does
+    @pytest.mark.parametrize("doc,message", [(d, m) for d, m in CAYLEY_LOADER_REFUSALS if isinstance(d.get("elements"), list)])
+    def test_loader_refusal_message(self, doc, message):
+        assert _refusal(doc["elements"], doc["identity"], doc["table"]) == message
 
     def test_duplicate_element(self):
         els, table = _mod_table(2)

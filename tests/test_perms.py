@@ -22,6 +22,7 @@ from quograph import perms
 from quograph.verify import _draw_orbit_group, enumerate_graphs
 
 from conftest import graphs
+from golden import GROUP_LOADER_REFUSALS
 from reference import (
     edge_set_automorphism_group,
     edge_set_verify_automorphisms,
@@ -50,6 +51,13 @@ class TestPermGroup:
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError, match="not a bijection"):
             PermGroup({"a", "b"}, [{"a": "b", "b": "b"}])
+
+    # PermGroup words a malformed generator as the group loader does
+    @pytest.mark.parametrize("universe,generators,message", GROUP_LOADER_REFUSALS)
+    def test_refusal_message(self, universe, generators, message):
+        with pytest.raises(ValueError) as exc:
+            PermGroup(universe, generators)
+        assert str(exc.value) == message
 
     def test_generators_are_stored_by_position(self):
         for swap in ({"a": "b", "b": "a", "c": "c"}, {"c": "c", "b": "a", "a": "b"}):

@@ -185,10 +185,13 @@ def item_walks(function: ast.FunctionDef) -> list[str]:
     return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
-@pytest.mark.parametrize("name", ["graph_from_dict", "hom_from_dict"])
-def test_graph_and_map_loaders_check_only_the_envelope(name):
-    # Graph and HomMap name the first faulty item in document order, so a
-    # walk over the items in the loader would check each of them twice.
+@pytest.mark.parametrize(
+    "name", ["graph_from_dict", "partition_from_dict", "hom_from_dict", "group_from_dict", "cayley_from_dict"]
+)
+def test_loaders_check_only_the_envelope(name):
+    # Graph, Partition, HomMap, PermGroup and FiniteGroup name the first
+    # faulty item in document order, so a walk over the items in the loader
+    # would check each of them twice.
     tree = parse(ROOT / "src" / "quograph" / "io.py")
     [function] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
     assert item_walks(function) == []
